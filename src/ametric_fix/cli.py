@@ -181,7 +181,8 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
 
     solver_raw = raw.get("solver", {}) or {}
     d = _DEFAULTS["solver"]
-    x0 = solver_raw.get("x0", d["x0"])
+    # Lifted points are integer indices, so their default start is index 0.
+    x0 = solver_raw.get("x0", 0 if cfg["space"]["kind"] == "lifted" else d["x0"])
     if isinstance(x0, list):
         x0 = [_require_real(v, anchor, "solver.x0") for v in x0]
     elif cfg["space"]["kind"] == "lifted":

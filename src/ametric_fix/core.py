@@ -42,6 +42,9 @@ class Box:
 
     lo: tuple
     hi: tuple
+    scale: float = field(init=False, repr=False, compare=False)
+    _lo_slack: tuple = field(init=False, repr=False, compare=False)
+    _hi_slack: tuple = field(init=False, repr=False, compare=False)
     finite = False
 
     def __post_init__(self):
@@ -50,6 +53,11 @@ class Box:
         for a, b in zip(self.lo, self.hi):
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise UsageError(f"invalid box bounds [{a}, {b}]")
+        scale = max(max(abs(v) for v in self.lo), max(abs(v) for v in self.hi))
+        slack = _CONTAIN_SLACK * (1.0 + scale)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_lo_slack", tuple(a - slack for a in self.lo))
+        object.__setattr__(self, "_hi_slack", tuple(b + slack for b in self.hi))
 
     @staticmethod
     def of(lo, hi, d: int = 1) -> "Box":
@@ -64,27 +72,22 @@ class Box:
     def d(self) -> int:
         return len(self.lo)
 
-    @property
-    def scale(self) -> float:
-        return max(max(abs(v) for v in self.lo), max(abs(v) for v in self.hi))
-
     def canon(self, p) -> Point:
         """Validate membership and return the canonical point value."""
-        if self.d == 1:
+        if len(self.lo) == 1:
             if isinstance(p, (tuple, list)):
                 if len(p) != 1:
                     raise UsageError(f"expected a scalar point, got {p!r}")
                 p = p[0]
             x = float(p)
-            coords = (x,)
-        else:
-            if not isinstance(p, (tuple, list)) or len(p) != self.d:
-                raise UsageError(f"expected a point of dimension {self.d}, got {p!r}")
-            coords = tuple(float(c) for c in p)
-            x = coords
-        slack = _CONTAIN_SLACK * (1.0 + self.scale)
-        for c, a, b in zip(coords, self.lo, self.hi):
-            if not (a - slack <= c <= b + slack):
+            if not (self._lo_slack[0] <= x <= self._hi_slack[0]):
+                raise CarrierDomainError(f"point {p!r} outside carrier box", point=p)
+            return x
+        if not isinstance(p, (tuple, list)) or len(p) != len(self.lo):
+            raise UsageError(f"expected a point of dimension {self.d}, got {p!r}")
+        x = tuple(float(c) for c in p)
+        for c, a, b in zip(x, self._lo_slack, self._hi_slack):
+            if not (a <= c <= b):
                 raise CarrierDomainError(f"point {p!r} outside carrier box", point=p)
         return x
 
@@ -118,6 +121,11 @@ class AMetricSpace:
     ``distance`` receives a tuple of ``t`` canonical points and returns a
     real number.  It is expected (but not trusted) to satisfy the three
     defining laws; :func:`check_axioms` is the instrument for that.
+
+    ``rep_fn`` is the two-point reduction rep(x, y) = A(x,...,x,y) on
+    canonical points.  Neither it nor ``distance`` validates its arguments:
+    callers canonicalise points where they enter (see :func:`rep_distance`).
+    When omitted it evaluates ``distance`` on the full t-tuple.
     """
 
     t: int
@@ -125,25 +133,20 @@ class AMetricSpace:
     carrier: Carrier
     eq_tol: float = 1e-12
     kind: str = "custom"
+    rep_fn: Callable[[Point, Point], float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.t, bool) or not isinstance(self.t, int) or self.t < 2:
             raise UsageError(f"arity must be an integer >= 2, got {self.t!r}")
         if not (math.isfinite(self.eq_tol) and self.eq_tol >= 0):
             raise UsageError(f"eq_tol must be a nonnegative real, got {self.eq_tol!r}")
+        if self.rep_fn is None:
+            distance, head = self.distance, self.t - 1
+            object.__setattr__(self, "rep_fn", lambda x, y: float(distance((x,) * head + (y,))))
 
     @property
     def is_finite(self) -> bool:
         return self.carrier.finite
-
-    def evaluate(self, points: Sequence[Point]) -> float:
-        return evaluate(self, points)
-
-    def rep(self, x: Point, y: Point) -> float:
-        return rep_distance(self, x, y)
-
-    def points_equal(self, x: Point, y: Point) -> bool:
-        return points_equal(self, x, y)
 
 
 def evaluate(space: AMetricSpace, points: Sequence[Point]) -> float:
@@ -157,13 +160,16 @@ def evaluate(space: AMetricSpace, points: Sequence[Point]) -> float:
 
 def rep_distance(space: AMetricSpace, x: Point, y: Point) -> float:
     """Two-point reduction: the distance of (x,...,x,y) with x repeated t-1 times."""
-    return evaluate(space, (x,) * (space.t - 1) + (y,))
+    canon = space.carrier.canon
+    return space.rep_fn(canon(x), canon(y))
 
 
 def points_equal(space: AMetricSpace, x: Point, y: Point) -> bool:
     """Coordinate-wise equality within the space's eq_tol (exact on finite carriers)."""
-    a = space.carrier.canon(x)
-    b = space.carrier.canon(y)
+    return _equal(space, space.carrier.canon(x), space.carrier.canon(y))
+
+
+def _equal(space: AMetricSpace, a: Point, b: Point) -> bool:
     if space.carrier.finite:
         return a == b
     if space.carrier.d == 1:
@@ -177,7 +183,10 @@ def tuple_spread(space: AMetricSpace, points: Sequence[Point]) -> float:
     Finite carriers have no coordinates: the spread is 0 for an all-equal
     tuple and +inf otherwise.
     """
-    pts = [space.carrier.canon(p) for p in points]
+    return _spread(space, [space.carrier.canon(p) for p in points])
+
+
+def _spread(space: AMetricSpace, pts: Sequence[Point]) -> float:
     if space.carrier.finite:
         return 0.0 if all(p == pts[0] for p in pts) else math.inf
     if space.carrier.d == 1:
@@ -192,7 +201,11 @@ def tuple_spread(space: AMetricSpace, points: Sequence[Point]) -> float:
 
 def scaled_tol(base: float, *values: float) -> float:
     """Absolute tolerance grown with the magnitude of the compared values."""
-    mag = max((abs(v) for v in values if math.isfinite(v)), default=0.0)
+    mag = 0.0
+    for v in values:
+        a = abs(v)
+        if mag < a < math.inf:  # largest finite magnitude; NaN and inf are skipped
+            mag = a
     return base * (1.0 + mag)
 
 
@@ -305,29 +318,32 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
 
     The identity law is tested in both directions: an all-equal tuple must
     evaluate to ~0, and a ~0 evaluation must come from a near-degenerate
-    tuple (exactly degenerate on finite carriers).
+    tuple (exactly degenerate on finite carriers).  Each entry is validated
+    once, as the loop reaches it; witnesses keep the entry as given.
     """
     entries = _require_entries(samples, space.t + 1, "check_axioms")
     rec = _Recorder("axioms", max_witnesses)
+    t, canon, rep = space.t, space.carrier.canon, space.rep_fn
     for entry in entries:
-        xs, pivot = entry[:space.t], entry[space.t]
-        d = evaluate(space, xs)
+        pts = tuple(map(canon, entry))
+        xs, pivot, given = pts[:t], pts[t], entry[:t]
+        d = float(space.distance(xs))
         te = scaled_tol(tol, d)
         # nonneg: 0 <= d
-        rec.add("nonneg", xs, 0.0, d, te)
+        rec.add("nonneg", given, 0.0, d, te)
         # identity, forward direction
-        degenerate = all(points_equal(space, xs[0], p) for p in xs[1:])
+        degenerate = all(_equal(space, xs[0], p) for p in xs[1:])
         if degenerate:
-            rec.add("identity", xs, abs(d), 0.0, te)
+            rec.add("identity", given, abs(d), 0.0, te)
         elif abs(d) <= te:
             # identity, reverse direction: zero distance away from the diagonal
-            spread = tuple_spread(space, xs)
+            spread = _spread(space, xs)
             bound = max(10.0 * te, space.eq_tol)
-            rec.add("identity-reverse", xs, spread, bound, 0.0)
+            rec.add("identity-reverse", given, spread, bound, 0.0)
         # simplex: d <= sum_i rep(x_i, pivot)
         rhs = 0.0
         for x in xs:
-            rhs += rep_distance(space, x, pivot)
+            rhs += rep(x, pivot)
         rec.add("simplex", entry, d, rhs, scaled_tol(tol, d, rhs))
     return rec.report(exhaustive=samples.exhaustive)
 
@@ -337,10 +353,12 @@ def check_symmetry(space: AMetricSpace, pairs: SampleSet, tol: float = 1e-9,
     """Two-point reduction must not depend on argument order."""
     entries = _require_entries(pairs, 2, "check_symmetry")
     rec = _Recorder("symmetry", max_witnesses)
-    for x, y in entries:
-        fwd = rep_distance(space, x, y)
-        bwd = rep_distance(space, y, x)
-        rec.add("symmetry", (x, y), abs(fwd - bwd), 0.0, scaled_tol(tol, fwd, bwd))
+    canon, rep = space.carrier.canon, space.rep_fn
+    for entry in entries:
+        x, y = canon(entry[0]), canon(entry[1])
+        fwd = rep(x, y)
+        bwd = rep(y, x)
+        rec.add("symmetry", entry, abs(fwd - bwd), 0.0, scaled_tol(tol, fwd, bwd))
     return rec.report(exhaustive=pairs.exhaustive)
 
 
@@ -355,11 +373,13 @@ def check_triangle_inequality(space: AMetricSpace, triples: SampleSet, tol: floa
     entries = _require_entries(triples, 3, "check_triangle_inequality")
     rec = _Recorder("triangle", max_witnesses)
     tm1 = space.t - 1
-    for x, y, z in entries:
-        lhs = rep_distance(space, x, z)
-        xy = rep_distance(space, x, y)
-        rhs_a = tm1 * xy + rep_distance(space, z, y)
-        rhs_b = tm1 * xy + rep_distance(space, y, z)
-        rec.add("triangle-a", (x, y, z), lhs, rhs_a, scaled_tol(tol, lhs, rhs_a))
-        rec.add("triangle-b", (x, y, z), lhs, rhs_b, scaled_tol(tol, lhs, rhs_b))
+    canon, rep = space.carrier.canon, space.rep_fn
+    for entry in entries:
+        x, y, z = canon(entry[0]), canon(entry[1]), canon(entry[2])
+        lhs = rep(x, z)
+        xy = rep(x, y)
+        rhs_a = tm1 * xy + rep(z, y)
+        rhs_b = tm1 * xy + rep(y, z)
+        rec.add("triangle-a", entry, lhs, rhs_a, scaled_tol(tol, lhs, rhs_a))
+        rec.add("triangle-b", entry, lhs, rhs_b, scaled_tol(tol, lhs, rhs_b))
     return rec.report(exhaustive=triples.exhaustive)

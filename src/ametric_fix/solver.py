@@ -7,8 +7,8 @@ distance from iterate n to the fixed point is bounded by the tail envelope
     tail(n) = (t - 1) * delta^n * d_0 / (1 - delta).
 
 The envelope comes from chaining the triangle-type inequality over the
-step sequence and summing the full geometric series; the limit superset of
-any partial sum, so it also dominates rep(x_n, x_m) for every m > n.  A
+step sequence and summing the full geometric series; the full series bounds
+every partial sum, so it also dominates rep(x_n, x_m) for every m > n.  A
 looser historical variant of that pairwise bound, with delta^(m+n) in
 place of delta^n, is evaluated for transparency but never asserted: the
 factor it replaces is a geometric sum that is at least 1, so the variant
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import AMetricSpace, CheckReport, Point, _Recorder, _json_num, _json_points, points_equal, rep_distance, scaled_tol
+from .core import AMetricSpace, CheckReport, Point, _Recorder, _json_num, _json_points, scaled_tol
 from .errors import CarrierDomainError, UsageError
 from .spaces import SelfMap
 
@@ -158,8 +158,9 @@ def picard_run(space: AMetricSpace, f: SelfMap, x0: Point, delta: float,
                 f"iterate {index} escaped the carrier: {err}", point=err.point, index=index
             ) from None
 
+    rep = space.rep_fn
     x1 = advance(x, 1)
-    d0 = rep_distance(space, x1, x)
+    d0 = rep(x1, x)
     if d0 == 0.0:
         return PicardTrace(iterates=(x,), steps=(), delta=delta, d0=0.0, t=space.t,
                            status="converged", limit=x)
@@ -186,7 +187,7 @@ def picard_run(space: AMetricSpace, f: SelfMap, x0: Point, delta: float,
             prev_step = steps[-1]
             current = iterates[-1]
             nxt = advance(current, len(iterates))
-            step = rep_distance(space, nxt, current)
+            step = rep(nxt, current)
             iterates.append(nxt)
             steps.append(step)
             if finished(step, len(steps), nxt):
@@ -226,8 +227,8 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
                   max_witnesses: int = 100) -> CheckReport:
     """Pairwise iterate distances against the tail envelope.
 
-    For all recorded n < m, asserts rep(x_n, x_m) <= tail(n).  The looser
-    historical pairwise bound
+    For all recorded n < m, asserts rep(x_n, x_m) <= tail(n).  Iterates are
+    validated once, on entry.  The looser historical pairwise bound
 
         [(t-1) * delta^(m+n) / (1-delta) + delta^(m-1)] * d0
 
@@ -239,17 +240,20 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
     n_pts = len(trace.iterates)
     if n_pts < 3:
         raise UsageError(f"verify_cauchy needs at least 3 iterates, got {n_pts}")
+    pts = list(map(space.carrier.canon, trace.iterates))
+    rep = space.rep_fn
     rec = _Recorder("cauchy", max_witnesses)
     delta, d0, t = trace.delta, trace.d0, trace.t
+    power = [delta ** k for k in range(2 * n_pts)]
     variant_checked = 0
     variant_ok = 0
     for n in range(n_pts - 1):
         envelope = trace.tail(n)
         for m in range(n + 1, n_pts):
-            val = rep_distance(space, trace.iterates[n], trace.iterates[m])
+            val = rep(pts[n], pts[m])
             te = scaled_tol(tol, val, envelope)
             rec.add("tail-envelope", (n, m), val, envelope, te)
-            variant = ((t - 1) * delta ** (m + n) / (1.0 - delta) + delta ** (m - 1)) * d0
+            variant = ((t - 1) * power[m + n] / (1.0 - delta) + power[m - 1]) * d0
             variant_checked += 1
             if val <= variant + scaled_tol(tol, val, variant):
                 variant_ok += 1
@@ -292,15 +296,17 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, starts: Iterable[Point], d
         scaled_tol(space.eq_tol, *magnitudes),
         _RESIDUAL_FACTOR * (space.t - 1) * rule.eps / spread_cap,
     )
+    # Limits are canonical: picard_run validates every iterate.
+    rep = space.rep_fn
     for i, (sa, pa) in enumerate(limits):
         for sb, pb in limits[i + 1:]:
-            gap = rep_distance(space, pa, pb)
+            gap = rep(pa, pb)
             rec.add("limit-agreement", (sa, sb), gap, 0.0, agree_tol)
 
     info: dict = {"n_starts": len(start_list), "n_converged": len(limits)}
     if limits:
         p = limits[0][1]
-        residual = rep_distance(space, space.carrier.canon(f(p)), p)
+        residual = rep(space.carrier.canon(f(p)), p)
         rec.add("fixed-point-residual", (p,), residual, 0.0, _RESIDUAL_FACTOR * rule.eps)
         info["limit"] = _json_points(p) if isinstance(p, tuple) else p
         info["residual"] = residual

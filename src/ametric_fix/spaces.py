@@ -1,12 +1,13 @@
 """Concrete space constructions and the self-map catalog.
 
-Two space families are provided.  The pairwise absolute-difference space
-sums |x_i - x_j| (the l1 gap for d > 1) over all argument pairs and
+Every space here is a sum-over-pairs lift of a two-point base metric, built
+by :func:`pair_lift`, whose two-point reduction rep is closed-form.  The
+pairwise absolute-difference space lifts |x - y| (the l1 gap for d > 1) and
 satisfies the defining laws by construction.  Lifted spaces apply the same
-sum-over-pairs recipe to an arbitrary base metric, given either as a finite
-symmetric table or as a callable; since nothing guarantees the simplex law
-for an arbitrary base, lifted construction is gated on an axiom check and
-fails loudly with the offending witness.
+recipe to an arbitrary base metric, given either as a finite symmetric
+table or as a callable; since nothing guarantees the simplex law for an
+arbitrary base, lifted construction is gated on an axiom check and fails
+loudly with the offending witness.
 
 Self-maps are described by declarative ``MapSpec`` values so they can be
 round-tripped through CLI configs.  Construction verifies that the map
@@ -23,37 +24,63 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AMetricSpace, Box, FiniteCarrier, Point, check_axioms
+from .core import AMetricSpace, Box, Carrier, FiniteCarrier, Point, check_axioms
 from .errors import CarrierDomainError, ConstructionError, UsageError
 from .sampling import STREAM_GATE, STREAM_MAP_CHECK, axiom_samples, philox, _random_points
 
 
-def _pair_sum_1d(pts: tuple) -> float:
-    total = 0.0
-    for i, xi in enumerate(pts):
-        for xj in pts[i + 1:]:
-            total += abs(xi - xj)
-    return total
+def pair_lift(t: int, base: Callable[[Point, Point], float], carrier: Carrier, *,
+              zero_diagonal: bool, eq_tol: float = 1e-12, kind: str = "custom") -> AMetricSpace:
+    """Sum-over-pairs lift of a two-point ``base`` on canonical points.
+
+    A(x_1..x_t) sums base(x_i, x_j) over i < j, so the two-point reduction
+    has the closed form
+
+        rep(x, y) = (t-1) * base(x, y) + C(t-1, 2) * base(x, x)
+
+    whose second term is dropped when ``zero_diagonal`` declares that
+    base(x, x) == 0 for every x.  ``base`` must return floats.
+    """
+    def distance(pts: tuple) -> float:
+        total = 0.0
+        for i, p in enumerate(pts):
+            for q in pts[i + 1:]:
+                total += base(p, q)
+        return total
+
+    tm1 = t - 1
+    if zero_diagonal:
+        def rep(x: Point, y: Point) -> float:
+            return tm1 * base(x, y)
+    else:
+        same = tm1 * (tm1 - 1) // 2
+
+        def rep(x: Point, y: Point) -> float:
+            return tm1 * base(x, y) + same * base(x, x)
+
+    return AMetricSpace(t=t, distance=distance, carrier=carrier, eq_tol=eq_tol, kind=kind,
+                        rep_fn=rep)
 
 
-def _pair_sum_nd(pts: tuple) -> float:
+def _l1_1d(x: float, y: float) -> float:
+    return abs(x - y)
+
+
+def _l1_nd(x: tuple, y: tuple) -> float:
     total = 0.0
-    for i, xi in enumerate(pts):
-        for xj in pts[i + 1:]:
-            for a, b in zip(xi, xj):
-                total += abs(a - b)
+    for a, b in zip(x, y):
+        total += abs(a - b)
     return total
 
 
 def make_absdiff_space(t: int, d: int = 1, box=(-100.0, 100.0), eq_tol: float = 1e-12) -> AMetricSpace:
     """Pairwise absolute-difference space: sum of |x_i - x_j| over i < j.
 
-    For d > 1 each pair contributes its l1 gap, which reduces bit-exactly
-    to the scalar formula at d = 1.
+    The lift of the l1 gap, which is |x - y| at d = 1.
     """
     carrier = Box.of(box[0], box[1], d)
-    dist = _pair_sum_1d if carrier.d == 1 else _pair_sum_nd
-    return AMetricSpace(t=t, distance=dist, carrier=carrier, eq_tol=eq_tol, kind="absdiff")
+    base = _l1_1d if carrier.d == 1 else _l1_nd
+    return pair_lift(t, base, carrier, zero_diagonal=True, eq_tol=eq_tol, kind="absdiff")
 
 
 def _validate_table(table) -> np.ndarray:
@@ -71,17 +98,10 @@ def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
     No structural or law checks are performed: this is the entry point for
     running diagnostics against deliberately broken tables.
     """
-    arr = _validate_table(table)
-    n = arr.shape[0]
-
-    def dist(pts: tuple) -> float:
-        total = 0.0
-        for i, pi in enumerate(pts):
-            for pj in pts[i + 1:]:
-                total += arr[pi, pj]
-        return float(total)
-
-    return AMetricSpace(t=t, distance=dist, carrier=FiniteCarrier(n), eq_tol=eq_tol, kind="lifted-table")
+    rows = _validate_table(table).tolist()
+    zero_diagonal = not any(row[i] for i, row in enumerate(rows))
+    return pair_lift(t, lambda i, j: rows[i][j], FiniteCarrier(len(rows)),
+                     zero_diagonal=zero_diagonal, eq_tol=eq_tol, kind="lifted-table")
 
 
 def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
@@ -97,16 +117,8 @@ def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
     if callable(base):
         if box is None:
             raise UsageError("a callable base needs an explicit carrier box")
-        carrier = Box.of(box[0], box[1], 1)
-
-        def dist(pts: tuple) -> float:
-            total = 0.0
-            for i, pi in enumerate(pts):
-                for pj in pts[i + 1:]:
-                    total += base(pi, pj)
-            return float(total)
-
-        space = AMetricSpace(t=t, distance=dist, carrier=carrier, eq_tol=eq_tol, kind="lifted-callable")
+        space = pair_lift(t, lambda x, y: float(base(x, y)), Box.of(box[0], box[1], 1),
+                          zero_diagonal=False, eq_tol=eq_tol, kind="lifted-callable")
     else:
         arr = _validate_table(base)
         neg = np.argwhere(arr < 0)

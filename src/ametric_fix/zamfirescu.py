@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AMetricSpace, CheckReport, Point, _Recorder, _json_num, _json_points, rep_distance, scaled_tol
+from .core import AMetricSpace, CheckReport, Point, _Recorder, _json_num, _json_points, scaled_tol
 from .errors import UsageError
 from .sampling import SampleSet
 from .spaces import SelfMap
@@ -73,11 +73,18 @@ class BranchConstants:
 
 def branch_constants(space: AMetricSpace, f: SelfMap, x: Point, y: Point) -> BranchConstants:
     """Minimal constants making each branch inequality hold for (x, y)."""
-    fx, fy = f(x), f(y)
-    num = rep_distance(space, fx, fy)
-    a_req = _needed(num, rep_distance(space, x, y))
-    b_req = _needed(num, rep_distance(space, fx, x) + rep_distance(space, fy, y))
-    c_req = _needed(num, rep_distance(space, fx, y) + rep_distance(space, fy, x))
+    canon = space.carrier.canon
+    cx, cy = canon(x), canon(y)
+    return _branch_constants(space.rep_fn, x, y, cx, cy, canon(f(cx)), canon(f(cy)))
+
+
+def _branch_constants(rep, x: Point, y: Point, cx: Point, cy: Point,
+                      fx: Point, fy: Point) -> BranchConstants:
+    """Branch constants from canonical points and images; x, y are kept as given."""
+    num = rep(fx, fy)
+    a_req = _needed(num, rep(cx, cy))
+    b_req = _needed(num, rep(fx, cx) + rep(fy, cy))
+    c_req = _needed(num, rep(fx, cy) + rep(fy, cx))
     return BranchConstants(x=x, y=y, a_req=a_req, b_req=b_req, c_req=c_req)
 
 
@@ -153,10 +160,12 @@ def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet, *,
     """
     if len(pairs) == 0:
         raise UsageError("classify needs a nonempty pair set")
+    canon, rep = space.carrier.canon, space.rep_fn
     per_pair = []
     worst = 0.0
     for x, y in pairs:
-        bc = branch_constants(space, f, x, y)
+        cx, cy = canon(x), canon(y)
+        bc = _branch_constants(rep, x, y, cx, cy, canon(f(cx)), canon(f(cy)))
         ratio, _ = bc.best(space.t)
         per_pair.append((bc, ratio))
         if ratio > worst:
@@ -216,12 +225,14 @@ def verify_contraction_inequalities(space: AMetricSpace, f: SelfMap, delta: floa
         raise UsageError("verify_contraction_inequalities needs a nonempty pair set")
     rec = _Recorder("contraction", max_witnesses)
     t = space.t
+    canon, rep = space.carrier.canon, space.rep_fn
     for x, y in pairs:
-        fx, fy = f(x), f(y)
-        lhs = rep_distance(space, fx, fy)
-        base = delta * rep_distance(space, x, y)
-        rhs_1 = base + t * delta * rep_distance(space, fx, x)
-        rhs_2 = base + t * delta * rep_distance(space, fy, x)
+        cx, cy = canon(x), canon(y)
+        fx, fy = canon(f(cx)), canon(f(cy))
+        lhs = rep(fx, fy)
+        base = delta * rep(cx, cy)
+        rhs_1 = base + t * delta * rep(fx, cx)
+        rhs_2 = base + t * delta * rep(fy, cx)
         rec.add("contraction-own-step", (x, y), lhs, rhs_1, scaled_tol(tol, lhs, rhs_1))
         rec.add("contraction-cross-step", (x, y), lhs, rhs_2, scaled_tol(tol, lhs, rhs_2))
     return rec.report(exhaustive=pairs.exhaustive)

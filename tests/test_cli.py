@@ -217,6 +217,20 @@ def test_verify_finite_space_records_oracle(tmp_path, capsys):
     assert report["certificate"]["exhaustive"] is True
 
 
+def test_verify_lifted_without_x0_starts_at_index_zero(tmp_path, capsys):
+    doc = {
+        "space": {"kind": "lifted", "t": 3, "base_table": DISCRETE_TABLE},
+        "map": {"kind": "finite-table", "images": [1, 1, 1]},
+        "sampling": {"seed": 7},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    code, _, _ = run(["verify", "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    report = load_report(tmp_path)
+    assert report["config"]["solver"]["x0"] == 0
+    assert report["verdict"] == "pass"
+
+
 def test_verify_broken_table_fails_law_stage(tmp_path, capsys):
     doc = {
         "space": {"kind": "lifted", "t": 3,

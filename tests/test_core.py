@@ -25,6 +25,7 @@ from ametric_fix import (
     evaluate,
     make_absdiff_space,
     pair_samples,
+    points_equal,
     rep_distance,
     table_space,
     triple_samples,
@@ -133,6 +134,23 @@ def test_finite_exhaustive_sweep():
     assert check_axioms(s, samples).passed
 
 
+@pytest.mark.parametrize("check, entry", [
+    (check_axioms, (0.0, 0.5, 0.5, 2.0)),
+    (check_symmetry, (0.5, -3.0)),
+    (check_triangle_inequality, (0.0, 1.5, 0.5)),
+])
+def test_checks_reject_entries_outside_carrier(check, entry):
+    s = make_absdiff_space(3, box=(-1.0, 1.0))
+    with pytest.raises(CarrierDomainError):
+        check(s, SampleSet.from_entries("entries", [(0.0,) * len(entry), entry]))
+
+
+def test_witnesses_keep_entries_as_given():
+    s = AMetricSpace(t=2, distance=lambda pts: -1.0, carrier=Box.of(-1.0, 1.0))
+    report = check_axioms(s, SampleSet.from_entries("axioms", [(0, (1,), 1)]))
+    assert report.violations[0].witness == (0, (1,))
+
+
 def test_check_symmetry_absdiff_exact():
     s = make_absdiff_space(4)
     report = check_symmetry(s, pair_samples(s, 500, SEED))
@@ -180,8 +198,8 @@ def test_triangle_sweep(t):
 
 def test_points_equal_uses_eq_tol():
     s = make_absdiff_space(3, eq_tol=1e-9)
-    assert s.points_equal(1.0, 1.0 + 1e-10)
-    assert not s.points_equal(1.0, 1.0 + 1e-8)
+    assert points_equal(s, 1.0, 1.0 + 1e-10)
+    assert not points_equal(s, 1.0, 1.0 + 1e-8)
 
 
 def test_tuple_spread():

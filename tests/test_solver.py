@@ -16,6 +16,7 @@ import pytest
 from ametric_fix import (
     CarrierDomainError,
     MapSpec,
+    PicardTrace,
     SelfMap,
     StopRule,
     UsageError,
@@ -199,6 +200,14 @@ def test_verify_cauchy_short_trace_rejected():
     trace = picard_run(s, f, 0.0, 0.0, StopRule())
     assert len(trace.iterates) == 1
     with pytest.raises(UsageError):
+        verify_cauchy(trace, s)
+
+
+def test_verify_cauchy_rejects_iterate_outside_carrier():
+    s = make_absdiff_space(3, box=(-1.0, 1.0))
+    trace = PicardTrace(iterates=(0.5, 0.25, 2.0), steps=(0.5, 3.5), delta=0.5, d0=0.5,
+                        t=3, status="converged", limit=2.0)
+    with pytest.raises(CarrierDomainError):
         verify_cauchy(trace, s)
 
 

@@ -2,6 +2,7 @@
 
 Covers:
     - absdiff construction at several arities and dimensions
+    - the closed-form two-point reduction against the pair-sum reference
     - lifted spaces agreeing with the closed-form space on a shared base
     - the construction gate: structural table defects and law violations
     - map construction, range checking, and the declarative spec round-trip
@@ -11,6 +12,7 @@ Covers:
 import pytest
 
 from ametric_fix import (
+    Box,
     ConstructionError,
     MapSpec,
     UsageError,
@@ -21,9 +23,10 @@ from ametric_fix import (
     make_lifted_space,
     make_map,
     rep_distance,
+    table_space,
 )
 from ametric_fix.sampling import SampleSet, philox, _random_points
-from ametric_fix.spaces import default_catalog
+from ametric_fix.spaces import default_catalog, pair_lift
 
 SEED = 77
 
@@ -186,3 +189,60 @@ def test_rep_scaling_for_lifted_table():
     for i in range(3):
         for j in range(3):
             assert rep_distance(s, i, j) == (s.t - 1) * table[i][j]
+
+
+LINE_TABLE = [[abs(a - b) for b in (0, 1, 3, 4, 7)] for a in (0, 1, 3, 4, 7)]
+
+
+def pair_sum_rep(space, x, y):
+    """Reference two-point reduction: the pair sum over (x,...,x,y)."""
+    return space.distance((x,) * (space.t - 1) + (y,))
+
+
+def rep_pairs(space, n=40):
+    if space.is_finite:
+        size = space.carrier.size
+        return [(i, j) for i in range(size) for j in range(size)]
+    pts = _random_points(space.carrier, philox(SEED, 98), 2 * n)
+    return [(pts[2 * k], pts[2 * k + 1]) for k in range(n)] + [(pts[0], pts[0])]
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("table", [
+    LINE_TABLE,
+    [[0.0, 1.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]],  # asymmetric
+    [[2.0, 3.0], [5.0, 7.0]],                              # nonzero diagonal
+])
+def test_closed_form_rep_matches_pair_sum_on_tables(t, table):
+    # Integer entries keep every pair sum exact, so the match is bit for bit.
+    s = table_space(t, table)
+    for x, y in rep_pairs(s):
+        assert s.rep_fn(x, y) == pair_sum_rep(s, x, y)
+
+
+@pytest.mark.parametrize("build", [
+    lambda t: make_absdiff_space(t),
+    lambda t: make_lifted_space(t, lambda x, y: abs(x - y), box=(-100.0, 100.0), seed=SEED),
+], ids=["absdiff", "callable-lift"])
+@pytest.mark.parametrize("t", [2, 3])
+def test_closed_form_rep_matches_pair_sum_exactly_at_low_arity(build, t):
+    s = build(t)
+    for x, y in rep_pairs(s):
+        assert s.rep_fn(x, y) == pair_sum_rep(s, x, y)
+
+
+@pytest.mark.parametrize("t", [2, 3, 5, 8])
+def test_closed_form_rep_matches_pair_sum_on_callable_with_diagonal(t):
+    # Integer-valued base with base(x, x) = 1: the C(t-1, 2) term is exercised.
+    s = pair_lift(t, lambda x, y: abs(x - y) + 1.0, Box.of(-8.0, 8.0), zero_diagonal=False)
+    for x in range(-8, 9, 3):
+        for y in range(-8, 9, 2):
+            assert s.rep_fn(float(x), float(y)) == pair_sum_rep(s, float(x), float(y))
+
+
+@pytest.mark.parametrize("t, d", [(4, 1), (5, 1), (8, 1), (2, 4), (3, 4), (8, 4)])
+def test_closed_form_rep_matches_pair_sum_on_absdiff(t, d):
+    # Summation order differs from the pair sum, so the last digits may move.
+    s = make_absdiff_space(t, d=d)
+    for x, y in rep_pairs(s):
+        assert s.rep_fn(x, y) == pytest.approx(pair_sum_rep(s, x, y), rel=1e-15 * t)

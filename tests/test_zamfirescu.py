@@ -18,7 +18,9 @@ from hypothesis import given, strategies as st
 
 from ametric_fix import (
     MapSpec,
+    CarrierDomainError,
     SampleSet,
+    SelfMap,
     UsageError,
     branch_constants,
     classify,
@@ -230,3 +232,14 @@ def test_delta_with_margin():
     bad = classify(s, make_map(MapSpec.of("identity"), s), grid_pairs())
     with pytest.raises(UsageError):
         bad.delta_with_margin()
+
+
+def test_escaping_images_are_rejected():
+    # Built directly, so make_map's range check never sees the escape.
+    s = make_absdiff_space(3, box=(-1.0, 1.0))
+    f = SelfMap(kind="escape", fn=lambda x: x + 1.5)
+    pairs = SampleSet.from_entries("pairs", [(-1.0, -0.9), (0.0, 0.5)])
+    with pytest.raises(CarrierDomainError):
+        classify(s, f, pairs)
+    with pytest.raises(CarrierDomainError):
+        verify_contraction_inequalities(s, f, 0.5, pairs)
