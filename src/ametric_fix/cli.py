@@ -275,14 +275,20 @@ def _run_law_checks(cfg: dict, space) -> dict:
 
 
 def _run_classification(cfg: dict, space, f):
+    # make_map checks images only on a sample, so one can still leave the
+    # carrier here: the same defect, raised as the same ConstructionError.
     seed = cfg["sampling"]["seed"]
     tol = cfg["tolerances"]["check_tol"]
     pairs = pair_samples(space, cfg["sampling"]["n_pairs"], seed)
-    cert = classify(space, f, pairs)
-    contraction = None
-    if cert.valid:
-        holdout = pair_samples(space, cfg["sampling"]["n_pairs"], seed, stream=STREAM_HOLDOUT)
-        contraction = verify_contraction_inequalities(space, f, cert.delta, holdout, tol)
+    try:
+        cert = classify(space, f, pairs)
+        contraction = None
+        if cert.valid:
+            holdout = pair_samples(space, cfg["sampling"]["n_pairs"], seed, stream=STREAM_HOLDOUT)
+            contraction = verify_contraction_inequalities(space, f, cert.delta, holdout, tol)
+    except CarrierDomainError as err:
+        raise ConstructionError(f"map {cfg['map']['kind']!r} has an image outside the carrier: "
+                                f"{err}", witness=err.point) from None
     return cert, contraction
 
 
@@ -312,11 +318,11 @@ def cmd_classify(cfg: dict, out_dir: str) -> int:
     try:
         space = build_space(cfg, gated=True)
         f = build_map(cfg, space)
+        cert, contraction = _run_classification(cfg, space, f)
     except ConstructionError as err:
         _write_json(path, _error_report(cfg, "classify", str(err), err.witness))
         _emit(path)
         return EXIT_VIOLATION
-    cert, contraction = _run_classification(cfg, space, f)
     verdict = "pass" if cert.valid and (contraction is None or contraction.passed) else "fail"
     report = {
         "command": "classify",
@@ -333,26 +339,24 @@ def cmd_classify(cfg: dict, out_dir: str) -> int:
 def cmd_solve(cfg: dict, out_dir: str) -> int:
     json_path = _out_path(out_dir, cfg["outputs"]["json_path"])
     csv_path = _out_path(out_dir, cfg["outputs"]["csv_path"])
+    cert = None
     try:
         space = build_space(cfg, gated=True)
         f = build_map(cfg, space)
+        if cfg["solver"]["delta"] is None:
+            cert, _ = _run_classification(cfg, space, f)
     except ConstructionError as err:
         _write_json(json_path, _error_report(cfg, "solve", str(err), err.witness))
         _emit(json_path)
         return EXIT_VIOLATION
 
-    cert = None
-    if cfg["solver"]["delta"] is not None:
-        delta = cfg["solver"]["delta"]
-    else:
-        cert, _ = _run_classification(cfg, space, f)
-        if not cert.valid:
-            report = _error_report(cfg, "solve", "map is not certified contractive")
-            report["certificate"] = cert.to_dict()
-            _write_json(json_path, report)
-            _emit(json_path)
-            return EXIT_VIOLATION
-        delta = _delta_for_solving(cfg, cert)
+    if cert is not None and not cert.valid:
+        report = _error_report(cfg, "solve", "map is not certified contractive")
+        report["certificate"] = cert.to_dict()
+        _write_json(json_path, report)
+        _emit(json_path)
+        return EXIT_VIOLATION
+    delta = cfg["solver"]["delta"] if cert is None else _delta_for_solving(cfg, cert)
 
     rule = StopRule(eps=cfg["tolerances"]["eps"], max_iter=cfg["solver"]["max_iter"],
                     bound_eps=cfg["tolerances"]["bound_eps"])
@@ -415,12 +419,12 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 
     try:
         f = build_map(cfg, space)
+        cert, contraction = _run_classification(cfg, space, f)
     except ConstructionError as err:
         report["error"] = str(err)
         failures.append("map-construction")
         return finish()
 
-    cert, contraction = _run_classification(cfg, space, f)
     report["certificate"] = cert.to_dict()
     if not cert.valid:
         failures.append("classification")
@@ -467,14 +471,19 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         report["skipped"]["cauchy"] = "envelope monitoring disabled"
 
     starts = list(start_samples(space, cfg["sampling"]["n_starts"], cfg["sampling"]["seed"]))
-    if not space.is_finite:
+    if not space.carrier.finite:
         starts = [x0] + starts
-    uniq = uniqueness_probe(space, f, starts, delta, rule, tol)
+    try:
+        uniq = uniqueness_probe(space, f, starts, delta, rule, tol)
+    except CarrierDomainError as err:
+        report["error"] = str(err)
+        failures.append("uniqueness")
+        return finish()
     report["uniqueness"] = uniq.to_dict()
     if not uniq.passed:
         failures.append("uniqueness")
 
-    if space.is_finite:
+    if space.carrier.finite:
         fps = brute_force_fixed_points(space, f)
         agrees = (len(fps) == 1 and trace.status == "converged"
                   and points_equal(space, fps[0], trace.limit))

@@ -15,7 +15,9 @@ evidence, not proof; small finite carriers are swept exhaustively.
 
 Points are plain Python values owned by the carrier: a float for a
 1-dimensional box, a tuple of floats for higher dimensions, an integer
-index for finite carriers.  All comparisons between distances use an
+index for finite carriers.  Only the carrier classes branch on that format;
+other code validates, compares, spreads, draws and maps points through
+their methods.  All comparisons between distances use an
 absolute tolerance scaled by the magnitudes involved, since distances grow
 with the arity and the coordinate range.
 """
@@ -91,6 +93,40 @@ class Box:
                 raise CarrierDomainError(f"point {p!r} outside carrier box", point=p)
         return x
 
+    def equal(self, a: Point, b: Point, tol: float) -> bool:
+        """Coordinate-wise equality of canonical points within ``tol``."""
+        if len(self.lo) == 1:
+            return abs(a - b) <= tol
+        return max(abs(p - q) for p, q in zip(a, b)) <= tol
+
+    def spread(self, pts: Sequence[Point]) -> float:
+        """Largest coordinate-wise gap over all pairs of canonical points."""
+        if len(self.lo) == 1:
+            return max(pts) - min(pts)
+        return max(
+            abs(a - b)
+            for i, p in enumerate(pts)
+            for q in pts[i + 1:]
+            for a, b in zip(p, q)
+        )
+
+    def sample(self, rng, n: int) -> list:
+        """``n`` canonical points drawn uniformly from the box by ``rng``."""
+        rows = rng.uniform(self.lo, self.hi, size=(n, len(self.lo))).tolist()
+        if len(self.lo) == 1:
+            return [row[0] for row in rows]
+        return [tuple(row) for row in rows]
+
+    def coords(self, p: Point) -> tuple:
+        """The coordinates of a canonical point, as a tuple."""
+        return (p,) if len(self.lo) == 1 else p
+
+    def componentwise(self, g: Callable[[float], float]) -> Callable[[Point], Point]:
+        """Lift a map of one coordinate to a map of points, applied to each coordinate."""
+        if len(self.lo) == 1:
+            return g
+        return lambda p: tuple(map(g, p))
+
 
 @dataclass(frozen=True)
 class FiniteCarrier:
@@ -109,6 +145,22 @@ class FiniteCarrier:
         if not 0 <= p < self.size:
             raise CarrierDomainError(f"index {p} outside carrier of size {self.size}", point=p)
         return p
+
+    def equal(self, a: int, b: int, tol: float) -> bool:
+        """Index equality; ``tol`` is ignored, finite points are exact."""
+        return a == b
+
+    def spread(self, pts: Sequence[int]) -> float:
+        """0 for an all-equal tuple, +inf otherwise: indices have no coordinates."""
+        return 0.0 if all(p == pts[0] for p in pts) else math.inf
+
+    def sample(self, rng, n: int) -> list:
+        """``n`` indices drawn uniformly by ``rng``."""
+        return rng.integers(0, self.size, size=n).tolist()
+
+    def coords(self, p: int) -> tuple:
+        """The index as a one-coordinate tuple."""
+        return (p,)
 
 
 Carrier = Union[Box, FiniteCarrier]
@@ -144,10 +196,6 @@ class AMetricSpace:
             distance, head = self.distance, self.t - 1
             object.__setattr__(self, "rep_fn", lambda x, y: float(distance((x,) * head + (y,))))
 
-    @property
-    def is_finite(self) -> bool:
-        return self.carrier.finite
-
 
 def evaluate(space: AMetricSpace, points: Sequence[Point]) -> float:
     """Apply the space's distance to a full t-tuple of carrier points."""
@@ -166,15 +214,8 @@ def rep_distance(space: AMetricSpace, x: Point, y: Point) -> float:
 
 def points_equal(space: AMetricSpace, x: Point, y: Point) -> bool:
     """Coordinate-wise equality within the space's eq_tol (exact on finite carriers)."""
-    return _equal(space, space.carrier.canon(x), space.carrier.canon(y))
-
-
-def _equal(space: AMetricSpace, a: Point, b: Point) -> bool:
-    if space.carrier.finite:
-        return a == b
-    if space.carrier.d == 1:
-        return abs(a - b) <= space.eq_tol
-    return max(abs(p - q) for p, q in zip(a, b)) <= space.eq_tol
+    carrier = space.carrier
+    return carrier.equal(carrier.canon(x), carrier.canon(y), space.eq_tol)
 
 
 def tuple_spread(space: AMetricSpace, points: Sequence[Point]) -> float:
@@ -183,20 +224,8 @@ def tuple_spread(space: AMetricSpace, points: Sequence[Point]) -> float:
     Finite carriers have no coordinates: the spread is 0 for an all-equal
     tuple and +inf otherwise.
     """
-    return _spread(space, [space.carrier.canon(p) for p in points])
-
-
-def _spread(space: AMetricSpace, pts: Sequence[Point]) -> float:
-    if space.carrier.finite:
-        return 0.0 if all(p == pts[0] for p in pts) else math.inf
-    if space.carrier.d == 1:
-        return max(pts) - min(pts)
-    return max(
-        abs(a - b)
-        for i, p in enumerate(pts)
-        for q in pts[i + 1:]
-        for a, b in zip(p, q)
-    )
+    carrier = space.carrier
+    return carrier.spread([carrier.canon(p) for p in points])
 
 
 def scaled_tol(base: float, *values: float) -> float:
@@ -323,7 +352,8 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
     """
     entries = _require_entries(samples, space.t + 1, "check_axioms")
     rec = _Recorder("axioms", max_witnesses)
-    t, canon, rep = space.t, space.carrier.canon, space.rep_fn
+    t, carrier, rep, eq_tol = space.t, space.carrier, space.rep_fn, space.eq_tol
+    canon, equal = carrier.canon, carrier.equal
     for entry in entries:
         pts = tuple(map(canon, entry))
         xs, pivot, given = pts[:t], pts[t], entry[:t]
@@ -332,13 +362,13 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
         # nonneg: 0 <= d
         rec.add("nonneg", given, 0.0, d, te)
         # identity, forward direction
-        degenerate = all(_equal(space, xs[0], p) for p in xs[1:])
+        degenerate = all(equal(xs[0], p, eq_tol) for p in xs[1:])
         if degenerate:
             rec.add("identity", given, abs(d), 0.0, te)
         elif abs(d) <= te:
             # identity, reverse direction: zero distance away from the diagonal
-            spread = _spread(space, xs)
-            bound = max(10.0 * te, space.eq_tol)
+            spread = carrier.spread(xs)
+            bound = max(10.0 * te, eq_tol)
             rec.add("identity-reverse", given, spread, bound, 0.0)
         # simplex: d <= sum_i rep(x_i, pivot)
         rhs = 0.0

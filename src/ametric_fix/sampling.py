@@ -71,17 +71,6 @@ class SampleSet:
         return SampleSet(kind=kind, entries=tuple(entries), seed=None, exhaustive=exhaustive)
 
 
-def _random_points(carrier, rng: np.random.Generator, n: int) -> list:
-    if carrier.finite:
-        return [int(v) for v in rng.integers(0, carrier.size, size=n)]
-    lo = np.asarray(carrier.lo)
-    hi = np.asarray(carrier.hi)
-    arr = rng.uniform(lo, hi, size=(n, carrier.d))
-    if carrier.d == 1:
-        return [float(v) for v in arr[:, 0]]
-    return [tuple(float(c) for c in row) for row in arr]
-
-
 def _exhaustive_ok(carrier, width: int) -> bool:
     return carrier.finite and carrier.size <= EXHAUSTIVE_POINTS and width <= EXHAUSTIVE_ARITY + 1
 
@@ -96,9 +85,9 @@ def axiom_samples(space, n: int, seed: int) -> SampleSet:
     if n < 1:
         raise UsageError("axiom_samples needs n >= 1")
     rng = philox(seed, STREAM_AXIOMS)
-    flat = _random_points(carrier, rng, n * (t + 1))
+    flat = carrier.sample(rng, n * (t + 1))
     entries = [tuple(flat[i * (t + 1):(i + 1) * (t + 1)]) for i in range(n)]
-    base = _random_points(carrier, rng, 3 * _N_DEGENERATE)
+    base = carrier.sample(rng, 3 * _N_DEGENERATE)
     for k in range(_N_DEGENERATE):
         x, y, z = base[3 * k], base[3 * k + 1], base[3 * k + 2]
         entries.append((x,) * (t + 1))            # all-equal, pivot equal
@@ -116,24 +105,24 @@ def pair_samples(space, n: int, seed: int, stream: int = STREAM_PAIRS) -> Sample
     if n < 1:
         raise UsageError("pair_samples needs n >= 1")
     rng = philox(seed, stream)
-    flat = _random_points(carrier, rng, 2 * n)
+    flat = carrier.sample(rng, 2 * n)
     entries = [(flat[2 * i], flat[2 * i + 1]) for i in range(n)]
-    base = _random_points(carrier, rng, _N_DEGENERATE)
+    base = carrier.sample(rng, _N_DEGENERATE)
     entries.extend((x, x) for x in base)
     return SampleSet(kind="pairs", entries=tuple(entries), seed=seed)
 
 
 def triple_samples(space, n: int, seed: int) -> SampleSet:
     carrier = space.carrier
-    if carrier.finite and carrier.size <= EXHAUSTIVE_POINTS:
+    if _exhaustive_ok(carrier, 3):
         entries = tuple(product(range(carrier.size), repeat=3))
         return SampleSet(kind="triples", entries=entries, seed=seed, exhaustive=True)
     if n < 1:
         raise UsageError("triple_samples needs n >= 1")
     rng = philox(seed, STREAM_TRIPLES)
-    flat = _random_points(carrier, rng, 3 * n)
+    flat = carrier.sample(rng, 3 * n)
     entries = [(flat[3 * i], flat[3 * i + 1], flat[3 * i + 2]) for i in range(n)]
-    base = _random_points(carrier, rng, 2 * _N_DEGENERATE)
+    base = carrier.sample(rng, 2 * _N_DEGENERATE)
     for k in range(_N_DEGENERATE):
         x, y = base[2 * k], base[2 * k + 1]
         entries.append((x, x, x))
@@ -151,4 +140,4 @@ def start_samples(space, n: int, seed: int) -> SampleSet:
     if n < 1:
         raise UsageError("start_samples needs n >= 1")
     rng = philox(seed, STREAM_STARTS)
-    return SampleSet(kind="starts", entries=tuple(_random_points(carrier, rng, n)), seed=seed)
+    return SampleSet(kind="starts", entries=tuple(carrier.sample(rng, n)), seed=seed)

@@ -134,7 +134,7 @@ class PicardTrace:
             "final_step": _json_num(final_step),
             "final_bound": _json_num(self.bound(n - 1)) if self.monitored and n else None,
             "final_tail_bound": _json_num(self.tail(n)) if self.monitored else None,
-            "limit": _json_points(self.limit) if isinstance(self.limit, tuple) else self.limit,
+            "limit": _json_points(self.limit),
         }
 
 
@@ -148,58 +148,37 @@ def picard_run(space: AMetricSpace, f: SelfMap, x0: Point, delta: float,
     """
     if delta >= 1.0:
         raise UsageError(f"need delta < 1 (or negative to disable monitoring), got {delta!r}")
-    x = space.carrier.canon(x0)
-
-    def advance(current: Point, index: int) -> Point:
+    canon, rep = space.carrier.canon, space.rep_fn
+    x = canon(x0)
+    iterates, steps = [x], []
+    d0, growth_run = 0.0, 0
+    status, limit = "max_iter", None
+    bounded = delta >= 0.0 and rule.bound_eps is not None
+    while len(steps) < rule.max_iter:
         try:
-            return space.carrier.canon(f(current))
+            nxt = canon(f(x))
         except CarrierDomainError as err:
-            raise CarrierDomainError(
-                f"iterate {index} escaped the carrier: {err}", point=err.point, index=index
-            ) from None
-
-    rep = space.rep_fn
-    x1 = advance(x, 1)
-    d0 = rep(x1, x)
-    if d0 == 0.0:
-        return PicardTrace(iterates=(x,), steps=(), delta=delta, d0=0.0, t=space.t,
-                           status="converged", limit=x)
-
-    iterates = [x, x1]
-    steps = [d0]
-    monitored = delta >= 0.0
-    status = None
-    limit = None
-    growth_run = 0
-
-    def finished(step: float, n_steps: int, current: Point):
-        nonlocal status, limit
-        if step <= rule.eps:
-            status, limit = "converged", current
-            return True
-        if monitored and rule.bound_eps is not None and tail_bound(delta, space.t, d0, n_steps) <= rule.bound_eps:
-            status, limit = "converged", current
-            return True
-        return False
-
-    if not finished(d0, 1, x1):
-        while len(steps) < rule.max_iter:
-            prev_step = steps[-1]
-            current = iterates[-1]
-            nxt = advance(current, len(iterates))
-            step = rep(nxt, current)
-            iterates.append(nxt)
-            steps.append(step)
-            if finished(step, len(steps), nxt):
+            n = len(iterates)
+            raise CarrierDomainError(f"iterate {n} escaped the carrier: {err}",
+                                     point=err.point, index=n) from None
+        step = rep(nxt, x)
+        if not steps:
+            # x0 is already fixed: the trace keeps x0 alone and no steps.
+            if step == 0.0:
+                status, limit = "converged", x
                 break
-            growth_run = growth_run + 1 if step > prev_step * rule.growth_factor else 0
-            if growth_run >= rule.growth_window:
-                status = "diverged"
-                break
-        else:
-            status = "max_iter"
-    if status is None:
-        status = "max_iter"
+            d0 = step
+        growth_run = growth_run + 1 if steps and step > steps[-1] * rule.growth_factor else 0
+        iterates.append(nxt)
+        steps.append(step)
+        x = nxt
+        if step <= rule.eps or (bounded and
+                                tail_bound(delta, space.t, d0, len(steps)) <= rule.bound_eps):
+            status, limit = "converged", x
+            break
+        if growth_run >= rule.growth_window:
+            status = "diverged"
+            break
 
     return PicardTrace(iterates=tuple(iterates), steps=tuple(steps), delta=delta,
                        d0=d0, t=space.t, status=status, limit=limit)
@@ -245,7 +224,6 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
     rec = _Recorder("cauchy", max_witnesses)
     delta, d0, t = trace.delta, trace.d0, trace.t
     power = [delta ** k for k in range(2 * n_pts)]
-    variant_checked = 0
     variant_ok = 0
     for n in range(n_pts - 1):
         envelope = trace.tail(n)
@@ -254,15 +232,14 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
             te = scaled_tol(tol, val, envelope)
             rec.add("tail-envelope", (n, m), val, envelope, te)
             variant = ((t - 1) * power[m + n] / (1.0 - delta) + power[m - 1]) * d0
-            variant_checked += 1
             if val <= variant + scaled_tol(tol, val, variant):
                 variant_ok += 1
     report = rec.report()
     report.info = {
         "envelope_rate": (report.checked - report.violations_total) / report.checked,
-        "variant_bound_checked": variant_checked,
+        "variant_bound_checked": report.checked,
         "variant_bound_satisfied": variant_ok,
-        "variant_bound_rate": variant_ok / variant_checked,
+        "variant_bound_rate": variant_ok / report.checked,
     }
     return report
 
@@ -287,10 +264,8 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, starts: Iterable[Point], d
             continue
         limits.append((x0, trace.limit))
 
-    magnitudes = [
-        abs(c) for _, p in limits
-        for c in (p if isinstance(p, tuple) else (p,))
-    ]
+    coords = space.carrier.coords
+    magnitudes = [abs(c) for _, p in limits for c in coords(p)]
     spread_cap = 1.0 - max(delta, 0.0)
     agree_tol = max(
         scaled_tol(space.eq_tol, *magnitudes),
@@ -308,14 +283,14 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, starts: Iterable[Point], d
         p = limits[0][1]
         residual = rep(space.carrier.canon(f(p)), p)
         rec.add("fixed-point-residual", (p,), residual, 0.0, _RESIDUAL_FACTOR * rule.eps)
-        info["limit"] = _json_points(p) if isinstance(p, tuple) else p
+        info["limit"] = _json_points(p)
         info["residual"] = residual
     return rec.report(info=info)
 
 
 def brute_force_fixed_points(space: AMetricSpace, f: SelfMap) -> tuple:
     """All fixed points of a finite-carrier map, by full enumeration."""
-    if not space.is_finite:
+    if not space.carrier.finite:
         raise UsageError("brute_force_fixed_points needs a finite carrier")
     size = space.carrier.size
     return tuple(i for i in range(size) if space.carrier.canon(f(i)) == i)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import AMetricSpace, Box, Carrier, FiniteCarrier, Point, check_axioms
 from .errors import CarrierDomainError, ConstructionError, UsageError
-from .sampling import STREAM_GATE, STREAM_MAP_CHECK, axiom_samples, philox, _random_points
+from .sampling import STREAM_MAP_CHECK, axiom_samples, philox
 
 
 def pair_lift(t: int, base: Callable[[Point, Point], float], carrier: Carrier, *,
@@ -194,15 +194,6 @@ class SelfMap:
         return self.fn(p)
 
 
-def _componentwise(g: Callable[[float], float]) -> Callable[[Point], Point]:
-    def apply(p: Point) -> Point:
-        if isinstance(p, tuple):
-            return tuple(g(c) for c in p)
-        return g(p)
-
-    return apply
-
-
 def _param(spec: MapSpec, name: str, default=None, required: bool = False):
     if name in spec.params:
         return spec.params[name]
@@ -223,12 +214,13 @@ def _finite_real(value, what: str) -> float:
 
 def _build_fn(spec: MapSpec, space: AMetricSpace) -> Callable[[Point], Point]:
     kind = spec.kind
-    finite = space.is_finite
+    carrier = space.carrier
+    finite = carrier.finite
     if kind == "finite-table":
         if not finite:
             raise UsageError("finite-table maps need a finite carrier")
         images = _param(spec, "images", required=True)
-        size = space.carrier.size
+        size = carrier.size
         if (not isinstance(images, (list, tuple)) or len(images) != size
                 or any(isinstance(v, bool) or not isinstance(v, int) for v in images)):
             raise UsageError(f"finite-table images must be {size} integer indices")
@@ -237,14 +229,14 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> Callable[[Point], Point]:
     if finite and kind != "identity" and kind != "constant":
         raise UsageError(f"map kind {kind!r} needs a continuous carrier")
     if kind == "two-sevenths":
-        return _componentwise(lambda x: 2.0 * x / 7.0)
+        return carrier.componentwise(lambda x: 2.0 * x / 7.0)
     if kind == "linear-scale":
         lam = _finite_real(_param(spec, "lam", required=True), "lam")
-        return _componentwise(lambda x: lam * x)
+        return carrier.componentwise(lambda x: lam * x)
     if kind == "affine":
         alpha = _finite_real(_param(spec, "alpha", required=True), "alpha")
         beta = _finite_real(_param(spec, "beta", required=True), "beta")
-        return _componentwise(lambda x: alpha * x + beta)
+        return carrier.componentwise(lambda x: alpha * x + beta)
     if kind == "constant":
         value = _param(spec, "value", required=True)
         if finite:
@@ -260,9 +252,9 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> Callable[[Point], Point]:
         return lambda p: p
     if kind == "shift":
         offset = _finite_real(_param(spec, "offset", 1.0), "offset")
-        return _componentwise(lambda x: x + offset)
+        return carrier.componentwise(lambda x: x + offset)
     if kind == "piecewise":
-        if space.carrier.d != 1:
+        if carrier.d != 1:
             raise UsageError("piecewise maps are one-dimensional")
         breaks = [_finite_real(v, "breakpoint") for v in _param(spec, "breakpoints", required=True)]
         pieces = _param(spec, "pieces", required=True)
@@ -288,14 +280,14 @@ def make_map(spec: MapSpec, space: AMetricSpace, *, seed: int = 0, n_check: int 
     witness point.
     """
     fn = _build_fn(spec, space)
-    if space.is_finite:
-        probes = range(space.carrier.size)
+    carrier = space.carrier
+    if carrier.finite:
+        probes = range(carrier.size)
     else:
-        rng = philox(seed, STREAM_MAP_CHECK)
-        probes = _random_points(space.carrier, rng, n_check)
+        probes = carrier.sample(philox(seed, STREAM_MAP_CHECK), n_check)
     for p in probes:
         try:
-            space.carrier.canon(fn(p))
+            carrier.canon(fn(p))
         except CarrierDomainError:
             raise ConstructionError(
                 f"map {spec.kind!r} sends {p!r} outside the carrier", witness=p

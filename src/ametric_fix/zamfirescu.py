@@ -63,8 +63,8 @@ class BranchConstants:
 
     def to_dict(self) -> dict:
         return {
-            "x": _json_points(self.x) if isinstance(self.x, tuple) else self.x,
-            "y": _json_points(self.y) if isinstance(self.y, tuple) else self.y,
+            "x": _json_points(self.x),
+            "y": _json_points(self.y),
             "a_req": _json_num(self.a_req),
             "b_req": _json_num(self.b_req),
             "c_req": _json_num(self.c_req),

@@ -291,3 +291,39 @@ def test_exit_codes_stay_in_contract(tmp_path, capsys):
     ):
         assert main(argv) in (0, 1, 2)
         capsys.readouterr()
+
+
+# make_map checks the images of 200 sampled points.  This map leaves the box
+# only from (99, 100], so at seed 6 that check passes and classification is
+# the first stage to meet an escaping image.
+ESCAPE_CFG = {
+    "space": {"kind": "absdiff", "t": 3, "d": 1, "box": [-100.0, 100.0]},
+    "map": {"kind": "piecewise", "breakpoints": [99.0], "pieces": [[0.5, 0.0], [0.5, 60.0]]},
+    "sampling": {"seed": 6},
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "verify"])
+def test_image_escaping_after_map_check_fails_the_report(command, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, ESCAPE_CFG)
+    code, _, _ = run([command, "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    report = load_report(tmp_path)
+    assert report["verdict"] == "fail"
+    assert "has an image outside the carrier: point 109.905" in report["error"]
+    if command == "verify":
+        assert report["failures"] == ["map-construction"]
+    else:
+        assert report["witness"] == 109.90541002765501
+
+
+def test_verify_start_escaping_in_uniqueness_probe_fails_the_report(tmp_path, capsys):
+    doc = json.loads(json.dumps(ESCAPE_CFG))
+    # Few classified pairs and many starts: here only a start in (99, 100] escapes.
+    doc["sampling"].update({"n_tuples": 10, "n_pairs": 1, "n_triples": 10, "n_starts": 200})
+    cfg = write_cfg(tmp_path, doc)
+    code, _, _ = run(["verify", "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    report = load_report(tmp_path)
+    assert report["failures"] == ["uniqueness"]
+    assert report["error"].startswith("iterate 1 escaped the carrier: point 109.")

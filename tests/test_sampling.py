@@ -1,0 +1,83 @@
+"""Pinned sample draws: the exact points a fixed seed produces.
+
+The determinism tests elsewhere compare two runs of the same code, so a
+rewrite of point generation could change every draw without failing them.
+These values pin the first random entry and the last injected degenerate
+entry (drawn after the random ones, from the same stream) of the axiom and
+pair sample sets on a 1-d box, a 4-d box and a sampled finite carrier.
+"""
+
+import pytest
+
+from ametric_fix import axiom_samples, make_absdiff_space, pair_samples, table_space
+
+SEED = 2024
+LINE = [0, 1, 3, 4, 7, 9]
+
+
+GOLDEN = {
+    "absdiff-d1": (
+        lambda: make_absdiff_space(3),
+        (34, False),
+        (-89.93278186910311, -35.68894733140992, 38.415531649745674, 65.0182804638815),
+        (-9.670692540592455, 31.763377851657737, 31.763377851657737, -64.88141889340616),
+        (18, False),
+        (98.53121916564572, -81.4086058808113),
+        (73.58851634446455, 73.58851634446455),
+    ),
+    "absdiff-d4": (
+        lambda: make_absdiff_space(3, d=4),
+        (34, False),
+        ((-89.93278186910311, -35.68894733140992, 38.415531649745674, 65.0182804638815),
+         (53.91318289952619, -43.84152743307801, 75.2660379623442, 9.762505513537079),
+         (85.67110262372637, 24.473047903973892, 93.26953375871886, 59.86164968091961),
+         (-99.26439316364906, -15.61051718462177, -14.077760997584349, 48.925069681330456)),
+        ((-17.25834986412454, -15.508373237261864, -8.143065566182798, 69.87432488744386),
+         (70.02161469899684, -73.83946622582229, -15.591531207925868, 16.158798119693003),
+         (70.02161469899684, -73.83946622582229, -15.591531207925868, 16.158798119693003),
+         (42.38279403953956, 36.420320674656864, -49.769526919028536, 5.898644971592532)),
+        (18, False),
+        ((98.53121916564572, -81.4086058808113, -19.92741662192448, 47.25242837490353),
+         (0.9478047020493392, 0.23177287566365123, 84.7724115293025, 82.84369743359855)),
+        ((-41.09530350001771, -33.40501611753912, -47.55475844809318, 4.500489725471638),
+         (-41.09530350001771, -33.40501611753912, -47.55475844809318, 4.500489725471638)),
+    ),
+    "table-t5": (
+        # t + 1 = 6 points per axiom entry is past the exhaustive arity, so
+        # the finite carrier is sampled; pairs are always enumerated.
+        lambda: table_space(5, [[abs(a - b) for b in LINE] for a in LINE]),
+        (34, False),
+        (1, 0, 5, 1, 2, 4),
+        (3, 5, 5, 5, 5, 5),
+        (36, True),
+        (0, 0),
+        (5, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_axiom_samples_are_pinned(name):
+    make_space, shape, first, last, *_ = GOLDEN[name]
+    samples = axiom_samples(make_space(), 10, SEED)
+    assert (len(samples), samples.exhaustive) == shape
+    assert samples.entries[0] == first
+    assert samples.entries[-1] == last
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_pair_samples_are_pinned(name):
+    make_space, *_, shape, first, last = GOLDEN[name]
+    samples = pair_samples(make_space(), 10, SEED)
+    assert (len(samples), samples.exhaustive) == shape
+    assert samples.entries[0] == first
+    assert samples.entries[-1] == last
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_pinned_points_have_carrier_types(name):
+    """Draws are plain Python numbers, so reports serialise them unchanged."""
+    space = GOLDEN[name][0]()
+    entry = axiom_samples(space, 10, SEED).entries[0]
+    kind = int if space.carrier.finite else float
+    assert all(type(c) is kind for p in entry for c in space.carrier.coords(p))

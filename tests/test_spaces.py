@@ -25,7 +25,7 @@ from ametric_fix import (
     rep_distance,
     table_space,
 )
-from ametric_fix.sampling import SampleSet, philox, _random_points
+from ametric_fix.sampling import SampleSet, philox
 from ametric_fix.spaces import default_catalog, pair_lift
 
 SEED = 77
@@ -52,7 +52,7 @@ def test_lifted_callable_matches_absdiff():
     closed = make_absdiff_space(t)
     lifted = make_lifted_space(t, lambda x, y: abs(x - y), box=(-100.0, 100.0), seed=SEED)
     rng = philox(SEED, 99)
-    pts = _random_points(closed.carrier, rng, 3 * 50)
+    pts = closed.carrier.sample(rng, 3 * 50)
     for k in range(50):
         tup = tuple(pts[3 * k: 3 * k + 3])
         assert evaluate(lifted, tup) == evaluate(closed, tup)
@@ -200,10 +200,10 @@ def pair_sum_rep(space, x, y):
 
 
 def rep_pairs(space, n=40):
-    if space.is_finite:
+    if space.carrier.finite:
         size = space.carrier.size
         return [(i, j) for i in range(size) for j in range(size)]
-    pts = _random_points(space.carrier, philox(SEED, 98), 2 * n)
+    pts = space.carrier.sample(philox(SEED, 98), 2 * n)
     return [(pts[2 * k], pts[2 * k + 1]) for k in range(n)] + [(pts[0], pts[0])]
 
 
