@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import check_axioms, check_symmetry, check_triangle_inequality, points_equal
+from .core import _json_points, check_axioms, check_symmetry, check_triangle_inequality, points_equal
 from .errors import CarrierDomainError, ConstructionError, UsageError
 from .sampling import (
     STREAM_HOLDOUT,
@@ -251,15 +251,15 @@ def _emit(path: Path):
     print(str(path))
 
 
+def _json_witness(witness):
+    """A failure's witness as JSON: a violation's dict, a point or index tuple as a list."""
+    return witness.to_dict() if hasattr(witness, "to_dict") else _json_points(witness)
+
+
 def _error_report(cfg: dict, command: str, message: str, witness=None) -> dict:
     doc = {"command": command, "config": cfg, "verdict": "fail", "error": message}
     if witness is not None:
-        if hasattr(witness, "to_dict"):
-            doc["witness"] = witness.to_dict()
-        elif isinstance(witness, (int, float, str, list)):
-            doc["witness"] = witness
-        else:
-            doc["witness"] = repr(witness)
+        doc["witness"] = _json_witness(witness)
     return doc
 
 
@@ -364,7 +364,9 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
     try:
         trace = picard_run(space, f, x0, delta, rule)
     except CarrierDomainError as err:
-        _write_json(json_path, _error_report(cfg, "solve", str(err), err.index))
+        report = _error_report(cfg, "solve", str(err), err.index)
+        report["point"] = _json_points(err.point)
+        _write_json(json_path, report)
         _emit(json_path)
         return EXIT_VIOLATION
 
@@ -422,6 +424,8 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         cert, contraction = _run_classification(cfg, space, f)
     except ConstructionError as err:
         report["error"] = str(err)
+        if err.witness is not None:
+            report["witness"] = _json_witness(err.witness)
         failures.append("map-construction")
         return finish()
 
@@ -443,6 +447,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         trace = picard_run(space, f, x0, delta, rule)
     except CarrierDomainError as err:
         report["error"] = str(err)
+        report["point"] = _json_points(err.point)
         failures.append("solve")
         return finish()
     report["delta_used"] = delta
@@ -477,6 +482,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         uniq = uniqueness_probe(space, f, starts, delta, rule, tol)
     except CarrierDomainError as err:
         report["error"] = str(err)
+        report["point"] = _json_points(err.point)
         failures.append("uniqueness")
         return finish()
     report["uniqueness"] = uniq.to_dict()

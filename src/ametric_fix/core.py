@@ -15,18 +15,24 @@ evidence, not proof; small finite carriers are swept exhaustively.
 
 Points are plain Python values owned by the carrier: a float for a
 1-dimensional box, a tuple of floats for higher dimensions, an integer
-index for finite carriers.  Only the carrier classes branch on that format;
-other code validates, compares, spreads, draws and maps points through
-their methods.  All comparisons between distances use an
-absolute tolerance scaled by the magnitudes involved, since distances grow
-with the arity and the coordinate range.
+index for finite carriers.  The sweeps hold them as numpy arrays instead:
+shape (n,) for a 1-dimensional box, (n, d) above, integer indices on finite
+carriers.  Only the carrier classes branch on either format; other code
+validates, converts, compares, spreads, draws and maps points through their
+methods.  The law checks work on blocks of at most ``BLOCK`` entries, so
+their memory does not grow with the sample set.  All comparisons between
+distances use an absolute tolerance scaled by the magnitudes involved,
+since distances grow with the arity and the coordinate range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence, Union
+
+import numpy as np
 
 from .errors import CarrierDomainError, UsageError
 from .sampling import SampleSet
@@ -36,6 +42,15 @@ Point = Union[int, float, tuple]
 # Slack (relative to the box scale) admitted when testing carrier membership,
 # so a boundary iterate is not rejected for one rounding step.
 _CONTAIN_SLACK = 1e-12
+
+# Entries (or pairs) one array sweep handles at a time: the sweeps' working
+# memory is a few arrays of this length, whatever the sample or trace size.
+BLOCK = 4096
+
+
+def _only(values, cls) -> bool:
+    """True when every value is exactly of type ``cls`` (bool is not int)."""
+    return set(map(type, values)) <= {cls}
 
 
 @dataclass(frozen=True)
@@ -93,22 +108,47 @@ class Box:
                 raise CarrierDomainError(f"point {p!r} outside carrier box", point=p)
         return x
 
-    def equal(self, a: Point, b: Point, tol: float) -> bool:
-        """Coordinate-wise equality of canonical points within ``tol``."""
-        if len(self.lo) == 1:
-            return abs(a - b) <= tol
-        return max(abs(p - q) for p, q in zip(a, b)) <= tol
+    def array(self, points) -> np.ndarray:
+        """Validated canonical points as one float array, shape (n,) at d = 1, (n, d) above.
 
-    def spread(self, pts: Sequence[Point]) -> float:
-        """Largest coordinate-wise gap over all pairs of canonical points."""
+        Plain floats (tuples of floats at d > 1) inside the box are taken
+        as they are; anything else goes through :meth:`canon` point by point,
+        which raises for the first bad point in order.
+        """
+        pts = list(points)
+        d = len(self.lo)
+        if d == 1:
+            shape, plain = (len(pts),), _only(pts, float)
+        else:
+            shape = (len(pts), d)
+            plain = (_only(pts, tuple) and set(map(len, pts)) <= {d}
+                     and _only(chain.from_iterable(pts), float))
+        if plain:
+            arr = np.array(pts, dtype=float).reshape(shape)
+            if np.all((arr >= self._lo_slack) & (arr <= self._hi_slack)):
+                return arr
+        return np.array([self.canon(p) for p in pts], dtype=float).reshape(shape)
+
+    def points(self, arr: np.ndarray) -> list:
+        """The canonical Python points of an array made by :meth:`array`."""
         if len(self.lo) == 1:
-            return max(pts) - min(pts)
-        return max(
-            abs(a - b)
-            for i, p in enumerate(pts)
-            for q in pts[i + 1:]
-            for a, b in zip(p, q)
-        )
+            return arr.tolist()
+        return list(map(tuple, arr.tolist()))
+
+    def equal(self, a, b, tol: float):
+        """Coordinate-wise equality within ``tol``, of two canonical points or
+        elementwise over arrays of them."""
+        close = np.abs(np.subtract(a, b)) <= tol
+        return close if len(self.lo) == 1 else np.all(close, axis=-1)
+
+    def spread(self, pts: np.ndarray) -> np.ndarray:
+        """Largest coordinate-wise gap within each row of an (n, width, ...) point array.
+
+        Per coordinate that is max - min, which rounds to the largest of the
+        rounded pairwise gaps, so it equals the pairwise maximum exactly.
+        """
+        gaps = pts.max(axis=1) - pts.min(axis=1)
+        return gaps if len(self.lo) == 1 else gaps.max(axis=-1)
 
     def sample(self, rng, n: int) -> list:
         """``n`` canonical points drawn uniformly from the box by ``rng``."""
@@ -146,13 +186,25 @@ class FiniteCarrier:
             raise CarrierDomainError(f"index {p} outside carrier of size {self.size}", point=p)
         return p
 
-    def equal(self, a: int, b: int, tol: float) -> bool:
-        """Index equality; ``tol`` is ignored, finite points are exact."""
-        return a == b
+    def array(self, points) -> np.ndarray:
+        """Validated indices as one integer array; bad points raise as in :meth:`canon`."""
+        pts = list(points)
+        if pts and _only(pts, int) and 0 <= min(pts) and max(pts) < self.size:
+            return np.array(pts, dtype=np.intp)
+        return np.array([self.canon(p) for p in pts], dtype=np.intp)
 
-    def spread(self, pts: Sequence[int]) -> float:
-        """0 for an all-equal tuple, +inf otherwise: indices have no coordinates."""
-        return 0.0 if all(p == pts[0] for p in pts) else math.inf
+    def points(self, arr: np.ndarray) -> list:
+        """The indices of an array made by :meth:`array`, as Python ints."""
+        return arr.tolist()
+
+    def equal(self, a, b, tol: float):
+        """Index equality, of two points or elementwise over arrays; ``tol`` is ignored."""
+        return np.equal(a, b)
+
+    def spread(self, pts: np.ndarray) -> np.ndarray:
+        """Per row of an (n, width) index array: 0 if all equal, +inf otherwise
+        (indices have no coordinates)."""
+        return np.where(np.all(pts == pts[:, :1], axis=1), 0.0, math.inf)
 
     def sample(self, rng, n: int) -> list:
         """``n`` indices drawn uniformly by ``rng``."""
@@ -178,6 +230,12 @@ class AMetricSpace:
     canonical points.  Neither it nor ``distance`` validates its arguments:
     callers canonicalise points where they enter (see :func:`rep_distance`).
     When omitted it evaluates ``distance`` on the full t-tuple.
+
+    ``rep_many(xs, ys)`` and ``distance_many(pts)`` are their array forms,
+    over point arrays made by ``carrier.array`` (``pts`` has shape
+    (n, t, ...)); each returns a float array of length n with the same
+    values the scalar forms give row by row.  When omitted they call the
+    scalar forms once per row (see :func:`_looped`).
     """
 
     t: int
@@ -186,6 +244,10 @@ class AMetricSpace:
     eq_tol: float = 1e-12
     kind: str = "custom"
     rep_fn: Callable[[Point, Point], float] | None = field(default=None, repr=False, compare=False)
+    rep_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+    distance_many: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.t, bool) or not isinstance(self.t, int) or self.t < 2:
@@ -195,6 +257,25 @@ class AMetricSpace:
         if self.rep_fn is None:
             distance, head = self.distance, self.t - 1
             object.__setattr__(self, "rep_fn", lambda x, y: float(distance((x,) * head + (y,))))
+        if self.rep_many is None:
+            object.__setattr__(self, "rep_many", _looped(self.carrier, self.rep_fn))
+        if self.distance_many is None:
+            by_row = _looped(self.carrier, lambda *pts: self.distance(pts))
+            object.__setattr__(self, "distance_many", lambda pts: by_row(*np.moveaxis(pts, 1, 0)))
+
+
+def _looped(carrier: Carrier, fn: Callable[..., float]) -> Callable[..., np.ndarray]:
+    """Array form of ``fn(p1, ..., pk)``: one Python call per row of k point arrays.
+
+    ``fn`` receives the canonical Python points of each row, the values the
+    scalar code would pass it, and its results are stored as float64.
+    """
+    points = carrier.points
+
+    def many(*arrays: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(fn, *map(points, arrays)), dtype=float, count=len(arrays[0]))
+
+    return many
 
 
 def evaluate(space: AMetricSpace, points: Sequence[Point]) -> float:
@@ -215,7 +296,7 @@ def rep_distance(space: AMetricSpace, x: Point, y: Point) -> float:
 def points_equal(space: AMetricSpace, x: Point, y: Point) -> bool:
     """Coordinate-wise equality within the space's eq_tol (exact on finite carriers)."""
     carrier = space.carrier
-    return carrier.equal(carrier.canon(x), carrier.canon(y), space.eq_tol)
+    return bool(carrier.equal(carrier.canon(x), carrier.canon(y), space.eq_tol))
 
 
 def tuple_spread(space: AMetricSpace, points: Sequence[Point]) -> float:
@@ -225,7 +306,7 @@ def tuple_spread(space: AMetricSpace, points: Sequence[Point]) -> float:
     tuple and +inf otherwise.
     """
     carrier = space.carrier
-    return carrier.spread([carrier.canon(p) for p in points])
+    return float(carrier.spread(carrier.array(points)[np.newaxis])[0])
 
 
 def scaled_tol(base: float, *values: float) -> float:
@@ -235,6 +316,15 @@ def scaled_tol(base: float, *values: float) -> float:
         a = abs(v)
         if mag < a < math.inf:  # largest finite magnitude; NaN and inf are skipped
             mag = a
+    return base * (1.0 + mag)
+
+
+def scaled_tols(base: float, *values: np.ndarray) -> np.ndarray:
+    """:func:`scaled_tol` elementwise over float arrays, with the same skips."""
+    mag = np.zeros(np.shape(values[0]))
+    for v in values:
+        a = np.abs(v)
+        mag = np.where((mag < a) & (a < math.inf), a, mag)
     return base * (1.0 + mag)
 
 
@@ -295,7 +385,7 @@ def _json_num(v):
 def _json_points(obj):
     if isinstance(obj, tuple):
         return [_json_points(v) for v in obj]
-    return obj
+    return _json_num(obj)
 
 
 class _Recorder:
@@ -319,6 +409,41 @@ class _Recorder:
             if len(self.violations) < self.max_witnesses:
                 self.violations.append(Violation(law, witness, lhs, rhs, gap, tol))
 
+    def add_many(self, witness: Callable[[str, int], tuple], checks: Sequence[tuple]):
+        """Record one block of entries, as :meth:`add` called entry by entry would.
+
+        ``checks`` lists ``(law, lhs, rhs, tol, where)`` in the order the
+        scalar loop adds them for one entry: lhs, rhs and tol are floats or
+        float arrays over the block, and ``where`` masks the entries the law
+        applies to (None: all of them).  ``witness(law, i)`` is the witness of
+        entry i.  The first violations are kept in scalar order, by entry and
+        then by law, and ``max_gap`` gets the value the scalar running maximum
+        would, down to the sign of a zero.
+        """
+        room = max(self.max_witnesses - len(self.violations), 0)
+        found, gaps, top = [], [], -math.inf
+        for pos, (law, lhs, rhs, tol, where) in enumerate(checks):
+            gap = np.subtract(lhs, rhs)
+            if where is None:
+                where = np.ones(gap.shape, dtype=bool)
+            gaps.append((gap, where))
+            self.checked += int(np.count_nonzero(where))
+            top = max(top, float(np.fmax.reduce(gap, where=where, initial=-math.inf)))
+            bad = np.flatnonzero(where & (gap > tol))
+            self.total += len(bad)
+            found.extend((int(i), pos, law, lhs, rhs, gap, tol) for i in bad[:room])
+        if top > self.max_gap:
+            if top == 0.0:
+                # Tied gaps differ only in the sign of zero: the first one wins.
+                i, pos = min((int(np.argmax(zero)), pos) for pos, zero in
+                             enumerate(where & (gap == 0.0) for gap, where in gaps) if zero.any())
+                top = float(gaps[pos][0][i])
+            self.max_gap = top
+        found.sort(key=lambda v: v[:2])
+        for i, _, law, lhs, rhs, gap, tol in found[:room]:
+            self.violations.append(Violation(law, witness(law, i), _item(lhs, i), _item(rhs, i),
+                                             float(gap[i]), _item(tol, i)))
+
     def report(self, exhaustive: bool = False, info: dict | None = None) -> CheckReport:
         return CheckReport(
             name=self.name,
@@ -332,6 +457,11 @@ class _Recorder:
         )
 
 
+def _item(v, i: int) -> float:
+    """Entry i of a float array, or the float itself."""
+    return float(v[i]) if np.ndim(v) else float(v)
+
+
 def _require_entries(samples: SampleSet, width: int, what: str) -> tuple:
     if len(samples) == 0:
         raise UsageError(f"{what} needs a nonempty sample set")
@@ -341,40 +471,50 @@ def _require_entries(samples: SampleSet, width: int, what: str) -> tuple:
     return samples.entries
 
 
+def _blocks(carrier: Carrier, entries: tuple):
+    """Consecutive blocks of at most BLOCK entries, each with its validated point array.
+
+    The array has shape (len(block), width, ...): the points of every
+    entry, turned into canonical form by ``carrier.array``.
+    """
+    for start in range(0, len(entries), BLOCK):
+        block = entries[start:start + BLOCK]
+        pts = carrier.array(chain.from_iterable(block))
+        yield block, pts.reshape((len(block), -1) + pts.shape[1:])
+
+
 def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
                  max_witnesses: int = 100) -> CheckReport:
     """Evaluate the three defining laws on every sampled (tuple, pivot) entry.
 
     The identity law is tested in both directions: an all-equal tuple must
     evaluate to ~0, and a ~0 evaluation must come from a near-degenerate
-    tuple (exactly degenerate on finite carriers).  Each entry is validated
-    once, as the loop reaches it; witnesses keep the entry as given.
+    tuple (exactly degenerate on finite carriers).  Entries are validated
+    block by block, as the sweep reaches them; witnesses keep the entry as
+    given.
     """
     entries = _require_entries(samples, space.t + 1, "check_axioms")
     rec = _Recorder("axioms", max_witnesses)
-    t, carrier, rep, eq_tol = space.t, space.carrier, space.rep_fn, space.eq_tol
-    canon, equal = carrier.canon, carrier.equal
-    for entry in entries:
-        pts = tuple(map(canon, entry))
-        xs, pivot, given = pts[:t], pts[t], entry[:t]
-        d = float(space.distance(xs))
-        te = scaled_tol(tol, d)
-        # nonneg: 0 <= d
-        rec.add("nonneg", given, 0.0, d, te)
-        # identity, forward direction
-        degenerate = all(equal(xs[0], p, eq_tol) for p in xs[1:])
-        if degenerate:
-            rec.add("identity", given, abs(d), 0.0, te)
-        elif abs(d) <= te:
+    t, carrier, eq_tol = space.t, space.carrier, space.eq_tol
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block, pts in _blocks(carrier, entries):
+            xs, pivot = pts[:, :t], pts[:, t]
+            d = space.distance_many(xs)
+            te = scaled_tols(tol, d)
+            degenerate = np.all(carrier.equal(xs[:, :1], xs[:, 1:], eq_tol), axis=1)
             # identity, reverse direction: zero distance away from the diagonal
-            spread = carrier.spread(xs)
-            bound = max(10.0 * te, eq_tol)
-            rec.add("identity-reverse", given, spread, bound, 0.0)
-        # simplex: d <= sum_i rep(x_i, pivot)
-        rhs = 0.0
-        for x in xs:
-            rhs += rep(x, pivot)
-        rec.add("simplex", entry, d, rhs, scaled_tol(tol, d, rhs))
+            near_zero = ~degenerate & (np.abs(d) <= te)
+            # simplex: d <= sum_i rep(x_i, pivot)
+            rhs = np.zeros(len(block))
+            for i in range(t):
+                rhs += space.rep_many(xs[:, i], pivot)
+            rec.add_many(lambda law, i: block[i] if law == "simplex" else block[i][:t], (
+                ("nonneg", 0.0, d, te, None),
+                ("identity", np.abs(d), 0.0, te, degenerate),
+                ("identity-reverse", carrier.spread(xs), np.maximum(10.0 * te, eq_tol), 0.0,
+                 near_zero),
+                ("simplex", d, rhs, scaled_tols(tol, d, rhs), None),
+            ))
     return rec.report(exhaustive=samples.exhaustive)
 
 
@@ -383,12 +523,14 @@ def check_symmetry(space: AMetricSpace, pairs: SampleSet, tol: float = 1e-9,
     """Two-point reduction must not depend on argument order."""
     entries = _require_entries(pairs, 2, "check_symmetry")
     rec = _Recorder("symmetry", max_witnesses)
-    canon, rep = space.carrier.canon, space.rep_fn
-    for entry in entries:
-        x, y = canon(entry[0]), canon(entry[1])
-        fwd = rep(x, y)
-        bwd = rep(y, x)
-        rec.add("symmetry", entry, abs(fwd - bwd), 0.0, scaled_tol(tol, fwd, bwd))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block, pts in _blocks(space.carrier, entries):
+            x, y = pts[:, 0], pts[:, 1]
+            fwd = space.rep_many(x, y)
+            bwd = space.rep_many(y, x)
+            rec.add_many(lambda law, i: block[i], (
+                ("symmetry", np.abs(fwd - bwd), 0.0, scaled_tols(tol, fwd, bwd), None),
+            ))
     return rec.report(exhaustive=pairs.exhaustive)
 
 
@@ -402,14 +544,16 @@ def check_triangle_inequality(space: AMetricSpace, triples: SampleSet, tol: floa
     """
     entries = _require_entries(triples, 3, "check_triangle_inequality")
     rec = _Recorder("triangle", max_witnesses)
-    tm1 = space.t - 1
-    canon, rep = space.carrier.canon, space.rep_fn
-    for entry in entries:
-        x, y, z = canon(entry[0]), canon(entry[1]), canon(entry[2])
-        lhs = rep(x, z)
-        xy = rep(x, y)
-        rhs_a = tm1 * xy + rep(z, y)
-        rhs_b = tm1 * xy + rep(y, z)
-        rec.add("triangle-a", entry, lhs, rhs_a, scaled_tol(tol, lhs, rhs_a))
-        rec.add("triangle-b", entry, lhs, rhs_b, scaled_tol(tol, lhs, rhs_b))
+    tm1, rep = space.t - 1, space.rep_many
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block, pts in _blocks(space.carrier, entries):
+            x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+            lhs = rep(x, z)
+            xy = rep(x, y)
+            rhs_a = tm1 * xy + rep(z, y)
+            rhs_b = tm1 * xy + rep(y, z)
+            rec.add_many(lambda law, i: block[i], (
+                ("triangle-a", lhs, rhs_a, scaled_tols(tol, lhs, rhs_a), None),
+                ("triangle-b", lhs, rhs_b, scaled_tols(tol, lhs, rhs_b), None),
+            ))
     return rec.report(exhaustive=triples.exhaustive)

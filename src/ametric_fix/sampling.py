@@ -75,7 +75,7 @@ def _exhaustive_ok(carrier, width: int) -> bool:
     return carrier.finite and carrier.size <= EXHAUSTIVE_POINTS and width <= EXHAUSTIVE_ARITY + 1
 
 
-def axiom_samples(space, n: int, seed: int) -> SampleSet:
+def axiom_samples(space, n: int, seed: int, stream: int = STREAM_AXIOMS) -> SampleSet:
     """Tuples of ``t`` points plus a pivot, for the three defining laws."""
     t = space.t
     carrier = space.carrier
@@ -84,7 +84,7 @@ def axiom_samples(space, n: int, seed: int) -> SampleSet:
         return SampleSet(kind="axioms", entries=entries, seed=seed, exhaustive=True)
     if n < 1:
         raise UsageError("axiom_samples needs n >= 1")
-    rng = philox(seed, STREAM_AXIOMS)
+    rng = philox(seed, stream)
     flat = carrier.sample(rng, n * (t + 1))
     entries = [tuple(flat[i * (t + 1):(i + 1) * (t + 1)]) for i in range(n)]
     base = carrier.sample(rng, 3 * _N_DEGENERATE)

@@ -327,3 +327,43 @@ def test_verify_start_escaping_in_uniqueness_probe_fails_the_report(tmp_path, ca
     report = load_report(tmp_path)
     assert report["failures"] == ["uniqueness"]
     assert report["error"].startswith("iterate 1 escaped the carrier: point 109.")
+    assert report["point"] == 109.62590147245466
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("slope, point", [(0.5, 109.75), (1e308, "inf")])
+def test_escaping_iterate_names_its_point(command, slope, point, tmp_path, capsys):
+    doc = json.loads(json.dumps(ESCAPE_CFG))
+    # One classified pair misses (99, 100], where the start 99.5 lies; its
+    # image is 0.5 * 99.5 + 60 = 109.75, or an overflow to inf.
+    doc["map"]["pieces"] = [[0.5, 0.0], [slope, 60.0]]
+    doc["sampling"].update({"n_tuples": 10, "n_pairs": 1, "n_triples": 10})
+    doc["solver"] = {"x0": 99.5}
+    cfg = write_cfg(tmp_path, doc)
+    code, _, _ = run([command, "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    report = load_report(tmp_path)
+    assert report["error"] == f"iterate 1 escaped the carrier: point {point} outside carrier box"
+    assert report["point"] == point
+    if command == "solve":
+        assert report["witness"] == 1
+    else:
+        assert report["failures"] == ["solve"]
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_tuple_witness_is_written_as_a_json_list(command, tmp_path, capsys):
+    # Shifting by 5 leaves the d=2 box [-10, 10]; make_map names the first
+    # escaping probe, a 2-d point.
+    doc = {"space": {"kind": "absdiff", "t": 3, "d": 2, "box": [-10.0, 10.0]},
+           "map": {"kind": "shift", "offset": 5.0},
+           "sampling": {"seed": 0},
+           "solver": {"x0": [0.0, 0.0]}}
+    cfg = write_cfg(tmp_path, doc)
+    code, _, _ = run([command, "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    report = load_report(tmp_path)
+    assert report["witness"] == [1.6899239030274238, 7.819166607429228]
+    assert "sends (1.6899239030274238, 7.819166607429228) outside" in report["error"]
+    if command == "verify":
+        assert report["failures"] == ["map-construction"]

@@ -26,6 +26,7 @@ from ametric_fix import (
     table_space,
 )
 from ametric_fix.sampling import SampleSet, philox
+from ametric_fix import spaces
 from ametric_fix.spaces import default_catalog, pair_lift
 
 SEED = 77
@@ -99,6 +100,19 @@ def test_lifted_metric_base_passes_gate():
     table = [[abs(a - b) for b in xs] for a in xs]
     s = make_lifted_space(4, table, seed=SEED)
     assert check_axioms(s, axiom_samples(s, 10, SEED)).passed
+
+
+def test_lifted_gate_draws_its_own_tuples(monkeypatch):
+    # The gate samples on its own stream, so the law check run later on the
+    # same seed tests fresh tuples instead of the gate's.
+    gated = []
+    monkeypatch.setattr(spaces, "check_axioms",
+                        lambda space, samples: gated.append(samples) or check_axioms(space, samples))
+    s = make_lifted_space(3, lambda x, y: abs(x - y), box=(-10.0, 10.0), seed=5)
+    (gate,) = gated
+    law = axiom_samples(s, 1000, 5)
+    assert len(gate) == 300 + 24 and not gate.exhaustive
+    assert not set(gate.entries) & set(law.entries)
 
 
 def test_make_map_examples():
