@@ -23,6 +23,7 @@ import logging
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .core import _json_points, check_axioms, check_symmetry, check_triangle_inequality, points_equal
@@ -46,22 +47,6 @@ EXIT_USAGE = 2
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
-_DEFAULTS = {
-    "sampling": {"n_tuples": 1000, "n_pairs": 1000, "n_triples": 1000, "n_starts": 5},
-    "tolerances": {"check_tol": 1e-9, "eps": 1e-12, "bound_eps": None, "eq_tol": 1e-12,
-                   "safety_margin": 0.0},
-    "solver": {"x0": 1.0, "max_iter": 10_000, "delta": None},
-    "outputs": {"csv_path": "trace.csv", "json_path": "report.json"},
-}
-
-_SECTION_KEYS = {
-    "space": {"kind", "t", "d", "box", "base_table"},
-    "sampling": {"seed", "n_tuples", "n_pairs", "n_triples", "n_starts"},
-    "tolerances": {"check_tol", "eps", "bound_eps", "eq_tol", "safety_margin"},
-    "solver": {"x0", "max_iter", "delta"},
-    "outputs": {"csv_path", "json_path"},
-}
-
 
 def _fail(anchor: str, key: str, message: str):
     raise UsageError(f"{anchor}: {key}: {message}")
@@ -80,7 +65,10 @@ def _require_int(value, anchor, key, minimum=None, maximum=None):
 def _require_real(value, anchor, key, *, positive=False, nonnegative=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(anchor, key, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         _fail(anchor, key, f"must be finite, got {value!r}")
     if positive and not v > 0:
@@ -90,11 +78,46 @@ def _require_real(value, anchor, key, *, positive=False, nonnegative=False):
     return v
 
 
+def _require_delta(value, anchor, key):
+    delta = _require_real(value, anchor, key)
+    if delta >= 1.0:
+        _fail(anchor, key, f"must be < 1 (negative disables monitoring), got {delta}")
+    return delta
+
+
+def _require_path(value, anchor, key):
+    if not isinstance(value, str) or not value:
+        _fail(anchor, key, f"expected a nonempty string, got {value!r}")
+    return value
+
+
+_COUNT = partial(_require_int, minimum=1)
+_POSITIVE = partial(_require_real, positive=True)
+_NONNEGATIVE = partial(_require_real, nonnegative=True)
+
+# Every config key, section -> key -> (default, check), in the order the
+# keys are checked.  A default of None keeps an absent or null value as
+# None.  Keys mapped to None depend on other keys and are checked by hand in
+# materialize_config.
+_KEYS = {
+    "space": dict.fromkeys(("kind", "t", "d", "box", "base_table")),
+    "sampling": {"seed": None, "n_tuples": (1000, _COUNT), "n_pairs": (1000, _COUNT),
+                 "n_triples": (1000, _COUNT), "n_starts": (5, _COUNT)},
+    "tolerances": {"check_tol": (1e-9, _POSITIVE), "eps": (1e-12, _POSITIVE),
+                   "bound_eps": (None, _POSITIVE), "eq_tol": (1e-12, _NONNEGATIVE),
+                   "safety_margin": (0.0, _NONNEGATIVE)},
+    "solver": {"x0": None, "max_iter": (10_000, _COUNT), "delta": (None, _require_delta)},
+    "outputs": {"csv_path": ("trace.csv", _require_path), "json_path": ("report.json", _require_path)},
+}
+
+
 def load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise UsageError(f"{path}: cannot read config: {err}") from None
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path}: config is not UTF-8: {err}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -104,14 +127,30 @@ def load_config(path: str) -> dict:
     return doc
 
 
+def _with_defaults(section: str, given: dict, anchor: str) -> dict:
+    """The table's keys of one section: given values checked, absent ones defaulted."""
+    values = {}
+    for key, spec in _KEYS[section].items():
+        if spec is None:
+            continue
+        default, check = spec
+        value = given.get(key, default)
+        if value is not None or default is not None:
+            value = check(value, anchor, f"{section}.{key}")
+        values[key] = value
+    return values
+
+
 def materialize_config(raw: dict, anchor: str, seed_override: int | None = None) -> dict:
     """Validate the config and fill every default, so reports are self-describing."""
-    known = {"space", "map", "sampling", "tolerances", "solver", "outputs"}
     for section in raw:
-        if section not in known:
+        if section != "map" and section not in _KEYS:
             _fail(anchor, section, "unknown section")
-    for section, keys in _SECTION_KEYS.items():
-        for key in raw.get(section, {}) or {}:
+    for section, keys in _KEYS.items():
+        given = raw.get(section)
+        if given is not None and not isinstance(given, dict):
+            _fail(anchor, section, f"expected an object, got {given!r}")
+        for key in given or {}:
             if key not in keys:
                 _fail(anchor, f"{section}.{key}", "unknown key")
 
@@ -159,56 +198,22 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
     if seed is None:
         _fail(anchor, "sampling.seed", "required (runs must be reproducible)")
     seed = _require_int(seed, anchor, "sampling.seed", minimum=0, maximum=(1 << 64) - 1)
-    cfg["sampling"] = {"seed": seed}
-    for key, default in _DEFAULTS["sampling"].items():
-        cfg["sampling"][key] = _require_int(sampling_raw.get(key, default), anchor,
-                                            f"sampling.{key}", minimum=1)
+    cfg["sampling"] = {"seed": seed, **_with_defaults("sampling", sampling_raw, anchor)}
 
-    tol_raw = raw.get("tolerances", {}) or {}
-    d = _DEFAULTS["tolerances"]
-    cfg["tolerances"] = {
-        "check_tol": _require_real(tol_raw.get("check_tol", d["check_tol"]), anchor,
-                                   "tolerances.check_tol", positive=True),
-        "eps": _require_real(tol_raw.get("eps", d["eps"]), anchor,
-                             "tolerances.eps", positive=True),
-        "bound_eps": None if tol_raw.get("bound_eps", d["bound_eps"]) is None
-        else _require_real(tol_raw["bound_eps"], anchor, "tolerances.bound_eps", positive=True),
-        "eq_tol": _require_real(tol_raw.get("eq_tol", d["eq_tol"]), anchor,
-                                "tolerances.eq_tol", nonnegative=True),
-        "safety_margin": _require_real(tol_raw.get("safety_margin", d["safety_margin"]), anchor,
-                                       "tolerances.safety_margin", nonnegative=True),
-    }
+    cfg["tolerances"] = _with_defaults("tolerances", raw.get("tolerances") or {}, anchor)
 
-    solver_raw = raw.get("solver", {}) or {}
-    d = _DEFAULTS["solver"]
+    solver_raw = raw.get("solver") or {}
     # Lifted points are integer indices, so their default start is index 0.
-    x0 = solver_raw.get("x0", 0 if cfg["space"]["kind"] == "lifted" else d["x0"])
+    x0 = solver_raw.get("x0", 0 if cfg["space"]["kind"] == "lifted" else 1.0)
     if isinstance(x0, list):
         x0 = [_require_real(v, anchor, "solver.x0") for v in x0]
     elif cfg["space"]["kind"] == "lifted":
         x0 = _require_int(x0, anchor, "solver.x0", minimum=0)
     else:
         x0 = _require_real(x0, anchor, "solver.x0")
-    delta = solver_raw.get("delta", d["delta"])
-    if delta is not None:
-        delta = _require_real(delta, anchor, "solver.delta")
-        if delta >= 1.0:
-            _fail(anchor, "solver.delta", f"must be < 1 (negative disables monitoring), got {delta}")
-    cfg["solver"] = {
-        "x0": x0,
-        "max_iter": _require_int(solver_raw.get("max_iter", d["max_iter"]), anchor,
-                                 "solver.max_iter", minimum=1),
-        "delta": delta,
-    }
+    cfg["solver"] = {"x0": x0, **_with_defaults("solver", solver_raw, anchor)}
 
-    out_raw = raw.get("outputs", {}) or {}
-    d = _DEFAULTS["outputs"]
-    for key in ("csv_path", "json_path"):
-        value = out_raw.get(key, d[key])
-        if not isinstance(value, str) or not value:
-            _fail(anchor, f"outputs.{key}", f"expected a nonempty string, got {value!r}")
-    cfg["outputs"] = {"csv_path": out_raw.get("csv_path", d["csv_path"]),
-                      "json_path": out_raw.get("json_path", d["json_path"])}
+    cfg["outputs"] = _with_defaults("outputs", raw.get("outputs") or {}, anchor)
     return cfg
 
 
@@ -237,30 +242,50 @@ def _resolve_x0(cfg: dict, space):
         raise UsageError(f"solver.x0: {err}") from None
 
 
-def _write_json(path: Path, doc: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+def _stop_rule(cfg: dict) -> StopRule:
+    return StopRule(eps=cfg["tolerances"]["eps"], max_iter=cfg["solver"]["max_iter"],
+                    bound_eps=cfg["tolerances"]["bound_eps"])
 
 
-def _out_path(out_dir: str, name: str) -> Path:
-    p = Path(name)
-    return p if p.is_absolute() else Path(out_dir) / p
+def _delta_for_solving(cfg: dict, cert) -> float:
+    """solver.delta if given, else the certificate's delta, widened by the safety margin."""
+    if cfg["solver"]["delta"] is not None:
+        return cfg["solver"]["delta"]
+    margin = cfg["tolerances"]["safety_margin"]
+    return cert.delta if margin == 0.0 else cert.delta_with_margin(margin)
 
 
-def _emit(path: Path):
+def _out_path(cfg: dict, out_dir: str, key: str) -> Path:
+    """The file named by outputs.<key>, under out_dir unless absolute; its directory is made."""
+    p = Path(cfg["outputs"][key])
+    p = p if p.is_absolute() else Path(out_dir) / p
+    p.parent.mkdir(parents=True, exist_ok=True)
+    return p
+
+
+def _write_csv(cfg: dict, out_dir: str, trace) -> None:
+    path = _out_path(cfg, out_dir, "csv_path")
+    path.write_text(trace.to_csv())
     print(str(path))
 
 
-def _json_witness(witness):
-    """A failure's witness as JSON: a violation's dict, a point or index tuple as a list."""
-    return witness.to_dict() if hasattr(witness, "to_dict") else _json_points(witness)
+def _finish(cfg: dict, out_dir: str, command: str, passed: bool, **fields) -> int:
+    """Write the command's JSON report, print its path, and return 0 if it passed, else 1."""
+    report = {"command": command, "config": cfg, **fields, "verdict": "pass" if passed else "fail"}
+    path = _out_path(cfg, out_dir, "json_path")
+    path.write_text(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    print(str(path))
+    return EXIT_PASS if passed else EXIT_VIOLATION
 
 
-def _error_report(cfg: dict, command: str, message: str, witness=None) -> dict:
-    doc = {"command": command, "config": cfg, "verdict": "fail", "error": message}
-    if witness is not None:
-        doc["witness"] = _json_witness(witness)
-    return doc
+def _error_fields(err) -> dict:
+    """A failure's report fields: its message, and its witness or escaping point as JSON."""
+    if isinstance(err, CarrierDomainError):
+        return {"error": str(err), "point": _json_points(err.point)}
+    if err.witness is None:
+        return {"error": str(err)}
+    witness = err.witness.to_dict() if hasattr(err.witness, "to_dict") else _json_points(err.witness)
+    return {"error": str(err), "witness": witness}
 
 
 def _run_law_checks(cfg: dict, space) -> dict:
@@ -292,53 +317,25 @@ def _run_classification(cfg: dict, space, f):
     return cert, contraction
 
 
-def _delta_for_solving(cfg: dict, cert) -> float:
-    margin = cfg["tolerances"]["safety_margin"]
-    return cert.delta if margin == 0.0 else cert.delta_with_margin(margin)
-
-
 def cmd_axioms(cfg: dict, out_dir: str) -> int:
-    space = build_space(cfg, gated=False)
-    checks = _run_law_checks(cfg, space)
-    verdict = "pass" if all(c.passed for c in checks.values()) else "fail"
-    report = {
-        "command": "axioms",
-        "config": cfg,
-        "checks": {name: c.to_dict() for name, c in checks.items()},
-        "verdict": verdict,
-    }
-    path = _out_path(out_dir, cfg["outputs"]["json_path"])
-    _write_json(path, report)
-    _emit(path)
-    return EXIT_PASS if verdict == "pass" else EXIT_VIOLATION
+    checks = _run_law_checks(cfg, build_space(cfg, gated=False))
+    return _finish(cfg, out_dir, "axioms", all(c.passed for c in checks.values()),
+                   checks={name: c.to_dict() for name, c in checks.items()})
 
 
 def cmd_classify(cfg: dict, out_dir: str) -> int:
-    path = _out_path(out_dir, cfg["outputs"]["json_path"])
     try:
         space = build_space(cfg, gated=True)
-        f = build_map(cfg, space)
-        cert, contraction = _run_classification(cfg, space, f)
+        cert, contraction = _run_classification(cfg, space, build_map(cfg, space))
     except ConstructionError as err:
-        _write_json(path, _error_report(cfg, "classify", str(err), err.witness))
-        _emit(path)
-        return EXIT_VIOLATION
-    verdict = "pass" if cert.valid and (contraction is None or contraction.passed) else "fail"
-    report = {
-        "command": "classify",
-        "config": cfg,
-        "certificate": cert.to_dict(),
-        "contraction": contraction.to_dict() if contraction is not None else None,
-        "verdict": verdict,
-    }
-    _write_json(path, report)
-    _emit(path)
-    return EXIT_PASS if verdict == "pass" else EXIT_VIOLATION
+        return _finish(cfg, out_dir, "classify", False, **_error_fields(err))
+    return _finish(cfg, out_dir, "classify",
+                   cert.valid and (contraction is None or contraction.passed),
+                   certificate=cert.to_dict(),
+                   contraction=contraction.to_dict() if contraction is not None else None)
 
 
 def cmd_solve(cfg: dict, out_dir: str) -> int:
-    json_path = _out_path(out_dir, cfg["outputs"]["json_path"])
-    csv_path = _out_path(out_dir, cfg["outputs"]["csv_path"])
     cert = None
     try:
         space = build_space(cfg, gated=True)
@@ -346,75 +343,43 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
         if cfg["solver"]["delta"] is None:
             cert, _ = _run_classification(cfg, space, f)
     except ConstructionError as err:
-        _write_json(json_path, _error_report(cfg, "solve", str(err), err.witness))
-        _emit(json_path)
-        return EXIT_VIOLATION
-
+        return _finish(cfg, out_dir, "solve", False, **_error_fields(err))
     if cert is not None and not cert.valid:
-        report = _error_report(cfg, "solve", "map is not certified contractive")
-        report["certificate"] = cert.to_dict()
-        _write_json(json_path, report)
-        _emit(json_path)
-        return EXIT_VIOLATION
-    delta = cfg["solver"]["delta"] if cert is None else _delta_for_solving(cfg, cert)
+        return _finish(cfg, out_dir, "solve", False, error="map is not certified contractive",
+                       certificate=cert.to_dict())
 
-    rule = StopRule(eps=cfg["tolerances"]["eps"], max_iter=cfg["solver"]["max_iter"],
-                    bound_eps=cfg["tolerances"]["bound_eps"])
-    x0 = _resolve_x0(cfg, space)
+    delta = _delta_for_solving(cfg, cert)
     try:
-        trace = picard_run(space, f, x0, delta, rule)
+        trace = picard_run(space, f, _resolve_x0(cfg, space), delta, _stop_rule(cfg))
     except CarrierDomainError as err:
-        report = _error_report(cfg, "solve", str(err), err.index)
-        report["point"] = _json_points(err.point)
-        _write_json(json_path, report)
-        _emit(json_path)
-        return EXIT_VIOLATION
-
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(trace.to_csv())
-    report = {
-        "command": "solve",
-        "config": cfg,
-        "certificate": cert.to_dict() if cert is not None else None,
-        "delta_used": delta,
-        "trace": trace.summary_dict(),
-        "verdict": "pass" if trace.status == "converged" else "fail",
-    }
-    _write_json(json_path, report)
-    _emit(csv_path)
-    _emit(json_path)
-    return EXIT_PASS if trace.status == "converged" else EXIT_VIOLATION
+        return _finish(cfg, out_dir, "solve", False, witness=err.index, **_error_fields(err))
+    _write_csv(cfg, out_dir, trace)
+    return _finish(cfg, out_dir, "solve", trace.status == "converged",
+                   certificate=cert.to_dict() if cert is not None else None,
+                   delta_used=delta, trace=trace.summary_dict())
 
 
 def cmd_verify(cfg: dict, out_dir: str) -> int:
     """Full pipeline: laws, certificate, solve, envelopes, uniqueness, oracle."""
-    json_path = _out_path(out_dir, cfg["outputs"]["json_path"])
-    csv_path = _out_path(out_dir, cfg["outputs"]["csv_path"])
     space = build_space(cfg, gated=False)
-    checks = _run_law_checks(cfg, space)
-    report: dict = {
-        "command": "verify",
-        "config": cfg,
-        "checks": {name: c.to_dict() for name, c in checks.items()},
-        "certificate": None,
-        "contraction": None,
-        "trace": None,
-        "decay": None,
-        "cauchy": None,
-        "uniqueness": None,
-        "oracle": None,
-        "skipped": {},
-        "verdict": "fail",
-    }
-    failures = [name for name, c in checks.items() if not c.passed]
+    report: dict = {"checks": {}, "skipped": {}, **dict.fromkeys((
+        "certificate", "contraction", "trace", "decay", "cauchy", "uniqueness", "oracle"))}
+    failures = []
 
-    def finish() -> int:
-        report["verdict"] = "pass" if not failures else "fail"
-        report["failures"] = sorted(failures)
-        _write_json(json_path, report)
-        _emit(json_path)
-        return EXIT_PASS if not failures else EXIT_VIOLATION
+    def record(name, check, into=report):
+        into[name] = check.to_dict()
+        if not check.passed:
+            failures.append(name)
 
+    def finish(failure=None, err=None) -> int:
+        if failure is not None:
+            failures.append(failure)
+        if err is not None:
+            report.update(_error_fields(err))
+        return _finish(cfg, out_dir, "verify", not failures, failures=sorted(failures), **report)
+
+    for name, check in _run_law_checks(cfg, space).items():
+        record(name, check, report["checks"])
     if failures:
         report["skipped"]["classification"] = "space law checks failed"
         return finish()
@@ -423,71 +388,41 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         f = build_map(cfg, space)
         cert, contraction = _run_classification(cfg, space, f)
     except ConstructionError as err:
-        report["error"] = str(err)
-        if err.witness is not None:
-            report["witness"] = _json_witness(err.witness)
-        failures.append("map-construction")
-        return finish()
-
+        return finish("map-construction", err)
     report["certificate"] = cert.to_dict()
     if not cert.valid:
-        failures.append("classification")
         report["skipped"]["solve"] = "no valid certificate"
-        return finish()
-    report["contraction"] = contraction.to_dict()
-    if not contraction.passed:
-        failures.append("contraction")
+        return finish("classification")
+    record("contraction", contraction)
 
-    delta = cfg["solver"]["delta"]
-    delta = _delta_for_solving(cfg, cert) if delta is None else delta
-    rule = StopRule(eps=cfg["tolerances"]["eps"], max_iter=cfg["solver"]["max_iter"],
-                    bound_eps=cfg["tolerances"]["bound_eps"])
-    x0 = _resolve_x0(cfg, space)
+    delta, rule, x0 = _delta_for_solving(cfg, cert), _stop_rule(cfg), _resolve_x0(cfg, space)
     try:
         trace = picard_run(space, f, x0, delta, rule)
     except CarrierDomainError as err:
-        report["error"] = str(err)
-        report["point"] = _json_points(err.point)
-        failures.append("solve")
-        return finish()
+        return finish("solve", err)
     report["delta_used"] = delta
     report["trace"] = trace.summary_dict()
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(trace.to_csv())
-    _emit(csv_path)
+    _write_csv(cfg, out_dir, trace)
     if trace.status != "converged":
         failures.append("solve")
 
     tol = cfg["tolerances"]["check_tol"]
-    if trace.monitored:
-        decay = verify_decay(trace, tol)
-        report["decay"] = decay.to_dict()
-        if not decay.passed:
-            failures.append("decay")
+    if not trace.monitored:
+        report["skipped"]["decay"] = report["skipped"]["cauchy"] = "envelope monitoring disabled"
+    else:
+        record("decay", verify_decay(trace, tol))
         if len(trace.iterates) >= 3:
-            cauchy = verify_cauchy(trace, space, tol)
-            report["cauchy"] = cauchy.to_dict()
-            if not cauchy.passed:
-                failures.append("cauchy")
+            record("cauchy", verify_cauchy(trace, space, tol))
         else:
             report["skipped"]["cauchy"] = "fewer than 3 iterates"
-    else:
-        report["skipped"]["decay"] = "envelope monitoring disabled"
-        report["skipped"]["cauchy"] = "envelope monitoring disabled"
 
     starts = list(start_samples(space, cfg["sampling"]["n_starts"], cfg["sampling"]["seed"]))
     if not space.carrier.finite:
         starts = [x0] + starts
     try:
-        uniq = uniqueness_probe(space, f, starts, delta, rule, tol)
+        record("uniqueness", uniqueness_probe(space, f, starts, delta, rule, tol))
     except CarrierDomainError as err:
-        report["error"] = str(err)
-        report["point"] = _json_points(err.point)
-        failures.append("uniqueness")
-        return finish()
-    report["uniqueness"] = uniq.to_dict()
-    if not uniq.passed:
-        failures.append("uniqueness")
+        return finish("uniqueness", err)
 
     if space.carrier.finite:
         fps = brute_force_fixed_points(space, f)
@@ -496,7 +431,6 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         report["oracle"] = {"fixed_points": list(fps), "agrees_with_picard": agrees}
         if not agrees:
             failures.append("oracle")
-
     return finish()
 
 

@@ -28,6 +28,11 @@ from .core import AMetricSpace, Box, Carrier, FiniteCarrier, Point, check_axioms
 from .errors import CarrierDomainError, ConstructionError, UsageError
 from .sampling import STREAM_GATE, STREAM_MAP_CHECK, axiom_samples, philox
 
+# Axiom tuples the law gate of make_lifted_space samples.
+_N_GATE = 300
+# Points of a continuous carrier whose images make_map checks.
+_N_CHECK = 200
+
 
 def pair_lift(t: int, base: Callable[[Point, Point], float], carrier: Carrier, *,
               zero_diagonal: bool, base_many: Callable | None = None, eq_tol: float = 1e-12,
@@ -139,7 +144,7 @@ def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
 
 
 def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
-                      seed: int = 0, n_gate: int = 300) -> AMetricSpace:
+                      seed: int = 0) -> AMetricSpace:
     """Sum-over-pairs lift of a base metric, admitted only after an axiom check.
 
     ``base`` is either a square table (finite carrier, indices as points) or
@@ -169,7 +174,7 @@ def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
             raise ConstructionError(f"base table diagonal entry {i} is nonzero", witness=(i, i))
         space = table_space(t, arr, eq_tol=eq_tol)
 
-    gate = check_axioms(space, axiom_samples(space, n_gate, seed, stream=STREAM_GATE))
+    gate = check_axioms(space, axiom_samples(space, _N_GATE, seed, stream=STREAM_GATE))
     if not gate.passed:
         first = gate.violations[0]
         raise ConstructionError(
@@ -180,16 +185,18 @@ def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
     return space
 
 
-MAP_KINDS = (
-    "two-sevenths",
-    "linear-scale",
-    "affine",
-    "constant",
-    "identity",
-    "shift",
-    "piecewise",
-    "finite-table",
-)
+# Map kind -> the names of its parameters.
+MAP_PARAMS = {
+    "two-sevenths": (),
+    "linear-scale": ("lam",),
+    "affine": ("alpha", "beta"),
+    "constant": ("value",),
+    "identity": (),
+    "shift": ("offset",),
+    "piecewise": ("breakpoints", "pieces"),
+    "finite-table": ("images",),
+}
+MAP_KINDS = tuple(MAP_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -211,6 +218,10 @@ class MapSpec:
         if kind not in MAP_KINDS:
             raise UsageError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
         params = {k: v for k, v in doc.items() if k != "kind"}
+        for name in params:
+            if name not in MAP_PARAMS[kind]:
+                raise UsageError(f"map kind {kind!r} has no parameter {name!r}; "
+                                 f"its parameters are {list(MAP_PARAMS[kind])}")
         return MapSpec(kind=kind, params=params)
 
     def to_dict(self) -> dict:
@@ -241,6 +252,8 @@ def _finite_real(value, what: str) -> float:
         v = float(value)
     except (TypeError, ValueError):
         raise UsageError(f"{what} must be a real number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise UsageError(f"{what} must be finite, got {value!r}")
     return v
@@ -290,12 +303,20 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> Callable[[Point], Point]:
     if kind == "piecewise":
         if carrier.d != 1:
             raise UsageError("piecewise maps are one-dimensional")
-        breaks = [_finite_real(v, "breakpoint") for v in _param(spec, "breakpoints", required=True)]
+        breaks = _param(spec, "breakpoints", required=True)
+        if not isinstance(breaks, (list, tuple)):
+            raise UsageError(f"breakpoints must be a list, got {breaks!r}")
+        breaks = [_finite_real(v, "breakpoint") for v in breaks]
         pieces = _param(spec, "pieces", required=True)
+        if not isinstance(pieces, (list, tuple)):
+            raise UsageError(f"pieces must be a list, got {pieces!r}")
         if any(b >= c for b, c in zip(breaks, breaks[1:])):
             raise UsageError("breakpoints must be strictly increasing")
         if len(pieces) != len(breaks) + 1:
             raise UsageError(f"need {len(breaks) + 1} pieces for {len(breaks)} breakpoints")
+        for piece in pieces:
+            if not (isinstance(piece, (list, tuple)) and len(piece) == 2):
+                raise UsageError(f"a piece must be [slope, intercept], got {piece!r}")
         coeffs = [(_finite_real(p[0], "slope"), _finite_real(p[1], "intercept")) for p in pieces]
 
         def piecewise(x: float) -> float:
@@ -306,7 +327,7 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> Callable[[Point], Point]:
     raise UsageError(f"unknown map kind {kind!r}")
 
 
-def make_map(spec: MapSpec, space: AMetricSpace, *, seed: int = 0, n_check: int = 200) -> SelfMap:
+def make_map(spec: MapSpec, space: AMetricSpace, *, seed: int = 0) -> SelfMap:
     """Build the map and verify its image stays inside the carrier.
 
     Finite carriers are checked exhaustively; continuous ones on a seeded
@@ -318,7 +339,7 @@ def make_map(spec: MapSpec, space: AMetricSpace, *, seed: int = 0, n_check: int 
     if carrier.finite:
         probes = range(carrier.size)
     else:
-        probes = carrier.sample(philox(seed, STREAM_MAP_CHECK), n_check)
+        probes = carrier.sample(philox(seed, STREAM_MAP_CHECK), _N_CHECK)
     for p in probes:
         try:
             carrier.canon(fn(p))

@@ -35,6 +35,10 @@ BRANCH_BANACH = 1
 BRANCH_KANNAN = 2
 BRANCH_CHATTERJEA = 3
 
+# A pair goes to the first branch whose requirement is within this relative
+# distance of the worst per-pair minimum.
+_ASSIGN_RTOL = 1e-9
+
 
 def _needed(num: float, den: float) -> float:
     if den == 0.0:
@@ -150,7 +154,7 @@ class ZamfirescuCertificate:
 
 
 def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet, *,
-             assign_rtol: float = 1e-9, max_witnesses: int = 100) -> ZamfirescuCertificate:
+             max_witnesses: int = 100) -> ZamfirescuCertificate:
     """Certify (or reject) a self-map over a sampled or exhaustive pair set.
 
     Valid exactly when every pair's best normalized requirement stays below
@@ -171,7 +175,7 @@ def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet, *,
         if ratio > worst:
             worst = ratio
     valid = worst < 1.0
-    threshold = worst * (1.0 + assign_rtol)
+    threshold = worst * (1.0 + _ASSIGN_RTOL)
 
     a = b = c = 0.0
     assignments = []

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from ametric_fix.cli import main
+from ametric_fix.cli import main, materialize_config
 
 PAPER_CFG = {
     "space": {"kind": "absdiff", "t": 3, "d": 1, "box": [-100.0, 100.0]},
@@ -367,3 +367,75 @@ def test_tuple_witness_is_written_as_a_json_list(command, tmp_path, capsys):
     assert "sends (1.6899239030274238, 7.819166607429228) outside" in report["error"]
     if command == "verify":
         assert report["failures"] == ["map-construction"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("bound_eps", [1e-6, 1e-9])
+def test_verify_with_bound_eps_passes_on_the_worked_example(bound_eps, seed, tmp_path, capsys):
+    doc = json.loads(json.dumps(PAPER_CFG))
+    doc["tolerances"]["bound_eps"] = bound_eps
+    cfg = write_cfg(tmp_path, doc)
+    code, _, _ = run(["verify", "--config", cfg, "--out-dir", str(tmp_path), "--seed", str(seed)],
+                     capsys)
+    report = load_report(tmp_path)
+    assert report["failures"] == []
+    assert code == 0
+    assert report["uniqueness"]["passed"]
+
+
+def test_defaults_are_materialized():
+    doc = {"space": {"kind": "absdiff", "t": 3}, "map": {"kind": "two-sevenths"},
+           "sampling": {"seed": 0}}
+    expected = {
+        "space": {"kind": "absdiff", "t": 3, "d": 1, "box": [-100.0, 100.0]},
+        "map": {"kind": "two-sevenths"},
+        "sampling": {"seed": 0, "n_tuples": 1000, "n_pairs": 1000, "n_triples": 1000,
+                     "n_starts": 5},
+        "tolerances": {"check_tol": 1e-9, "eps": 1e-12, "bound_eps": None, "eq_tol": 1e-12,
+                       "safety_margin": 0.0},
+        "solver": {"x0": 1.0, "max_iter": 10_000, "delta": None},
+        "outputs": {"csv_path": "trace.csv", "json_path": "report.json"},
+    }
+    assert materialize_config(doc, "cfg.json") == expected
+    nulls = dict(doc, tolerances=None, solver=None, outputs=None)
+    assert materialize_config(nulls, "cfg.json") == expected
+
+
+def _paper_with(**sections):
+    doc = json.loads(json.dumps(PAPER_CFG))
+    doc.update(sections)
+    return doc
+
+
+def _piecewise(breakpoints, pieces):
+    return _paper_with(map={"kind": "piecewise", "breakpoints": breakpoints, "pieces": pieces})
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_paper_with(tolerances=5), "cfg.json: tolerances: expected an object, got 5"),
+    (_paper_with(solver=5), "cfg.json: solver: expected an object, got 5"),
+    (_paper_with(sampling=5), "cfg.json: sampling: expected an object, got 5"),
+    (_paper_with(outputs=7), "cfg.json: outputs: expected an object, got 7"),
+    (_paper_with(space=[[1]]), "cfg.json: space: expected an object, got [[1]]"),
+    (_paper_with(tolerances={"eps": None}), "cfg.json: tolerances.eps: expected a number, got None"),
+    (_piecewise([0.0], [[1], [0.5, 0]]), "a piece must be [slope, intercept], got [1]"),
+    (_piecewise([0.0], [5, [0.5, 0]]), "a piece must be [slope, intercept], got 5"),
+    (_piecewise(5, [[0.5, 0]]), "breakpoints must be a list, got 5"),
+    (_piecewise([0.0], None), "pieces must be a list, got None"),
+    (_paper_with(space={"kind": "absdiff", "t": 3, "box": [-10 ** 400, 100]}),
+     "space.box[0]: must be finite"),
+    (_paper_with(map={"kind": "affine", "alpha": 10 ** 400, "beta": 0}), "alpha must be finite"),
+    (_paper_with(map={"kind": "linear-scale", "lam": 0.5, "lamda": 0.99}),
+     "map kind 'linear-scale' has no parameter 'lamda'"),
+    (b'{"space": "\xff"}', "config is not UTF-8"),
+], ids=["tolerances-5", "solver-5", "sampling-5", "outputs-7", "space-list", "eps-null",
+        "piece-short", "piece-int", "breakpoints-int", "pieces-null", "box-overflow",
+        "param-overflow", "unknown-map-parameter", "not-utf8"])
+def test_malformed_config_exits_two(doc, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    code, out, err = run(["verify", "--config", str(path), "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert not (tmp_path / "report.json").exists()

@@ -190,8 +190,6 @@ def test_verify_cauchy_worked_example():
     assert report.checked == n * (n - 1) // 2
     info = report.info
     assert info["envelope_rate"] == 1.0
-    assert 0.0 <= info["variant_bound_rate"] <= 1.0
-    assert info["variant_bound_satisfied"] < info["variant_bound_checked"]
 
 
 def test_verify_cauchy_short_trace_rejected():
@@ -234,6 +232,28 @@ def test_uniqueness_probe_identity_disagrees():
     report = uniqueness_probe(s, f, [0.0, 1.0], -1.0, StopRule())
     assert not report.passed
     assert any(v.law == "limit-agreement" for v in report.violations)
+
+
+def test_uniqueness_probe_bound_eps_admits_limits_within_the_envelope():
+    # Runs stopped by bound_eps end anywhere within bound_eps of the fixed
+    # point 0, so their limits differ by far more than the eps-based tolerance.
+    s = make_absdiff_space(3)
+    f = make_map(MapSpec.of("two-sevenths"), s)
+    report = uniqueness_probe(s, f, [-5.0, 0.1, 7.0, 60.0], 2 / 7, StopRule(bound_eps=1e-6))
+    assert report.passed
+    assert report.info["n_converged"] == 4
+    assert 1e-9 < abs(report.info["limit"]) <= 1e-6 / 2
+
+
+def test_uniqueness_probe_bound_eps_still_rejects_two_fixed_points():
+    # 0.5x - 25 below 0 and 0.5x + 25 above: fixed points -50 and 50.
+    s = make_absdiff_space(3)
+    spec = MapSpec.of("piecewise", breakpoints=[0.0], pieces=[[0.5, -25.0], [0.5, 25.0]])
+    f = make_map(spec, s)
+    report = uniqueness_probe(s, f, [-10.0, 10.0], 0.5, StopRule(bound_eps=1e-6))
+    assert report.info["n_converged"] == 2
+    assert [v.law for v in report.violations] == ["limit-agreement"]
+    assert report.violations[0].lhs > 199.99
 
 
 def test_uniqueness_probe_needs_two_starts():
