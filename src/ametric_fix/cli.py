@@ -288,23 +288,27 @@ def _error_fields(err) -> dict:
     return {"error": str(err), "witness": witness}
 
 
-def _run_law_checks(cfg: dict, space) -> dict:
+def _pairs(cfg: dict, space):
+    """The config's pair set, which the symmetry check and the certificate share."""
+    return pair_samples(space, cfg["sampling"]["n_pairs"], cfg["sampling"]["seed"])
+
+
+def _run_law_checks(cfg: dict, space, pairs) -> dict:
     seed = cfg["sampling"]["seed"]
     tol = cfg["tolerances"]["check_tol"]
     LOG.info("running law checks (seed=%d)", seed)
     axioms = check_axioms(space, axiom_samples(space, cfg["sampling"]["n_tuples"], seed), tol)
-    symmetry = check_symmetry(space, pair_samples(space, cfg["sampling"]["n_pairs"], seed), tol)
+    symmetry = check_symmetry(space, pairs, tol)
     triangle = check_triangle_inequality(
         space, triple_samples(space, cfg["sampling"]["n_triples"], seed), tol)
     return {"axioms": axioms, "symmetry": symmetry, "triangle": triangle}
 
 
-def _run_classification(cfg: dict, space, f):
+def _run_classification(cfg: dict, space, f, pairs):
     # make_map checks images only on a sample, so one can still leave the
     # carrier here: the same defect, raised as the same ConstructionError.
     seed = cfg["sampling"]["seed"]
     tol = cfg["tolerances"]["check_tol"]
-    pairs = pair_samples(space, cfg["sampling"]["n_pairs"], seed)
     try:
         cert = classify(space, f, pairs)
         contraction = None
@@ -318,7 +322,8 @@ def _run_classification(cfg: dict, space, f):
 
 
 def cmd_axioms(cfg: dict, out_dir: str) -> int:
-    checks = _run_law_checks(cfg, build_space(cfg, gated=False))
+    space = build_space(cfg, gated=False)
+    checks = _run_law_checks(cfg, space, _pairs(cfg, space))
     return _finish(cfg, out_dir, "axioms", all(c.passed for c in checks.values()),
                    checks={name: c.to_dict() for name, c in checks.items()})
 
@@ -326,7 +331,8 @@ def cmd_axioms(cfg: dict, out_dir: str) -> int:
 def cmd_classify(cfg: dict, out_dir: str) -> int:
     try:
         space = build_space(cfg, gated=True)
-        cert, contraction = _run_classification(cfg, space, build_map(cfg, space))
+        cert, contraction = _run_classification(cfg, space, build_map(cfg, space),
+                                                _pairs(cfg, space))
     except ConstructionError as err:
         return _finish(cfg, out_dir, "classify", False, **_error_fields(err))
     return _finish(cfg, out_dir, "classify",
@@ -341,7 +347,7 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
         space = build_space(cfg, gated=True)
         f = build_map(cfg, space)
         if cfg["solver"]["delta"] is None:
-            cert, _ = _run_classification(cfg, space, f)
+            cert, _ = _run_classification(cfg, space, f, _pairs(cfg, space))
     except ConstructionError as err:
         return _finish(cfg, out_dir, "solve", False, **_error_fields(err))
     if cert is not None and not cert.valid:
@@ -378,7 +384,8 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
             report.update(_error_fields(err))
         return _finish(cfg, out_dir, "verify", not failures, failures=sorted(failures), **report)
 
-    for name, check in _run_law_checks(cfg, space).items():
+    pairs = _pairs(cfg, space)
+    for name, check in _run_law_checks(cfg, space, pairs).items():
         record(name, check, report["checks"])
     if failures:
         report["skipped"]["classification"] = "space law checks failed"
@@ -386,7 +393,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 
     try:
         f = build_map(cfg, space)
-        cert, contraction = _run_classification(cfg, space, f)
+        cert, contraction = _run_classification(cfg, space, f, pairs)
     except ConstructionError as err:
         return finish("map-construction", err)
     report["certificate"] = cert.to_dict()

@@ -111,23 +111,28 @@ class Box:
     def array(self, points) -> np.ndarray:
         """Validated canonical points as one float array, shape (n,) at d = 1, (n, d) above.
 
-        Plain floats (tuples of floats at d > 1) inside the box are taken
-        as they are; anything else goes through :meth:`canon` point by point,
-        which raises for the first bad point in order.
+        Plain floats (tuples of floats at d > 1), or a float array of that
+        shape, inside the box are taken as they are; anything else goes
+        through :meth:`canon` point by point (an array as its Python
+        points), which raises for the first bad point in order.
         """
-        pts = list(points)
-        d = len(self.lo)
-        if d == 1:
-            shape, plain = (len(pts),), _only(pts, float)
+        width = () if len(self.lo) == 1 else (len(self.lo),)
+        if isinstance(points, np.ndarray) and points.dtype == float and points.shape[1:] == width:
+            arr = points
         else:
-            shape = (len(pts), d)
-            plain = (_only(pts, tuple) and set(map(len, pts)) <= {d}
-                     and _only(chain.from_iterable(pts), float))
-        if plain:
-            arr = np.array(pts, dtype=float).reshape(shape)
+            pts, arr = list(points), None
+            if width:
+                plain = (_only(pts, tuple) and set(map(len, pts)) <= set(width)
+                         and _only(chain.from_iterable(pts), float))
+            else:
+                plain = _only(pts, float)
+            if plain:
+                arr = np.array(pts, dtype=float).reshape((len(pts),) + width)
+        if arr is not None:
             if np.all((arr >= self._lo_slack) & (arr <= self._hi_slack)):
                 return arr
-        return np.array([self.canon(p) for p in pts], dtype=float).reshape(shape)
+            pts = self.points(arr)
+        return np.array([self.canon(p) for p in pts], dtype=float).reshape((len(pts),) + width)
 
     def points(self, arr: np.ndarray) -> list:
         """The canonical Python points of an array made by :meth:`array`."""
@@ -187,10 +192,16 @@ class FiniteCarrier:
         return p
 
     def array(self, points) -> np.ndarray:
-        """Validated indices as one integer array; bad points raise as in :meth:`canon`."""
-        pts = list(points)
-        if pts and _only(pts, int) and 0 <= min(pts) and max(pts) < self.size:
-            return np.array(pts, dtype=np.intp)
+        """Validated indices as one integer array, from Python ints or an integer
+        array; bad points raise as in :meth:`canon`, for the first one in order."""
+        if isinstance(points, np.ndarray) and points.dtype.kind == "i" and points.ndim == 1:
+            if not len(points) or (0 <= points.min() and points.max() < self.size):
+                return points.astype(np.intp, copy=False)
+            pts = points.tolist()
+        else:
+            pts = list(points)
+            if pts and _only(pts, int) and 0 <= min(pts) and max(pts) < self.size:
+                return np.array(pts, dtype=np.intp)
         return np.array([self.canon(p) for p in pts], dtype=np.intp)
 
     def points(self, arr: np.ndarray) -> list:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -230,13 +230,66 @@ class MapSpec:
 
 @dataclass(frozen=True)
 class SelfMap:
-    """A pure endomorphism of a space's carrier."""
+    """A pure endomorphism of a space's carrier.
+
+    ``many(pts)`` is its array form over a point array made by
+    ``carrier.array``: the images of the points, equal to ``fn``'s point by
+    point and not yet validated, as an array or a list that
+    ``carrier.array`` takes.  When omitted it calls ``fn`` once per point
+    (see :func:`_looped_map`).
+    """
 
     kind: str
     fn: Callable[[Point], Point]
+    many: Callable[[np.ndarray], Sequence] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.many is None:
+            object.__setattr__(self, "many", _looped_map(self.fn))
 
     def __call__(self, p: Point) -> Point:
         return self.fn(p)
+
+
+def _looped_map(fn: Callable[[Point], Point]) -> Callable[[np.ndarray], list]:
+    """Array form of a map without one: ``fn`` on each point of the array.
+
+    ``fn`` receives the plain Python point the scalar code would pass it (a
+    row of a 2-d array as a tuple), and its images are returned as given,
+    for ``carrier.array`` to validate.
+    """
+    def many(pts: np.ndarray) -> list:
+        return [fn(tuple(p) if isinstance(p, list) else p) for p in pts.tolist()]
+
+    return many
+
+
+def _quiet(g: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """``g`` on arrays, overflowing to inf without a warning, as Python floats do."""
+    def many(pts: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return g(pts)
+
+    return many
+
+
+def _by_coordinate(carrier: Carrier, g: Callable, g_many: Callable | None = None) -> tuple:
+    """A map of one coordinate as a map of points, and its array form:
+    ``g_many`` (by default ``g``, which numpy applies elementwise) on the
+    whole point array."""
+    return carrier.componentwise(g), _quiet(g if g_many is None else g_many)
+
+
+# From this magnitude on, 2x overflows while x/7 does not.
+_TWICE_OVERFLOWS = 2.0 ** 1023
+
+
+def _two_sevenths(x: float) -> float:
+    return 2.0 * x / 7.0 if abs(x) < _TWICE_OVERFLOWS else 2.0 * (x / 7.0)
+
+
+def _two_sevenths_many(xs: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(xs) < _TWICE_OVERFLOWS, 2.0 * xs / 7.0, 2.0 * (xs / 7.0))
 
 
 def _param(spec: MapSpec, name: str, default=None, required: bool = False):
@@ -259,7 +312,8 @@ def _finite_real(value, what: str) -> float:
     return v
 
 
-def _build_fn(spec: MapSpec, space: AMetricSpace) -> Callable[[Point], Point]:
+def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
+    """The map's scalar form and its array form (see :class:`SelfMap`)."""
     kind = spec.kind
     carrier = space.carrier
     finite = carrier.finite
@@ -272,34 +326,37 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> Callable[[Point], Point]:
                 or any(isinstance(v, bool) or not isinstance(v, int) for v in images)):
             raise UsageError(f"finite-table images must be {size} integer indices")
         table = tuple(images)
-        return lambda p: table[p]
+        # An image outside the carrier (which make_map rejects) is stored as
+        # `size`: outside too, and within the array's integer type.
+        lookup = np.array([v if 0 <= v < size else size for v in table], dtype=np.intp)
+        return (lambda p: table[p]), (lambda pts: lookup[pts])
     if finite and kind != "identity" and kind != "constant":
         raise UsageError(f"map kind {kind!r} needs a continuous carrier")
     if kind == "two-sevenths":
-        return carrier.componentwise(lambda x: 2.0 * x / 7.0)
+        return _by_coordinate(carrier, _two_sevenths, _two_sevenths_many)
     if kind == "linear-scale":
         lam = _finite_real(_param(spec, "lam", required=True), "lam")
-        return carrier.componentwise(lambda x: lam * x)
+        return _by_coordinate(carrier, lambda x: lam * x)
     if kind == "affine":
         alpha = _finite_real(_param(spec, "alpha", required=True), "alpha")
         beta = _finite_real(_param(spec, "beta", required=True), "beta")
-        return carrier.componentwise(lambda x: alpha * x + beta)
+        return _by_coordinate(carrier, lambda x: alpha * x + beta)
     if kind == "constant":
         value = _param(spec, "value", required=True)
         if finite:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise UsageError("a constant map on a finite carrier needs an integer index")
-            return lambda p: value
-        if isinstance(value, (list, tuple)):
+            pt = value
+        elif isinstance(value, (list, tuple)):
             pt = tuple(_finite_real(v, "value") for v in value)
         else:
             pt = _finite_real(value, "value")
-        return lambda p: pt
+        return (lambda p: pt), (lambda pts: [pt] * len(pts))
     if kind == "identity":
-        return lambda p: p
+        return (lambda p: p), (lambda pts: pts)
     if kind == "shift":
         offset = _finite_real(_param(spec, "offset", 1.0), "offset")
-        return carrier.componentwise(lambda x: x + offset)
+        return _by_coordinate(carrier, lambda x: x + offset)
     if kind == "piecewise":
         if carrier.d != 1:
             raise UsageError("piecewise maps are one-dimensional")
@@ -318,12 +375,18 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> Callable[[Point], Point]:
             if not (isinstance(piece, (list, tuple)) and len(piece) == 2):
                 raise UsageError(f"a piece must be [slope, intercept], got {piece!r}")
         coeffs = [(_finite_real(p[0], "slope"), _finite_real(p[1], "intercept")) for p in pieces]
+        cuts = np.array(breaks, dtype=float)
+        slopes, intercepts = (np.array(v) for v in zip(*coeffs))
 
         def piecewise(x: float) -> float:
             a, c = coeffs[bisect.bisect_right(breaks, x)]
             return a * x + c
 
-        return piecewise
+        def piecewise_many(xs: np.ndarray) -> np.ndarray:
+            k = np.searchsorted(cuts, xs, side="right")  # bisect_right, elementwise
+            return slopes[k] * xs + intercepts[k]
+
+        return piecewise, _quiet(piecewise_many)
     raise UsageError(f"unknown map kind {kind!r}")
 
 
@@ -332,22 +395,26 @@ def make_map(spec: MapSpec, space: AMetricSpace, *, seed: int = 0) -> SelfMap:
 
     Finite carriers are checked exhaustively; continuous ones on a seeded
     sample.  An escaping image raises :class:`ConstructionError` with the
-    witness point.
+    witness point, the first probe whose image escapes.
     """
-    fn = _build_fn(spec, space)
+    fn, many = _build_fn(spec, space)
     carrier = space.carrier
     if carrier.finite:
-        probes = range(carrier.size)
+        probes = list(range(carrier.size))
     else:
         probes = carrier.sample(philox(seed, STREAM_MAP_CHECK), _N_CHECK)
-    for p in probes:
-        try:
-            carrier.canon(fn(p))
-        except CarrierDomainError:
-            raise ConstructionError(
-                f"map {spec.kind!r} sends {p!r} outside the carrier", witness=p
-            ) from None
-    return SelfMap(kind=spec.kind, fn=fn)
+    try:
+        carrier.array(many(carrier.array(probes)))
+    except CarrierDomainError:
+        for p in probes:
+            try:
+                carrier.canon(fn(p))
+            except CarrierDomainError:
+                raise ConstructionError(
+                    f"map {spec.kind!r} sends {p!r} outside the carrier", witness=p
+                ) from None
+        raise
+    return SelfMap(kind=spec.kind, fn=fn, many=many)
 
 
 def default_catalog() -> list[tuple[str, MapSpec, bool]]:

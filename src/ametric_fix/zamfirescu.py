@@ -18,7 +18,14 @@ plain Lipschitz contraction reports b = c = 0 exactly.  The constants feed
 
 which is the contraction factor governing every solver error envelope.
 Degenerate requirement ratios are resolved as 0/0 -> 0 (any constant works)
-and k/0 -> +inf for k > 0 (the branch is infeasible for that pair).
+and k/0 -> +inf for k != 0 (the branch is infeasible for that pair).
+
+The certificate and the contraction check are numpy sweeps over blocks of
+at most ``core.BLOCK`` pairs: each block's points and their images (one
+call of the map's array form, ``SelfMap.many``) are validated once by
+``carrier.array``, and every requirement comes from the space's
+``rep_many``.  They give the results, down to the bit and the sign of a
+zero, of the per-pair loops kept in ``tests/scalar_reference.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +33,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AMetricSpace, CheckReport, Point, _Recorder, _json_num, _json_points, scaled_tol
-from .errors import UsageError
+import numpy as np
+
+from .core import (
+    AMetricSpace,
+    CheckReport,
+    Point,
+    _blocks,
+    _json_num,
+    _json_points,
+    _Recorder,
+    _require_entries,
+    scaled_tols,
+)
+from .errors import CarrierDomainError, UsageError
 from .sampling import SampleSet
 from .spaces import SelfMap
 
@@ -40,10 +59,15 @@ BRANCH_CHATTERJEA = 3
 _ASSIGN_RTOL = 1e-9
 
 
-def _needed(num: float, den: float) -> float:
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / den
+def _needed(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, with 0/0 -> 0 and k/0 -> inf for k != 0."""
+    return np.where(den == 0.0, np.where(num == 0.0, 0.0, math.inf), num / den)
+
+
+def _running_max(values: np.ndarray) -> float:
+    """What ``m = 0.0; for v in values: m = max(m, v)`` leaves: NaN and
+    values <= 0 are skipped, so ties keep 0.0 over -0.0."""
+    return float(np.max(values, where=values > 0.0, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -60,11 +84,6 @@ class BranchConstants:
         """Requirements scaled so that each branch cap becomes 1."""
         return (self.a_req, self.b_req * t, self.c_req * t)
 
-    def best(self, t: int) -> tuple[float, int]:
-        ratios = self.normalized(t)
-        branch = min(range(3), key=lambda i: ratios[i])
-        return ratios[branch], branch + 1
-
     def to_dict(self) -> dict:
         return {
             "x": _json_points(self.x),
@@ -75,21 +94,44 @@ class BranchConstants:
         }
 
 
+def _image_blocks(space: AMetricSpace, f: SelfMap, pairs: SampleSet, what: str):
+    """Blocks of pairs, each with x, y, f(x), f(y) as validated point arrays.
+
+    A point or image outside the carrier raises the error of the first bad
+    one in the per-pair order x, y, f(x), f(y), found by a scalar replay.
+    """
+    carrier = space.carrier
+    entries = _require_entries(pairs, 2, what)
+    try:
+        for block, pts in _blocks(carrier, entries):
+            images = carrier.array(f.many(pts.reshape((-1,) + pts.shape[2:])))
+            images = images.reshape(pts.shape)
+            yield block, pts[:, 0], pts[:, 1], images[:, 0], images[:, 1]
+    except (CarrierDomainError, UsageError):
+        canon = carrier.canon
+        for x, y in entries:
+            cx, cy = canon(x), canon(y)
+            canon(f(cx))
+            canon(f(cy))
+        raise
+
+
+def _requirements(space: AMetricSpace, f: SelfMap, pairs: SampleSet, what: str) -> tuple:
+    """The minimal constants (a_req, b_req, c_req) of every pair, as float arrays."""
+    rep, reqs = space.rep_many, []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _, x, y, fx, fy in _image_blocks(space, f, pairs, what):
+            num = rep(fx, fy)
+            reqs.append((_needed(num, rep(x, y)),
+                         _needed(num, rep(fx, x) + rep(fy, y)),
+                         _needed(num, rep(fx, y) + rep(fy, x))))
+    return tuple(np.concatenate(r) for r in zip(*reqs))
+
+
 def branch_constants(space: AMetricSpace, f: SelfMap, x: Point, y: Point) -> BranchConstants:
     """Minimal constants making each branch inequality hold for (x, y)."""
-    canon = space.carrier.canon
-    cx, cy = canon(x), canon(y)
-    return _branch_constants(space.rep_fn, x, y, cx, cy, canon(f(cx)), canon(f(cy)))
-
-
-def _branch_constants(rep, x: Point, y: Point, cx: Point, cy: Point,
-                      fx: Point, fy: Point) -> BranchConstants:
-    """Branch constants from canonical points and images; x, y are kept as given."""
-    num = rep(fx, fy)
-    a_req = _needed(num, rep(cx, cy))
-    b_req = _needed(num, rep(fx, cx) + rep(fy, cy))
-    c_req = _needed(num, rep(fx, cy) + rep(fy, cx))
-    return BranchConstants(x=x, y=y, a_req=a_req, b_req=b_req, c_req=c_req)
+    reqs = _requirements(space, f, SampleSet.from_entries("pairs", [(x, y)]), "branch_constants")
+    return BranchConstants(x, y, *(float(r[0]) for r in reqs))
 
 
 def compute_delta(a: float, b: float, c: float, t: int) -> float:
@@ -164,44 +206,36 @@ def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet, *,
     """
     if len(pairs) == 0:
         raise UsageError("classify needs a nonempty pair set")
-    canon, rep = space.carrier.canon, space.rep_fn
-    per_pair = []
-    worst = 0.0
-    for x, y in pairs:
-        cx, cy = canon(x), canon(y)
-        bc = _branch_constants(rep, x, y, cx, cy, canon(f(cx)), canon(f(cy)))
-        ratio, _ = bc.best(space.t)
-        per_pair.append((bc, ratio))
-        if ratio > worst:
-            worst = ratio
+    t = space.t
+    reqs = _requirements(space, f, pairs, "classify")
+    with np.errstate(over="ignore"):
+        ratios = (reqs[0], reqs[1] * t, reqs[2] * t)
+    # Each pair's best branch is its first minimal ratio, as min(range(3),
+    # key=...) picks it: a later ratio wins only when strictly lower, so a
+    # NaN is never chosen after the first branch.
+    ratio, best = ratios[0], np.zeros(len(ratios[0]), dtype=int)
+    for i in (1, 2):
+        lower = ratios[i] < ratio
+        ratio, best = np.where(lower, ratios[i], ratio), np.where(lower, i, best)
+    worst = _running_max(ratio)
     valid = worst < 1.0
     threshold = worst * (1.0 + _ASSIGN_RTOL)
 
-    a = b = c = 0.0
-    assignments = []
-    witnesses = []
-    for bc, ratio in per_pair:
-        ratios = bc.normalized(space.t)
-        branch = None
-        for i, r in enumerate(ratios):
-            if r <= threshold and (not valid or r < 1.0):
-                branch = i + 1
-                break
-        if branch is None:
-            branch = bc.best(space.t)[1]
-        assignments.append(branch)
-        if branch == BRANCH_BANACH:
-            a = max(a, bc.a_req)
-        elif branch == BRANCH_KANNAN:
-            b = max(b, bc.b_req)
-        else:
-            c = max(c, bc.c_req)
-        if ratio >= 1.0 and len(witnesses) < max_witnesses:
-            witnesses.append(bc)
+    # The first branch within the threshold (and below its cap when valid),
+    # else the best one.
+    branch = best + 1
+    for i in (2, 1, 0):
+        fits = ratios[i] <= threshold
+        if valid:
+            fits &= ratios[i] < 1.0
+        branch = np.where(fits, i + 1, branch)
+    a, b, c = (_running_max(req[branch == i + 1]) for i, req in enumerate(reqs))
 
-    delta = compute_delta(a, b, c, space.t) if valid else None
+    witnesses = tuple(BranchConstants(*pairs.entries[i], *(float(r[i]) for r in reqs))
+                      for i in np.flatnonzero(ratio >= 1.0)[:max(max_witnesses, 0)])
+    delta = compute_delta(a, b, c, t) if valid else None
     return ZamfirescuCertificate(
-        t=space.t,
+        t=t,
         a=a,
         b=b,
         c=c,
@@ -209,8 +243,8 @@ def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet, *,
         valid=valid,
         exhaustive=pairs.exhaustive,
         n_pairs=len(pairs),
-        assignments=tuple(assignments),
-        witnesses=tuple(witnesses),
+        assignments=tuple(branch.tolist()),
+        witnesses=witnesses,
     )
 
 
@@ -228,15 +262,15 @@ def verify_contraction_inequalities(space: AMetricSpace, f: SelfMap, delta: floa
     if len(pairs) == 0:
         raise UsageError("verify_contraction_inequalities needs a nonempty pair set")
     rec = _Recorder("contraction", max_witnesses)
-    t = space.t
-    canon, rep = space.carrier.canon, space.rep_fn
-    for x, y in pairs:
-        cx, cy = canon(x), canon(y)
-        fx, fy = canon(f(cx)), canon(f(cy))
-        lhs = rep(fx, fy)
-        base = delta * rep(cx, cy)
-        rhs_1 = base + t * delta * rep(fx, cx)
-        rhs_2 = base + t * delta * rep(fy, cx)
-        rec.add("contraction-own-step", (x, y), lhs, rhs_1, scaled_tol(tol, lhs, rhs_1))
-        rec.add("contraction-cross-step", (x, y), lhs, rhs_2, scaled_tol(tol, lhs, rhs_2))
+    t, rep = space.t, space.rep_many
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block, x, y, fx, fy in _image_blocks(space, f, pairs, "verify_contraction_inequalities"):
+            lhs = rep(fx, fy)
+            base = delta * rep(x, y)
+            rhs_1 = base + t * delta * rep(fx, x)
+            rhs_2 = base + t * delta * rep(fy, x)
+            rec.add_many(lambda law, i: block[i], (
+                ("contraction-own-step", lhs, rhs_1, scaled_tols(tol, lhs, rhs_1), None),
+                ("contraction-cross-step", lhs, rhs_2, scaled_tols(tol, lhs, rhs_2), None),
+            ))
     return rec.report(exhaustive=pairs.exhaustive)

@@ -1,16 +1,26 @@
 """Scalar reference for the array sweeps: one Python call per entry or pair.
 
 These are the loops `check_axioms`, `check_symmetry`,
-`check_triangle_inequality` and `verify_cauchy` ran before they became
-numpy expressions over blocks.  They use only the scalar forms of a space
-(`carrier.canon`, `distance`, `rep_fn`) and `_Recorder.add`, so the
-differential tests can require the array path to give the same report,
-down to the last bit and the sign of a zero.
+`check_triangle_inequality`, `verify_cauchy`, `classify` and
+`verify_contraction_inequalities` ran before they became numpy
+expressions over blocks.  They use only the scalar forms of a space and a
+map (`carrier.canon`, `distance`, `rep_fn`, `f.fn`) and `_Recorder.add`,
+so the differential tests can require the array path to give the same
+report, down to the last bit and the sign of a zero.
 """
 
 import math
 
 from ametric_fix.core import _Recorder, _require_entries, scaled_tol
+from ametric_fix.errors import UsageError
+from ametric_fix.zamfirescu import (
+    _ASSIGN_RTOL,
+    BRANCH_BANACH,
+    BRANCH_KANNAN,
+    BranchConstants,
+    ZamfirescuCertificate,
+    compute_delta,
+)
 
 
 def _equal(carrier, a, b, tol):
@@ -91,3 +101,88 @@ def verify_cauchy(trace, space, tol=1e-9, max_witnesses=100):
     report = rec.report()
     report.info = {"envelope_rate": (report.checked - report.violations_total) / report.checked}
     return report
+
+
+def _needed(num, den):
+    if den == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return num / den
+
+
+def _branch_constants(rep, x, y, cx, cy, fx, fy):
+    num = rep(fx, fy)
+    a_req = _needed(num, rep(cx, cy))
+    b_req = _needed(num, rep(fx, cx) + rep(fy, cy))
+    c_req = _needed(num, rep(fx, cy) + rep(fy, cx))
+    return BranchConstants(x=x, y=y, a_req=a_req, b_req=b_req, c_req=c_req)
+
+
+def _best(bc, t):
+    ratios = bc.normalized(t)
+    branch = min(range(3), key=lambda i: ratios[i])
+    return ratios[branch], branch + 1
+
+
+def classify(space, f, pairs, *, max_witnesses=100):
+    if len(pairs) == 0:
+        raise UsageError("classify needs a nonempty pair set")
+    canon, rep = space.carrier.canon, space.rep_fn
+    per_pair = []
+    worst = 0.0
+    for x, y in pairs:
+        cx, cy = canon(x), canon(y)
+        bc = _branch_constants(rep, x, y, cx, cy, canon(f(cx)), canon(f(cy)))
+        ratio, _ = _best(bc, space.t)
+        per_pair.append((bc, ratio))
+        if ratio > worst:
+            worst = ratio
+    valid = worst < 1.0
+    threshold = worst * (1.0 + _ASSIGN_RTOL)
+
+    a = b = c = 0.0
+    assignments = []
+    witnesses = []
+    for bc, ratio in per_pair:
+        ratios = bc.normalized(space.t)
+        branch = None
+        for i, r in enumerate(ratios):
+            if r <= threshold and (not valid or r < 1.0):
+                branch = i + 1
+                break
+        if branch is None:
+            branch = _best(bc, space.t)[1]
+        assignments.append(branch)
+        if branch == BRANCH_BANACH:
+            a = max(a, bc.a_req)
+        elif branch == BRANCH_KANNAN:
+            b = max(b, bc.b_req)
+        else:
+            c = max(c, bc.c_req)
+        if ratio >= 1.0 and len(witnesses) < max_witnesses:
+            witnesses.append(bc)
+
+    delta = compute_delta(a, b, c, space.t) if valid else None
+    return ZamfirescuCertificate(
+        t=space.t, a=a, b=b, c=c, delta=delta, valid=valid, exhaustive=pairs.exhaustive,
+        n_pairs=len(pairs), assignments=tuple(assignments), witnesses=tuple(witnesses),
+    )
+
+
+def verify_contraction_inequalities(space, f, delta, pairs, tol=1e-9, max_witnesses=100):
+    if not (0.0 <= delta < 1.0):
+        raise UsageError(f"need 0 <= delta < 1, got {delta!r}")
+    if len(pairs) == 0:
+        raise UsageError("verify_contraction_inequalities needs a nonempty pair set")
+    rec = _Recorder("contraction", max_witnesses)
+    t = space.t
+    canon, rep = space.carrier.canon, space.rep_fn
+    for x, y in pairs:
+        cx, cy = canon(x), canon(y)
+        fx, fy = canon(f(cx)), canon(f(cy))
+        lhs = rep(fx, fy)
+        base = delta * rep(cx, cy)
+        rhs_1 = base + t * delta * rep(fx, cx)
+        rhs_2 = base + t * delta * rep(fy, cx)
+        rec.add("contraction-own-step", (x, y), lhs, rhs_1, scaled_tol(tol, lhs, rhs_1))
+        rec.add("contraction-cross-step", (x, y), lhs, rhs_2, scaled_tol(tol, lhs, rhs_2))
+    return rec.report(exhaustive=pairs.exhaustive)

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from ametric_fix import cli
 from ametric_fix.cli import main, materialize_config
 
 PAPER_CFG = {
@@ -439,3 +440,30 @@ def test_malformed_config_exits_two(doc, message, tmp_path, capsys):
     assert message in err
     assert out == ""
     assert not (tmp_path / "report.json").exists()
+
+
+def test_verify_two_sevenths_on_a_box_up_to_1e308(tmp_path, capsys):
+    # 2x overflows for |x| >= 2**1023, though 2x/7 lies inside the box.
+    cfg = write_cfg(tmp_path, {
+        "space": {"kind": "absdiff", "t": 3, "box": [-100, 1e308]},
+        "map": {"kind": "two-sevenths"},
+        "sampling": {"n_tuples": 20, "n_pairs": 20, "n_triples": 20},
+    })
+    code, _, err = run(["verify", "--config", cfg, "--seed", "1", "--out-dir", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert load_report(tmp_path)["certificate"]["valid"]
+
+
+def test_verify_draws_the_pair_set_once(tmp_path, capsys, monkeypatch):
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(kwargs.get("stream"))
+        return pair_samples(*args, **kwargs)
+
+    pair_samples = cli.pair_samples
+    monkeypatch.setattr(cli, "pair_samples", counted)
+    code, _, _ = run(["verify", "--config", write_cfg(tmp_path, PAPER_CFG),
+                      "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert draws.count(None) == 1

@@ -6,9 +6,14 @@ Covers:
     - lifted spaces agreeing with the closed-form space on a shared base
     - the construction gate: structural table defects and law violations
     - map construction, range checking, and the declarative spec round-trip
+    - each map kind's array form against its scalar form, bit for bit
     - positive homogeneity of linear maps on the absdiff space
 """
 
+import math
+import sys
+
+import numpy as np
 import pytest
 
 from ametric_fix import (
@@ -25,7 +30,7 @@ from ametric_fix import (
     rep_distance,
     table_space,
 )
-from ametric_fix.sampling import SampleSet, philox
+from ametric_fix.sampling import STREAM_MAP_CHECK, SampleSet, philox
 from ametric_fix import spaces
 from ametric_fix.spaces import default_catalog, pair_lift
 
@@ -260,3 +265,88 @@ def test_closed_form_rep_matches_pair_sum_on_absdiff(t, d):
     s = make_absdiff_space(t, d=d)
     for x, y in rep_pairs(s):
         assert s.rep_fn(x, y) == pytest.approx(pair_sum_rep(s, x, y), rel=1e-15 * t)
+
+
+PIECE_BREAKS = [-40.0, 0.0, 12.5, 99.0]
+BOX_MAPS = {
+    "two-sevenths": {},
+    "linear-scale": {"lam": -0.3},
+    "affine": {"alpha": 0.6, "beta": -3.0},
+    "constant": {"value": 0.3},
+    "identity": {},
+    "shift": {"offset": -1.0},
+    "piecewise": {"breakpoints": PIECE_BREAKS,
+                  "pieces": [[0.1, 1.0], [-0.5, 0.0], [0.3, -2.0], [0.25, 0.5], [-0.2, 0.0]]},
+}
+
+
+def one_d_points():
+    """Random points, both zeros, the box ends and every piecewise breakpoint
+    exactly, with its neighbouring floats."""
+    rng = np.random.default_rng(SEED)
+    pts = [0.0, -0.0, -100.0, 100.0] + rng.uniform(-100.0, 100.0, 200).tolist()
+    for b in PIECE_BREAKS:
+        pts += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+    return pts
+
+
+def assert_many_matches_fn(f, carrier, points):
+    arr = carrier.array(points)
+    scalar = np.array([f(p) for p in carrier.points(arr)])
+    array_form = np.asarray(f.many(arr))
+    assert array_form.dtype == scalar.dtype and array_form.shape == scalar.shape
+    assert array_form.tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(BOX_MAPS))
+def test_map_array_form_matches_scalar_form_on_boxes(kind):
+    s = make_absdiff_space(3, box=(-100.0, 100.0))
+    f = make_map(MapSpec.of(kind, **BOX_MAPS[kind]), make_absdiff_space(3, box=(-1e3, 1e3)))
+    assert_many_matches_fn(f, s.carrier, one_d_points())
+    if kind != "piecewise":
+        params = dict(BOX_MAPS[kind], **({"value": [0.3, -0.0]} if kind == "constant" else {}))
+        s2 = make_absdiff_space(3, d=2, box=(-1e3, 1e3))
+        f2 = make_map(MapSpec.of(kind, **params), s2)
+        pts = one_d_points()
+        assert_many_matches_fn(f2, s2.carrier, list(zip(pts, reversed(pts))))
+
+
+@pytest.mark.parametrize("spec", [
+    MapSpec.of("finite-table", images=[2, 0, 0, 1]),
+    MapSpec.of("constant", value=3),
+    MapSpec.of("identity"),
+], ids=lambda spec: spec.kind)
+def test_map_array_form_matches_scalar_form_on_finite_carriers(spec):
+    s = table_space(3, [[float(abs(a - b)) for b in range(4)] for a in range(4)])
+    assert_many_matches_fn(make_map(spec, s), s.carrier, [3, 0, 1, 2, 2, 1, 0, 3])
+
+
+def test_two_sevenths_is_finite_up_to_the_largest_float():
+    huge = [2.0 ** 1023, 1e308, sys.float_info.max, math.nextafter(2.0 ** 1023, 0.0)]
+    xs = np.array(huge + [-x for x in huge])
+    s = make_absdiff_space(3, box=(-sys.float_info.max, sys.float_info.max))
+    fn, many = spaces._build_fn(MapSpec.of("two-sevenths"), s)
+    scalar = np.array([fn(x) for x in xs.tolist()])
+    assert np.all(np.isfinite(scalar))
+    assert many(xs).tobytes() == scalar.tobytes()
+    # Below 2**1023 the value is 2x/7 as it always was.
+    assert scalar[3] == 2.0 * huge[3] / 7.0 and scalar[-1] == -2.0 * huge[3] / 7.0
+    assert scalar[1] == 2.0 * (1e308 / 7.0)
+
+
+def test_make_map_names_the_first_escaping_probe():
+    s = make_absdiff_space(3, box=(-1.0, 1.0))
+    probes = s.carrier.sample(philox(SEED, STREAM_MAP_CHECK), spaces._N_CHECK)
+    first = next(p for p in probes if p + 0.5 > 1.0 + 1e-12 * 2.0)
+    with pytest.raises(ConstructionError) as err:
+        make_map(MapSpec.of("shift", offset=0.5), s, seed=SEED)
+    assert err.value.witness == first
+    assert str(err.value) == f"map 'shift' sends {first!r} outside the carrier"
+
+
+@pytest.mark.parametrize("images, first", [([0, 1, 9, -1], 2), ([0, 10 ** 30, 1, 1], 1)])
+def test_make_map_rejects_table_images_outside_the_carrier(images, first):
+    s = table_space(3, [[float(abs(a - b)) for b in range(4)] for a in range(4)])
+    with pytest.raises(ConstructionError) as err:
+        make_map(MapSpec.of("finite-table", images=images), s)
+    assert err.value.witness == first

@@ -1,7 +1,8 @@
 """Array sweeps against the scalar reference in ``scalar_reference.py``.
 
-The law checks and the Cauchy sweep run as numpy expressions over blocks
-of entries; the reference runs the same checks one Python call per entry.
+The law checks, the Cauchy sweep, the Zamfirescu certificate and the
+contraction check run as numpy expressions over blocks of entries; the
+reference runs the same checks one Python call per entry.
 Every comparison is on the full report JSON, so counts, max_gap (with the
 sign of a zero), the first violations and their order, witnesses and info
 must all agree.  Blocks are also shrunk to a few entries so that block
@@ -23,11 +24,13 @@ from ametric_fix import (
     FiniteCarrier,
     MapSpec,
     PicardTrace,
+    SelfMap,
     StopRule,
     axiom_samples,
     check_axioms,
     check_symmetry,
     check_triangle_inequality,
+    classify,
     make_absdiff_space,
     make_map,
     pair_samples,
@@ -35,8 +38,9 @@ from ametric_fix import (
     table_space,
     triple_samples,
     verify_cauchy,
+    verify_contraction_inequalities,
 )
-from ametric_fix import core, solver
+from ametric_fix import core, solver, spaces
 from ametric_fix.sampling import SampleSet
 from ametric_fix.spaces import pair_lift
 
@@ -268,3 +272,167 @@ def test_long_trace_sweep_stays_in_bounded_memory():
     assert report.passed
     assert peak < 2 * 1024 * 1024
     assert elapsed < 30.0
+
+
+def assert_certificate_matches(space, f, pairs, max_witnesses=100):
+    """classify and the contraction check agree with the reference: full JSON,
+    assignments (as Python ints) and the first error, if any."""
+    fast = classify(space, f, pairs, max_witnesses=max_witnesses)
+    slow = ref.classify(space, f, pairs, max_witnesses=max_witnesses)
+    assert as_json(fast) == as_json(slow)
+    assert fast.assignments == slow.assignments
+    assert {type(b) for b in fast.assignments} == {int}
+    deltas = {0.0, 0.5} | ({fast.delta} if fast.valid else set())
+    for delta in sorted(deltas):
+        for tol in (1e-9, -2.0):  # -2 (1 + |value|): every instance is a violation
+            args = (space, f, delta, pairs, tol, max_witnesses)
+            assert as_json(verify_contraction_inequalities(*args)) == as_json(
+                ref.verify_contraction_inequalities(*args))
+    return fast
+
+
+ABSDIFF_MAPS = {
+    1: [MapSpec.of("two-sevenths"), MapSpec.of("linear-scale", lam=0.9),
+        MapSpec.of("affine", alpha=-0.6, beta=3.0), MapSpec.of("constant", value=0.3),
+        MapSpec.of("piecewise", breakpoints=[0.0], pieces=[[0.25, 0.0], [0.2, -5.0]]),
+        MapSpec.of("identity"), MapSpec.of("shift", offset=1.0)],
+    4: [MapSpec.of("two-sevenths"), MapSpec.of("affine", alpha=0.6, beta=-3.0),
+        MapSpec.of("constant", value=[0.5, -1.0, 2.0, 0.0]), MapSpec.of("identity"),
+        MapSpec.of("shift", offset=1.0)],
+}
+
+
+@pytest.mark.parametrize("t", [2, 3, 8])
+@pytest.mark.parametrize("d", [1, 4])
+def test_certificate_matches_reference_on_absdiff(block, t, d):
+    space = make_absdiff_space(t, d=d, box=(-100.0, 100.0))
+    # Pairs from the middle of the box, so that shifted images stay inside.
+    pairs = pair_samples(make_absdiff_space(t, d=d, box=(-50.0, 50.0)), 60, SEED)
+    for spec in ABSDIFF_MAPS[d]:
+        f = make_map(spec, space)
+        cert = assert_certificate_matches(space, f, pairs)
+        if not cert.valid:
+            for k in (1, 3):
+                assert_certificate_matches(space, f, pairs, max_witnesses=k)
+
+
+def test_certificate_matches_reference_on_line_table(block):
+    space = table_space(4, LINE7)
+    pairs = pair_samples(space, 1, SEED)
+    f = make_map(MapSpec.of("finite-table", images=[0, 0, 1, 0, 1, 2, 0]), space)
+    assert assert_certificate_matches(space, f, pairs).branch_counts["kannan"] > 0
+    for k in (1, 3, 100):
+        assert_certificate_matches(space, make_map(MapSpec.of("identity"), space), pairs, k)
+
+
+@pytest.mark.parametrize("t", [2, 3, 5])
+def test_certificate_matches_reference_on_callable_lift(block, t):
+    space = pair_lift(t, odd_base, Box.of(-4.0, 4.0), zero_diagonal=False)
+    pairs = pair_samples(space, 120, SEED)
+    for spec in (MapSpec.of("linear-scale", lam=0.5), MapSpec.of("identity")):
+        f = make_map(spec, space)
+        for k in (1, 3, 100):
+            assert_certificate_matches(space, f, pairs, max_witnesses=k)
+
+
+def odd_distance(pts):
+    """A raw distance that returns NaN, +-inf, -0.0 and negative values."""
+    x, y = pts[0], pts[-1]
+    k = int(abs(3.0 * x + 5.0 * y)) % 7
+    return (math.nan, math.inf, -0.0, abs(x - y), -math.inf, -1.0 - abs(x), 2.0)[k]
+
+
+def test_certificate_matches_reference_on_raw_distance(block):
+    space = AMetricSpace(t=3, distance=odd_distance, carrier=Box.of(-4.0, 4.0))
+    pairs = pair_samples(space, 300, SEED)
+    f = make_map(MapSpec.of("affine", alpha=0.5, beta=0.3), space)
+    # NaN, +-inf, negative values and zeros of both signs all appear among
+    # the requirements.
+    reqs = [r for x, y in pairs for r in (ref._branch_constants(
+        space.rep_fn, x, y, x, y, f(x), f(y)).normalized(3))]
+    assert any(map(math.isnan, reqs)) and math.inf in reqs and -math.inf in reqs
+    assert any(r < 0 for r in reqs)
+    assert {math.copysign(1.0, r) for r in reqs if r == 0.0} == {1.0, -1.0}
+    for k in (1, 3, 100):
+        assert_certificate_matches(space, f, pairs, max_witnesses=k)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_certificate_matches_reference_for_map_without_many(block, d):
+    # A map built without an array form goes through the loop adapter, which
+    # hands it the plain Python points the scalar code would.
+    seen = set()
+
+    def half(p):
+        seen.add(type(p))
+        return 0.5 * p if d == 1 else tuple(0.5 * c for c in p)
+
+    space = make_absdiff_space(3, d=d, box=(-10.0, 10.0))
+    f = SelfMap(kind="half", fn=half)
+    assert_certificate_matches(space, f, pair_samples(space, 50, SEED))
+    assert seen == {float if d == 1 else tuple}
+
+    table = table_space(3, LINE7)
+    g = SelfMap(kind="fold", fn=lambda i: (seen.add(type(i)), min(i, 6 - i))[1])
+    seen.clear()
+    assert_certificate_matches(table, g, pair_samples(table, 1, SEED))
+    assert seen == {int}
+
+
+def unchecked_map(spec, space):
+    """The map with its array form, without make_map's image check."""
+    fn, many = spaces._build_fn(spec, space)
+    return SelfMap(kind=spec.kind, fn=fn, many=many)
+
+
+@pytest.mark.parametrize("check", ["classify", "contraction"])
+@pytest.mark.parametrize("pairs, first", [
+    # f(x) of the first pair escapes; the second pair's y is outside itself.
+    ([(0.1, 0.0), (0.9, 0.0), (0.0, 5.0)], 1.4),
+    ([(0.1, 0.0), (0.0, 5.0), (0.9, 0.0)], 5.0),
+    ([(0.1, 0.2), (0.2, 0.95), (0.7, 0.1)], 1.45),  # f(y) only
+    ([(0.1, 0.2), (0.2, math.nan)], math.nan),
+    ([(0.1, 0.2), (0.2, (0.3, 0.4))], None),        # a malformed point
+])
+def test_escaping_pair_or_image_raises_as_before(block, check, pairs, first):
+    s = make_absdiff_space(3, box=(-1.0, 1.0))
+    f = unchecked_map(MapSpec.of("shift", offset=0.5), s)
+    samples = SampleSet.from_entries("pairs", [(0.0, 0.1)] * 9 + pairs)
+    if check == "classify":
+        fast = error_of(classify, s, f, samples)
+        slow = error_of(ref.classify, s, f, samples)
+    else:
+        fast = error_of(verify_contraction_inequalities, s, f, 0.5, samples)
+        slow = error_of(ref.verify_contraction_inequalities, s, f, 0.5, samples)
+    assert fast[:2] == slow[:2]
+    assert "np." not in fast[1]
+    if first is not None:
+        assert type(fast[2]) is float
+        assert fast[2] == first or (math.isnan(first) and math.isnan(fast[2]))
+
+
+def test_escaping_d2_image_raises_as_before(block):
+    s = make_absdiff_space(3, d=2, box=(-1.0, 1.0))
+    f = unchecked_map(MapSpec.of("affine", alpha=2.0, beta=0.0), s)
+    samples = SampleSet.from_entries("pairs", [((0.1, 0.2), (0.3, -0.4))] * 9
+                                     + [((0.1, 0.2), (0.3, 0.6))])
+    fast = error_of(classify, s, f, samples)
+    assert fast == error_of(ref.classify, s, f, samples)
+    assert fast[2] == (0.6, 1.2) and {type(c) for c in fast[2]} == {float}
+
+
+def test_valid_certificate_keeps_pairs_off_a_branch_at_its_cap(block):
+    # The worst best-branch ratio is 1 - 1e-10, so the assignment threshold
+    # lies just above 1.  Pair (2, 3) needs a = 1.0 exactly, within that
+    # threshold, but a valid certificate must not take a constant at its
+    # cap: the pair goes to Kannan (normalized 0.5) instead.
+    table = {(4, 5): 1.0 - 1e-10, (0, 1): 1.0, (6, 7): 1.0, (2, 3): 1.0, (6, 2): 2.0, (7, 3): 2.0}
+
+    def distance(pts):
+        return table.get(pts, table.get(pts[::-1], 0.0))
+
+    space = AMetricSpace(t=2, distance=distance, carrier=FiniteCarrier(8))
+    f = SelfMap(kind="spread", fn=lambda i: (4, 5, 6, 7, 4, 4, 4, 4)[i])
+    cert = assert_certificate_matches(space, f, SampleSet.from_entries("pairs", [(0, 1), (2, 3)]))
+    assert cert.valid and cert.assignments == (1, 2)
+    assert (cert.a, cert.b, cert.c) == (1.0 - 1e-10, 0.25, 0.0)
