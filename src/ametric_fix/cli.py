@@ -203,11 +203,12 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
     cfg["tolerances"] = _with_defaults("tolerances", raw.get("tolerances") or {}, anchor)
 
     solver_raw = raw.get("solver") or {}
-    # Lifted points are integer indices, so their default start is index 0.
-    x0 = solver_raw.get("x0", 0 if cfg["space"]["kind"] == "lifted" else 1.0)
+    # Lifted points are integer indices, so their default start is index 0;
+    # a box's is 1.0 in every coordinate.
+    x0 = solver_raw.get("x0", 0 if kind == "lifted" else 1.0 if d == 1 else [1.0] * d)
     if isinstance(x0, list):
         x0 = [_require_real(v, anchor, "solver.x0") for v in x0]
-    elif cfg["space"]["kind"] == "lifted":
+    elif kind == "lifted":
         x0 = _require_int(x0, anchor, "solver.x0", minimum=0)
     else:
         x0 = _require_real(x0, anchor, "solver.x0")
@@ -238,7 +239,7 @@ def _resolve_x0(cfg: dict, space):
         x0 = tuple(x0)
     try:
         return space.carrier.canon(x0)
-    except CarrierDomainError as err:
+    except (CarrierDomainError, UsageError) as err:
         raise UsageError(f"solver.x0: {err}") from None
 
 
@@ -255,26 +256,23 @@ def _delta_for_solving(cfg: dict, cert) -> float:
     return cert.delta if margin == 0.0 else cert.delta_with_margin(margin)
 
 
-def _out_path(cfg: dict, out_dir: str, key: str) -> Path:
-    """The file named by outputs.<key>, under out_dir unless absolute; its directory is made."""
-    p = Path(cfg["outputs"][key])
-    p = p if p.is_absolute() else Path(out_dir) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def _write_csv(cfg: dict, out_dir: str, trace) -> None:
-    path = _out_path(cfg, out_dir, "csv_path")
-    path.write_text(trace.to_csv())
+def _write(cfg: dict, out_dir: str, key: str, text: str) -> None:
+    """Write the file named by outputs.<key> (under out_dir unless absolute) and
+    print its path; a path that cannot be written is a configuration error."""
+    path = Path(cfg["outputs"][key])
+    path = path if path.is_absolute() else Path(out_dir) / path
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as err:
+        raise UsageError(f"outputs.{key}: cannot write {str(path)!r}: {err.strerror}") from None
     print(str(path))
 
 
 def _finish(cfg: dict, out_dir: str, command: str, passed: bool, **fields) -> int:
     """Write the command's JSON report, print its path, and return 0 if it passed, else 1."""
     report = {"command": command, "config": cfg, **fields, "verdict": "pass" if passed else "fail"}
-    path = _out_path(cfg, out_dir, "json_path")
-    path.write_text(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
-    print(str(path))
+    _write(cfg, out_dir, "json_path", json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return EXIT_PASS if passed else EXIT_VIOLATION
 
 
@@ -359,7 +357,7 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
         trace = picard_run(space, f, _resolve_x0(cfg, space), delta, _stop_rule(cfg))
     except CarrierDomainError as err:
         return _finish(cfg, out_dir, "solve", False, witness=err.index, **_error_fields(err))
-    _write_csv(cfg, out_dir, trace)
+    _write(cfg, out_dir, "csv_path", trace.to_csv())
     return _finish(cfg, out_dir, "solve", trace.status == "converged",
                    certificate=cert.to_dict() if cert is not None else None,
                    delta_used=delta, trace=trace.summary_dict())
@@ -409,7 +407,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         return finish("solve", err)
     report["delta_used"] = delta
     report["trace"] = trace.summary_dict()
-    _write_csv(cfg, out_dir, trace)
+    _write(cfg, out_dir, "csv_path", trace.to_csv())
     if trace.status != "converged":
         failures.append("solve")
 

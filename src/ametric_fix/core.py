@@ -120,7 +120,8 @@ class Box:
         if isinstance(points, np.ndarray) and points.dtype == float and points.shape[1:] == width:
             arr = points
         else:
-            pts, arr = list(points), None
+            pts = points.tolist() if isinstance(points, np.ndarray) else list(points)
+            arr = None
             if width:
                 plain = (_only(pts, tuple) and set(map(len, pts)) <= set(width)
                          and _only(chain.from_iterable(pts), float))
@@ -138,7 +139,7 @@ class Box:
         """The canonical Python points of an array made by :meth:`array`."""
         if len(self.lo) == 1:
             return arr.tolist()
-        return list(map(tuple, arr.tolist()))
+        return list(zip(*arr.T.tolist()))
 
     def equal(self, a, b, tol: float):
         """Coordinate-wise equality within ``tol``, of two canonical points or
@@ -155,12 +156,10 @@ class Box:
         gaps = pts.max(axis=1) - pts.min(axis=1)
         return gaps if len(self.lo) == 1 else gaps.max(axis=-1)
 
-    def sample(self, rng, n: int) -> list:
-        """``n`` canonical points drawn uniformly from the box by ``rng``."""
-        rows = rng.uniform(self.lo, self.hi, size=(n, len(self.lo))).tolist()
-        if len(self.lo) == 1:
-            return [row[0] for row in rows]
-        return [tuple(row) for row in rows]
+    def sample(self, rng, n: int) -> np.ndarray:
+        """``n`` points drawn uniformly from the box by ``rng``, as :meth:`array` returns them."""
+        rows = rng.uniform(self.lo, self.hi, size=(n, len(self.lo)))
+        return rows[:, 0] if len(self.lo) == 1 else rows
 
     def coords(self, p: Point) -> tuple:
         """The coordinates of a canonical point, as a tuple."""
@@ -199,7 +198,7 @@ class FiniteCarrier:
                 return points.astype(np.intp, copy=False)
             pts = points.tolist()
         else:
-            pts = list(points)
+            pts = points.tolist() if isinstance(points, np.ndarray) else list(points)
             if pts and _only(pts, int) and 0 <= min(pts) and max(pts) < self.size:
                 return np.array(pts, dtype=np.intp)
         return np.array([self.canon(p) for p in pts], dtype=np.intp)
@@ -217,9 +216,9 @@ class FiniteCarrier:
         (indices have no coordinates)."""
         return np.where(np.all(pts == pts[:, :1], axis=1), 0.0, math.inf)
 
-    def sample(self, rng, n: int) -> list:
-        """``n`` indices drawn uniformly by ``rng``."""
-        return rng.integers(0, self.size, size=n).tolist()
+    def sample(self, rng, n: int) -> np.ndarray:
+        """``n`` indices drawn uniformly by ``rng``, as :meth:`array` returns them."""
+        return rng.integers(0, self.size, size=n).astype(np.intp, copy=False)
 
     def coords(self, p: int) -> tuple:
         """The index as a one-coordinate tuple."""
@@ -476,21 +475,28 @@ def _item(v, i: int) -> float:
 def _require_entries(samples: SampleSet, width: int, what: str) -> tuple:
     if len(samples) == 0:
         raise UsageError(f"{what} needs a nonempty sample set")
-    for entry in samples:
+    # Every entry of a drawn set has the width of its point array.
+    for entry in samples if samples.points is None else samples.entries[:1]:
         if not isinstance(entry, tuple) or len(entry) != width:
             raise UsageError(f"{what} expects entries of {width} points, got {entry!r}")
     return samples.entries
 
 
-def _blocks(carrier: Carrier, entries: tuple):
+def _blocks(carrier: Carrier, samples: SampleSet):
     """Consecutive blocks of at most BLOCK entries, each with its validated point array.
 
     The array has shape (len(block), width, ...): the points of every
-    entry, turned into canonical form by ``carrier.array``.
+    entry, validated by ``carrier.array``: a slice of a drawn set's point
+    array is bounds-checked, the Python points of other sets checked as given.
     """
+    entries, points = samples.entries, samples.points
     for start in range(0, len(entries), BLOCK):
         block = entries[start:start + BLOCK]
-        pts = carrier.array(chain.from_iterable(block))
+        if points is None:
+            flat = chain.from_iterable(block)
+        else:
+            flat = points[start:start + BLOCK].reshape((-1,) + points.shape[2:])
+        pts = carrier.array(flat)
         yield block, pts.reshape((len(block), -1) + pts.shape[1:])
 
 
@@ -504,11 +510,11 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
     block by block, as the sweep reaches them; witnesses keep the entry as
     given.
     """
-    entries = _require_entries(samples, space.t + 1, "check_axioms")
+    _require_entries(samples, space.t + 1, "check_axioms")
     rec = _Recorder("axioms", max_witnesses)
     t, carrier, eq_tol = space.t, space.carrier, space.eq_tol
     with np.errstate(invalid="ignore", over="ignore"):
-        for block, pts in _blocks(carrier, entries):
+        for block, pts in _blocks(carrier, samples):
             xs, pivot = pts[:, :t], pts[:, t]
             d = space.distance_many(xs)
             te = scaled_tols(tol, d)
@@ -532,10 +538,10 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
 def check_symmetry(space: AMetricSpace, pairs: SampleSet, tol: float = 1e-9,
                    max_witnesses: int = 100) -> CheckReport:
     """Two-point reduction must not depend on argument order."""
-    entries = _require_entries(pairs, 2, "check_symmetry")
+    _require_entries(pairs, 2, "check_symmetry")
     rec = _Recorder("symmetry", max_witnesses)
     with np.errstate(invalid="ignore", over="ignore"):
-        for block, pts in _blocks(space.carrier, entries):
+        for block, pts in _blocks(space.carrier, pairs):
             x, y = pts[:, 0], pts[:, 1]
             fwd = space.rep_many(x, y)
             bwd = space.rep_many(y, x)
@@ -553,11 +559,11 @@ def check_triangle_inequality(space: AMetricSpace, triples: SampleSet, tol: floa
         rep(x, z) <= (t-1) * rep(x, y) + rep(z, y)
         rep(x, z) <= (t-1) * rep(x, y) + rep(y, z)
     """
-    entries = _require_entries(triples, 3, "check_triangle_inequality")
+    _require_entries(triples, 3, "check_triangle_inequality")
     rec = _Recorder("triangle", max_witnesses)
     tm1, rep = space.t - 1, space.rep_many
     with np.errstate(invalid="ignore", over="ignore"):
-        for block, pts in _blocks(space.carrier, entries):
+        for block, pts in _blocks(space.carrier, triples):
             x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
             lhs = rep(x, z)
             xy = rep(x, y)

@@ -7,6 +7,9 @@ draws happened elsewhere.  Degenerate entries (all-equal and two-equal
 tuples) are always injected next to the random draws: zero-distance cases
 are measure-zero under random sampling and would otherwise go untested.
 Small finite carriers are enumerated exhaustively instead of sampled.
+
+Points are drawn as the carrier's point array, which a drawn set keeps next
+to its Python entries for the sweeps to read (see ``core._blocks``).
 """
 
 from __future__ import annotations
@@ -52,13 +55,17 @@ class SampleSet:
     """A reproducible batch of sample entries.
 
     ``entries`` holds point tuples for the tuple/pair/triple kinds and bare
-    points for the ``starts`` kind.
+    points for the ``starts`` kind.  ``points`` holds the entries of a drawn
+    tuple, pair or triple set as one read-only array of shape (n, width, ...)
+    in ``carrier.array``'s format; it is None for ``starts`` and for
+    :meth:`from_entries` sets.
     """
 
     kind: str
     entries: tuple = field(repr=False)
     seed: int | None = None
     exhaustive: bool = False
+    points: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -75,61 +82,49 @@ def _exhaustive_ok(carrier, width: int) -> bool:
     return carrier.finite and carrier.size <= EXHAUSTIVE_POINTS and width <= EXHAUSTIVE_ARITY + 1
 
 
+def _draw(carrier, kind: str, n: int, seed: int, stream: int, patterns: list,
+          exhaustive: bool) -> SampleSet:
+    """A set of ``len(patterns[0])``-point entries: every index tuple in
+    ``itertools.product`` order, or ``n`` random entries and then, for each of
+    ``_N_DEGENERATE`` groups of base points, one entry per index pattern."""
+    width = len(patterns[0])
+    if exhaustive:
+        points = carrier.array(np.indices((carrier.size,) * width).ravel()).reshape(width, -1).T
+        entries = tuple(product(range(carrier.size), repeat=width))
+    else:
+        if n < 1:
+            raise UsageError(f"{kind[:-1]}_samples needs n >= 1")
+        rng = philox(seed, stream)
+        drawn = carrier.sample(rng, n * width)
+        base = carrier.sample(rng, (np.max(patterns) + 1) * _N_DEGENERATE)
+        shape = base.shape[1:]
+        groups = base.reshape((_N_DEGENERATE, -1) + shape)
+        points = np.concatenate((drawn.reshape((n, width) + shape),
+                                 groups[:, patterns].reshape((-1, width) + shape)))
+        flat = iter(carrier.points(points.reshape((-1,) + shape)))
+        entries = tuple(zip(*[flat] * width))
+    points.flags.writeable = False
+    return SampleSet(kind, entries, seed, exhaustive, points)
+
+
 def axiom_samples(space, n: int, seed: int, stream: int = STREAM_AXIOMS) -> SampleSet:
     """Tuples of ``t`` points plus a pivot, for the three defining laws."""
     t = space.t
-    carrier = space.carrier
-    if _exhaustive_ok(carrier, t + 1):
-        entries = tuple(product(range(carrier.size), repeat=t + 1))
-        return SampleSet(kind="axioms", entries=entries, seed=seed, exhaustive=True)
-    if n < 1:
-        raise UsageError("axiom_samples needs n >= 1")
-    rng = philox(seed, stream)
-    flat = carrier.sample(rng, n * (t + 1))
-    entries = [tuple(flat[i * (t + 1):(i + 1) * (t + 1)]) for i in range(n)]
-    base = carrier.sample(rng, 3 * _N_DEGENERATE)
-    for k in range(_N_DEGENERATE):
-        x, y, z = base[3 * k], base[3 * k + 1], base[3 * k + 2]
-        entries.append((x,) * (t + 1))            # all-equal, pivot equal
-        entries.append((x,) * t + (y,))           # all-equal, distinct pivot
-        entries.append((x,) + (y,) * (t - 1) + (z,))  # two-equal
-    return SampleSet(kind="axioms", entries=tuple(entries), seed=seed)
+    # From base points x, y, z: all-equal, all-equal but the pivot, two-equal.
+    patterns = [[0] * (t + 1), [0] * t + [1], [0] + [1] * (t - 1) + [2]]
+    return _draw(space.carrier, "axioms", n, seed, stream, patterns,
+                 _exhaustive_ok(space.carrier, t + 1))
 
 
 def pair_samples(space, n: int, seed: int, stream: int = STREAM_PAIRS) -> SampleSet:
     """Ordered point pairs; exhaustive on finite carriers."""
-    carrier = space.carrier
-    if carrier.finite:
-        entries = tuple(product(range(carrier.size), repeat=2))
-        return SampleSet(kind="pairs", entries=entries, seed=seed, exhaustive=True)
-    if n < 1:
-        raise UsageError("pair_samples needs n >= 1")
-    rng = philox(seed, stream)
-    flat = carrier.sample(rng, 2 * n)
-    entries = [(flat[2 * i], flat[2 * i + 1]) for i in range(n)]
-    base = carrier.sample(rng, _N_DEGENERATE)
-    entries.extend((x, x) for x in base)
-    return SampleSet(kind="pairs", entries=tuple(entries), seed=seed)
+    return _draw(space.carrier, "pairs", n, seed, stream, [[0, 0]], space.carrier.finite)
 
 
 def triple_samples(space, n: int, seed: int) -> SampleSet:
-    carrier = space.carrier
-    if _exhaustive_ok(carrier, 3):
-        entries = tuple(product(range(carrier.size), repeat=3))
-        return SampleSet(kind="triples", entries=entries, seed=seed, exhaustive=True)
-    if n < 1:
-        raise UsageError("triple_samples needs n >= 1")
-    rng = philox(seed, STREAM_TRIPLES)
-    flat = carrier.sample(rng, 3 * n)
-    entries = [(flat[3 * i], flat[3 * i + 1], flat[3 * i + 2]) for i in range(n)]
-    base = carrier.sample(rng, 2 * _N_DEGENERATE)
-    for k in range(_N_DEGENERATE):
-        x, y = base[2 * k], base[2 * k + 1]
-        entries.append((x, x, x))
-        entries.append((x, x, y))
-        entries.append((x, y, y))
-        entries.append((x, y, x))
-    return SampleSet(kind="triples", entries=tuple(entries), seed=seed)
+    patterns = [[0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0]]
+    return _draw(space.carrier, "triples", n, seed, STREAM_TRIPLES, patterns,
+                 _exhaustive_ok(space.carrier, 3))
 
 
 def start_samples(space, n: int, seed: int) -> SampleSet:
@@ -140,4 +135,4 @@ def start_samples(space, n: int, seed: int) -> SampleSet:
     if n < 1:
         raise UsageError("start_samples needs n >= 1")
     rng = philox(seed, STREAM_STARTS)
-    return SampleSet(kind="starts", entries=tuple(carrier.sample(rng, n)), seed=seed)
+    return SampleSet(kind="starts", entries=tuple(carrier.points(carrier.sample(rng, n))), seed=seed)

@@ -400,13 +400,13 @@ def make_map(spec: MapSpec, space: AMetricSpace, *, seed: int = 0) -> SelfMap:
     fn, many = _build_fn(spec, space)
     carrier = space.carrier
     if carrier.finite:
-        probes = list(range(carrier.size))
+        probes = carrier.array(range(carrier.size))
     else:
         probes = carrier.sample(philox(seed, STREAM_MAP_CHECK), _N_CHECK)
     try:
-        carrier.array(many(carrier.array(probes)))
+        carrier.array(many(probes))
     except CarrierDomainError:
-        for p in probes:
+        for p in carrier.points(probes):
             try:
                 carrier.canon(fn(p))
             except CarrierDomainError:

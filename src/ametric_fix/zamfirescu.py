@@ -103,7 +103,7 @@ def _image_blocks(space: AMetricSpace, f: SelfMap, pairs: SampleSet, what: str):
     carrier = space.carrier
     entries = _require_entries(pairs, 2, what)
     try:
-        for block, pts in _blocks(carrier, entries):
+        for block, pts in _blocks(carrier, pairs):
             images = carrier.array(f.many(pts.reshape((-1,) + pts.shape[2:])))
             images = images.reshape(pts.shape)
             yield block, pts[:, 0], pts[:, 1], images[:, 0], images[:, 1]

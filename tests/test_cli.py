@@ -467,3 +467,46 @@ def test_verify_draws_the_pair_set_once(tmp_path, capsys, monkeypatch):
                       "--out-dir", str(tmp_path)], capsys)
     assert code == 0
     assert draws.count(None) == 1
+
+
+D2_CFG = {"space": {"kind": "absdiff", "t": 3, "d": 2, "box": [-10.0, 10.0]},
+          "map": {"kind": "linear-scale", "lam": 0.5},
+          "sampling": {"seed": 0, "n_tuples": 50, "n_pairs": 50, "n_triples": 50}}
+
+
+def test_verify_on_a_d2_box_starts_at_ones_by_default(tmp_path, capsys):
+    code, _, err = run(["verify", "--config", write_cfg(tmp_path, D2_CFG),
+                        "--out-dir", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert load_report(tmp_path)["config"]["solver"]["x0"] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("doc", [
+    dict(D2_CFG, solver={"x0": [1.0, 2.0, 3.0]}),
+    {"space": {"kind": "lifted", "t": 3, "base_table": DISCRETE_TABLE},
+     "map": {"kind": "constant", "value": 0}, "sampling": {"seed": 0}, "solver": {"x0": [1]}},
+], ids=["d2-x0-of-length-3", "lifted-list-x0"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_x0_of_the_wrong_shape_exits_two_naming_its_key(doc, command, tmp_path, capsys):
+    code, _, err = run([command, "--config", write_cfg(tmp_path, doc),
+                        "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: solver.x0: ")
+
+
+@pytest.mark.parametrize("command, outputs, out_dir, key", [
+    ("axioms", {"json_path": "."}, ".", "json_path"),
+    ("axioms", {"json_path": "sub"}, ".", "json_path"),
+    ("solve", {"csv_path": "sub"}, ".", "csv_path"),
+    ("axioms", {"json_path": "afile/report.json"}, ".", "json_path"),
+    ("axioms", {}, "afile", "json_path"),
+], ids=["json-dot", "json-dir", "csv-dir", "json-under-file", "out-dir-file"])
+def test_unwritable_output_exits_two_naming_its_key(command, outputs, out_dir, key, tmp_path,
+                                                     capsys):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "afile").write_text("")
+    cfg = write_cfg(tmp_path, _paper_with(outputs=outputs))
+    code, _, err = run([command, "--config", cfg, "--out-dir", str(tmp_path / out_dir)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: outputs.{key}: cannot write ")
+    assert "Traceback" not in err

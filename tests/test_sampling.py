@@ -5,11 +5,22 @@ rewrite of point generation could change every draw without failing them.
 These values pin the first random entry and the last injected degenerate
 entry (drawn after the random ones, from the same stream) of the axiom and
 pair sample sets on a 1-d box, a 4-d box and a sampled finite carrier.
+Each drawn set's point array must hold its entries, bit for bit, in the
+carrier's array format.
 """
+
+from itertools import chain
 
 import pytest
 
-from ametric_fix import axiom_samples, make_absdiff_space, pair_samples, table_space
+from ametric_fix import (
+    axiom_samples,
+    make_absdiff_space,
+    pair_samples,
+    start_samples,
+    table_space,
+    triple_samples,
+)
 
 SEED = 2024
 LINE = [0, 1, 3, 4, 7, 9]
@@ -81,3 +92,33 @@ def test_pinned_points_have_carrier_types(name):
     entry = axiom_samples(space, 10, SEED).entries[0]
     kind = int if space.carrier.finite else float
     assert all(type(c) is kind for p in entry for c in space.carrier.coords(p))
+
+
+CARRIERS = {
+    "box-d1": lambda: make_absdiff_space(3),
+    "box-d4": lambda: make_absdiff_space(3, d=4),
+    "table-sampled": lambda: table_space(5, [[abs(a - b) for b in LINE] for a in LINE]),
+    "table-exhaustive": lambda: table_space(3, [[abs(a - b) for b in LINE] for a in LINE]),
+}
+
+
+@pytest.mark.parametrize("sampler", [axiom_samples, pair_samples, triple_samples])
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_points_are_the_carrier_array_of_the_entries(name, sampler):
+    """A set's point array holds its entries, bit for bit, in the carrier's array format."""
+    space = CARRIERS[name]()
+    samples = sampler(space, 10, SEED)
+    expected = space.carrier.array(chain.from_iterable(samples.entries))
+    assert samples.points.shape[:2] == (len(samples), len(samples.entries[0]))
+    assert samples.points.dtype == expected.dtype
+    assert samples.points.tobytes() == expected.tobytes()
+    assert not samples.points.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_start_points_are_carrier_points(name):
+    space = CARRIERS[name]()
+    starts = start_samples(space, 10, SEED)
+    kind = int if space.carrier.finite else float
+    assert all(type(c) is kind for p in starts for c in space.carrier.coords(p))
+    assert len(starts) == (len(LINE) if space.carrier.finite else 10)

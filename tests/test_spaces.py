@@ -336,7 +336,7 @@ def test_two_sevenths_is_finite_up_to_the_largest_float():
 
 def test_make_map_names_the_first_escaping_probe():
     s = make_absdiff_space(3, box=(-1.0, 1.0))
-    probes = s.carrier.sample(philox(SEED, STREAM_MAP_CHECK), spaces._N_CHECK)
+    probes = s.carrier.points(s.carrier.sample(philox(SEED, STREAM_MAP_CHECK), spaces._N_CHECK))
     first = next(p for p in probes if p + 0.5 > 1.0 + 1e-12 * 2.0)
     with pytest.raises(ConstructionError) as err:
         make_map(MapSpec.of("shift", offset=0.5), s, seed=SEED)

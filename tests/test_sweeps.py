@@ -41,6 +41,7 @@ from ametric_fix import (
     verify_contraction_inequalities,
 )
 from ametric_fix import core, solver, spaces
+from ametric_fix.errors import CarrierDomainError, UsageError
 from ametric_fix.sampling import SampleSet
 from ametric_fix.spaces import pair_lift
 
@@ -436,3 +437,85 @@ def test_valid_certificate_keeps_pairs_off_a_branch_at_its_cap(block):
     cert = assert_certificate_matches(space, f, SampleSet.from_entries("pairs", [(0, 1), (2, 3)]))
     assert cert.valid and cert.assignments == (1, 2)
     assert (cert.a, cert.b, cert.c) == (1.0 - 1e-10, 0.25, 0.0)
+
+
+def given_twin(samples):
+    """The same entries as a set made by from_entries, which carries no point array."""
+    twin = SampleSet.from_entries(samples.kind, samples.entries, samples.exhaustive)
+    assert samples.points is not None and twin.points is None
+    return twin
+
+
+def assert_drawn_matches_given(space, spec, n=60, seed=SEED):
+    """Every sweep gives the same report on a drawn set as on its from_entries twin."""
+    f = make_map(spec, space)
+    laws = ((check_axioms, axiom_samples), (check_symmetry, pair_samples),
+            (check_triangle_inequality, triple_samples))
+    for check, sampler in laws:
+        drawn = sampler(space, n, seed)
+        for kwargs in ({}, {"tol": -2.0, "max_witnesses": 3}):  # -2: every instance fails
+            assert as_json(check(space, drawn, **kwargs)) == as_json(
+                check(space, given_twin(drawn), **kwargs))
+    pairs = pair_samples(space, n, seed)
+    cert, twin = classify(space, f, pairs), classify(space, f, given_twin(pairs))
+    assert as_json(cert) == as_json(twin)
+    assert cert.assignments == twin.assignments
+    for delta in {0.5} | ({cert.delta} if cert.valid else set()):
+        for tol in (1e-9, -2.0):
+            args = (space, f, delta)
+            assert as_json(verify_contraction_inequalities(*args, pairs, tol)) == as_json(
+                verify_contraction_inequalities(*args, given_twin(pairs), tol))
+
+
+@pytest.mark.parametrize("t", [2, 3, 8])
+@pytest.mark.parametrize("d", [1, 4])
+def test_drawn_sets_match_their_entries_on_absdiff(block, t, d):
+    assert_drawn_matches_given(make_absdiff_space(t, d=d), MapSpec.of("two-sevenths"))
+
+
+def test_drawn_sets_match_their_entries_on_tables(block):
+    line6 = [[float(abs(a - b)) for b in (0, 1, 3, 4, 7, 9)] for a in (0, 1, 3, 4, 7, 9)]
+    sampled = table_space(5, line6)
+    assert not axiom_samples(sampled, 1, SEED).exhaustive
+    assert_drawn_matches_given(sampled, MapSpec.of("finite-table", images=[0, 0, 1, 0, 1, 2]))
+    exhaustive = table_space(4, LINE7)
+    assert axiom_samples(exhaustive, 1, SEED).exhaustive
+    assert_drawn_matches_given(exhaustive, MapSpec.of("finite-table", images=[0, 0, 1, 0, 1, 2, 0]))
+
+
+@pytest.mark.parametrize("check, sampler, width", [
+    (lambda s, f, p: check_axioms(s, p), pair_samples, 4),
+    (lambda s, f, p: check_symmetry(s, p), triple_samples, 2),
+    (lambda s, f, p: check_triangle_inequality(s, p), axiom_samples, 3),
+    (classify, triple_samples, 2),
+    (lambda s, f, p: verify_contraction_inequalities(s, f, 0.5, p), axiom_samples, 2),
+])
+def test_drawn_set_of_the_wrong_width_is_rejected(check, sampler, width):
+    space = make_absdiff_space(3)
+    f = make_map(MapSpec.of("two-sevenths"), space)
+    drawn = sampler(space, 5, SEED)
+    fast = error_of(check, space, f, drawn)
+    assert fast == error_of(check, space, f, given_twin(drawn))
+    assert fast[0] is UsageError
+    assert fast[1].endswith(f"expects entries of {width} points, got {drawn.entries[0]!r}")
+
+
+@pytest.mark.parametrize("wide, narrow, error", [
+    (make_absdiff_space(3, box=(-100.0, 100.0)), make_absdiff_space(3, box=(-1.0, 1.0)),
+     CarrierDomainError),
+    (make_absdiff_space(3, d=2, box=(-100.0, 100.0)), make_absdiff_space(3, d=2, box=(-1.0, 1.0)),
+     CarrierDomainError),
+    (table_space(3, LINE7), table_space(3, [row[:3] for row in LINE7[:3]]), CarrierDomainError),
+    # Points of another format: floats on a d=2 box or a table, indices on a d=2 box.
+    (make_absdiff_space(3), make_absdiff_space(3, d=2), UsageError),
+    (make_absdiff_space(3), table_space(3, LINE7), UsageError),
+    (table_space(3, LINE7), make_absdiff_space(3, d=2), UsageError),
+], ids=["d1", "d2", "table", "d1-on-d2", "d1-on-table", "table-on-d2"])
+def test_drawn_set_outside_the_carrier_raises_as_its_twin(block, wide, narrow, error):
+    f = make_map(MapSpec.of("identity"), narrow)
+    for check, drawn in ((check_axioms, axiom_samples(wide, 20, SEED)),
+                         (check_triangle_inequality, triple_samples(wide, 20, SEED)),
+                         (lambda s, p: classify(s, f, p), pair_samples(wide, 20, SEED))):
+        fast = error_of(check, narrow, drawn)
+        assert fast == error_of(check, narrow, given_twin(drawn))
+        assert fast[0] is error
