@@ -343,6 +343,7 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
     cert = None
     try:
         space = build_space(cfg, gated=True)
+        x0 = _resolve_x0(cfg, space)
         f = build_map(cfg, space)
         if cfg["solver"]["delta"] is None:
             cert, _ = _run_classification(cfg, space, f, _pairs(cfg, space))
@@ -354,7 +355,7 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
 
     delta = _delta_for_solving(cfg, cert)
     try:
-        trace = picard_run(space, f, _resolve_x0(cfg, space), delta, _stop_rule(cfg))
+        trace = picard_run(space, f, x0, delta, _stop_rule(cfg))
     except CarrierDomainError as err:
         return _finish(cfg, out_dir, "solve", False, witness=err.index, **_error_fields(err))
     _write(cfg, out_dir, "csv_path", trace.to_csv())
@@ -366,6 +367,7 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
 def cmd_verify(cfg: dict, out_dir: str) -> int:
     """Full pipeline: laws, certificate, solve, envelopes, uniqueness, oracle."""
     space = build_space(cfg, gated=False)
+    x0 = _resolve_x0(cfg, space)
     report: dict = {"checks": {}, "skipped": {}, **dict.fromkeys((
         "certificate", "contraction", "trace", "decay", "cauchy", "uniqueness", "oracle"))}
     failures = []
@@ -400,7 +402,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         return finish("classification")
     record("contraction", contraction)
 
-    delta, rule, x0 = _delta_for_solving(cfg, cert), _stop_rule(cfg), _resolve_x0(cfg, space)
+    delta, rule = _delta_for_solving(cfg, cert), _stop_rule(cfg)
     try:
         trace = picard_run(space, f, x0, delta, rule)
     except CarrierDomainError as err:

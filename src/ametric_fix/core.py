@@ -246,6 +246,11 @@ class AMetricSpace:
     (n, t, ...)); each returns a float array of length n with the same
     values the scalar forms give row by row.  When omitted they call the
     scalar forms once per row (see :func:`_looped`).
+
+    ``farthest_later(pts)``, when the space has it, takes one point array
+    of length n and gives, for each row i < n - 1, an index j > i where
+    ``rep_many(pts[i], pts[j])`` is largest over all j > i.  Spaces without
+    such a kernel leave it None.
     """
 
     t: int
@@ -257,6 +262,8 @@ class AMetricSpace:
     rep_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
         default=None, repr=False, compare=False)
     distance_many: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+    farthest_later: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -453,6 +460,16 @@ class _Recorder:
         for i, _, law, lhs, rhs, gap, tol in found[:room]:
             self.violations.append(Violation(law, witness(law, i), _item(lhs, i), _item(rhs, i),
                                              float(gap[i]), _item(tol, i)))
+
+    def add_cleared(self, count: int, top: float):
+        """Record ``count`` entries shown to pass without enumerating them.
+
+        ``top`` is their largest gap.  It must not be a zero: which sign of
+        zero the scalar running maximum keeps depends on the entries' order.
+        """
+        self.checked += count
+        if top > self.max_gap:
+            self.max_gap = top
 
     def report(self, exhaustive: bool = False, info: dict | None = None) -> CheckReport:
         return CheckReport(

@@ -10,15 +10,25 @@ The envelope comes from chaining the triangle-type inequality over the
 step sequence and summing the full geometric series; the full series bounds
 every partial sum, so it also dominates rep(x_n, x_m) for every m > n.
 
+A trace computes its envelope table, the columns delta^n * d_0 and tail(n),
+once; the CSV writer, the summary and both envelope checks read it.  The
+Cauchy check is exhaustive over all pairs n < m, yet needs only O(n) work
+on spaces with a ``farthest_later`` kernel.  tail(n) depends on the row n
+only, and the gap rep(x_n, x_m) - tail(n) rounds to a nondecreasing
+function of rep(x_n, x_m); for a nonnegative tolerance, the scaled
+tolerance of a pair is at least that of tail(n) alone.  So a row whose
+largest gap is within the tolerance of tail(n) alone has no violation, and
+only the other rows have their pairs enumerated.
+
 The module also provides multi-start uniqueness probing and an exhaustive
 fixed-point oracle for finite carriers.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -111,38 +121,61 @@ class PicardTrace:
     def tail(self, n: int) -> float:
         return tail_bound(self.delta, self.t, self.d0, n)
 
-    def csv_rows(self) -> list[tuple]:
-        rows = []
-        prev = None
-        for n, step in enumerate(self.steps):
-            ratio = None if prev in (None, 0.0) else step / prev
-            if self.monitored:
-                rows.append((n, step, self.bound(n), ratio, self.tail(n)))
-            else:
-                rows.append((n, step, None, ratio, None))
-            prev = step
-        return rows
+    @cached_property
+    def envelope(self) -> tuple[np.ndarray, np.ndarray]:
+        """The columns bound(n) and tail(n) for n = 0..len(steps), built on first use.
+
+        Entry n has the bits of ``bound(n)`` and ``tail(n)``: delta^n by
+        Python ``**``, then the same operations in the same order.  The
+        trace's delta, t and d0 are validated once, as :func:`tail_bound`
+        validates them.
+        """
+        tail_bound(self.delta, self.t, self.d0, 0)
+        powers = np.array([self.delta ** n for n in range(len(self.steps) + 1)], dtype=float)
+        with np.errstate(over="ignore"):
+            return powers * self.d0, (self.t - 1) * powers * self.d0 / (1.0 - self.delta)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        for row in self.csv_rows():
-            cells = [str(row[0])]
-            cells += ["" if v is None else format(v, ".17g") for v in row[1:]]
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
+        """One row per step, floats with 17 significant digits.
+
+        The ratio cell is empty on row 0 and after a zero step, the envelope
+        cells when monitoring is off.  Each row is one ``%`` format:
+        ``'%.17g' % v`` is ``format(v, '.17g')``.
+        """
+        if self.monitored:
+            bound, tail = (column.tolist() for column in self.envelope)
+        lines = [",".join(CSV_COLUMNS) + "\n"]
+        prev = None
+        for n, step in enumerate(self.steps):
+            has_ratio = prev not in (None, 0.0)
+            if self.monitored and has_ratio:
+                row = "%d,%.17g,%.17g,%.17g,%.17g\n" % (n, step, bound[n], step / prev, tail[n])
+            elif self.monitored:
+                row = "%d,%.17g,%.17g,,%.17g\n" % (n, step, bound[n], tail[n])
+            elif has_ratio:
+                row = "%d,%.17g,,%.17g,\n" % (n, step, step / prev)
+            else:
+                row = "%d,%.17g,,,\n" % (n, step)
+            lines.append(row)
+            prev = step
+        return "".join(lines)
 
     def summary_dict(self) -> dict:
         final_step = self.steps[-1] if self.steps else 0.0
         n = len(self.steps)
+        final_bound = final_tail = None
+        if self.monitored:
+            bound, tail = self.envelope
+            final_bound = _json_num(float(bound[n - 1])) if n else None
+            final_tail = _json_num(float(tail[n]))
         return {
             "status": self.status,
             "iterations": n,
             "d0": _json_num(self.d0),
             "delta": _json_num(self.delta) if self.monitored else None,
             "final_step": _json_num(final_step),
-            "final_bound": _json_num(self.bound(n - 1)) if self.monitored and n else None,
-            "final_tail_bound": _json_num(self.tail(n)) if self.monitored else None,
+            "final_bound": final_bound,
+            "final_tail_bound": final_tail,
             "limit": _json_points(self.limit),
         }
 
@@ -197,17 +230,20 @@ def verify_decay(trace: PicardTrace, tol: float = 1e-9, max_witnesses: int = 100
     """Geometric decay of the step sequence under the trace's delta.
 
     Asserts d_n <= delta * d_{n-1} and d_n <= delta^n * d_0 for every
-    recorded step.
+    recorded step, in one array pass over the steps and the envelope table.
     """
     if not trace.monitored:
         raise UsageError("verify_decay needs a trace with envelope monitoring enabled")
+    steps = np.array(trace.steps, dtype=float)
+    bound = trace.envelope[0][:len(steps)]
     rec = _Recorder("decay", max_witnesses)
-    for n, step in enumerate(trace.steps):
-        if n > 0:
-            rhs = trace.delta * trace.steps[n - 1]
-            rec.add("step-ratio", (n,), step, rhs, scaled_tol(tol, step, rhs))
-        rhs_pow = trace.bound(n)
-        rec.add("step-envelope", (n,), step, rhs_pow, scaled_tol(tol, step, rhs_pow))
+    with np.errstate(invalid="ignore", over="ignore"):
+        # Entry n of ratio is delta * d_{n-1}; entry 0 is masked out.
+        ratio = trace.delta * np.concatenate((steps[:1], steps[:-1]))
+        rec.add_many(lambda law, n: (n,), (
+            ("step-ratio", steps, ratio, scaled_tols(tol, steps, ratio), np.arange(len(steps)) > 0),
+            ("step-envelope", steps, bound, scaled_tols(tol, steps, bound), None),
+        ))
     return rec.report()
 
 
@@ -216,8 +252,22 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
     """Pairwise iterate distances against the tail envelope.
 
     For all recorded n < m, asserts rep(x_n, x_m) <= tail(n).  Iterates are
-    validated once, on entry, into one point array; the pairs are swept in
-    (n, m) order, BLOCK pairs at a time.
+    validated once, on entry, into one point array.
+
+    Row n holds the pairs (n, m), m > n.  With the space's
+    ``farthest_later`` kernel and a tolerance ``tol >= 0``, each row's
+    largest value val = rep(x_n, x_m*) is computed by ``rep_many``, so it
+    has the bits the full sweep would give it.  The row is cleared when
+    val - tail(n) <= scaled_tol(tol, tail(n)).  That test is exact: every
+    pair of the row has a gap fl(rep - tail(n)) <= fl(val - tail(n)), and a
+    scaled tolerance scaled_tol(tol, rep, tail(n)) >= scaled_tol(tol,
+    tail(n)).  A NaN or +inf gap never clears a row, and neither does a
+    largest gap that is a zero, whose sign the pair order decides.  The other rows, and
+    every row of a space without the kernel, are swept pair by pair in
+    (n, m) order, BLOCK pairs at a time, so the violations, their count and
+    their order are those of the full sweep.  ``checked`` counts all
+    n(n-1)/2 pairs, and ``max_gap`` is the largest of the cleared rows' and
+    the swept pairs' gaps.
     """
     if not trace.monitored:
         raise UsageError("verify_cauchy needs a trace with envelope monitoring enabled")
@@ -226,16 +276,25 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
         raise UsageError(f"verify_cauchy needs at least 3 iterates, got {n_pts}")
     pts = space.carrier.array(trace.iterates)
     rec = _Recorder("cauchy", max_witnesses)
-    tails = np.array([trace.tail(n) for n in range(n_pts - 1)])
-    # Row n holds the pairs (n, n+1), ..., (n, n_pts-1); first[n] is the
-    # position of (n, n+1) in the sweep.
-    first = np.concatenate(([0], np.cumsum(np.arange(n_pts - 1, 1, -1))))
-    n_pairs = n_pts * (n_pts - 1) // 2
+    tails = trace.envelope[1][:n_pts - 1]
+    rows = np.arange(n_pts - 1)
     with np.errstate(invalid="ignore", over="ignore"):
+        if space.farthest_later is not None and tol >= 0.0:
+            gap = space.rep_many(pts[:-1], pts[space.farthest_later(pts)]) - tails
+            cleared = (gap <= scaled_tols(tol, tails)) & (gap != 0.0)
+            rec.add_cleared(int((n_pts - 1 - rows[cleared]).sum()),
+                            float(np.max(gap, where=cleared, initial=-math.inf)))
+            rows = rows[~cleared]
+        # Swept row rows[j] holds the pairs (n, n+1), ..., (n, n_pts-1);
+        # first[j] is the position of its first pair in the sweep.
+        sizes = n_pts - 1 - rows
+        first = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        n_pairs = int(sizes.sum())
         for start in range(0, n_pairs, BLOCK):
             k = np.arange(start, min(start + BLOCK, n_pairs))
-            n = np.searchsorted(first, k, side="right") - 1
-            m = k - first[n] + n + 1
+            j = np.searchsorted(first, k, side="right") - 1
+            n = rows[j]
+            m = k - first[j] + n + 1
             val = space.rep_many(pts[n], pts[m])
             envelope = tails[n]
             rec.add_many(lambda law, i: (int(n[i]), int(m[i])), (

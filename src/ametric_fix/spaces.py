@@ -35,7 +35,8 @@ _N_CHECK = 200
 
 
 def pair_lift(t: int, base: Callable[[Point, Point], float], carrier: Carrier, *,
-              zero_diagonal: bool, base_many: Callable | None = None, eq_tol: float = 1e-12,
+              zero_diagonal: bool, base_many: Callable | None = None,
+              base_farthest: Callable | None = None, eq_tol: float = 1e-12,
               kind: str = "custom") -> AMetricSpace:
     """Sum-over-pairs lift of a two-point ``base`` on canonical points.
 
@@ -51,6 +52,13 @@ def pair_lift(t: int, base: Callable[[Point, Point], float], carrier: Carrier, *
     ``rep_many`` and ``distance_many`` are built from it with the scalar
     forms' order of operations, so both forms agree bit for bit.  Without
     it the array forms call the scalar ones row by row.
+
+    ``base_farthest(pts)`` gives, for each row i of a point array but the
+    last, an index j > i where base_many(pts[i], pts[j]) is largest.  For a
+    fixed first point, rep rounds to a nondecreasing function of base: a
+    positive multiple, plus a term that does not depend on the second
+    point.  So the same index maximizes rep_many, and ``base_farthest``
+    becomes the space's ``farthest_later``.
     """
     def distance(pts: tuple) -> float:
         total = 0.0
@@ -83,7 +91,8 @@ def pair_lift(t: int, base: Callable[[Point, Point], float], carrier: Carrier, *
             return total
 
     return AMetricSpace(t=t, distance=distance, carrier=carrier, eq_tol=eq_tol, kind=kind,
-                        rep_fn=rep, rep_many=rep_many, distance_many=distance_many)
+                        rep_fn=rep, rep_many=rep_many, distance_many=distance_many,
+                        farthest_later=base_farthest)
 
 
 def _l1_1d(x: float, y: float) -> float:
@@ -109,15 +118,37 @@ def _l1_nd_many(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return total
 
 
+def _suffix_arg(xs: np.ndarray, best: np.ufunc) -> np.ndarray:
+    """For each i < len(xs) - 1, an index j > i where xs[j] is the ``best``
+    (np.maximum or np.minimum) of xs[i+1:]."""
+    back = xs[:0:-1]                     # xs[n-1], ..., xs[1]
+    run = best.accumulate(back)
+    # The last place at or before each position where the running extreme
+    # was reached holds that extreme.
+    at = np.maximum.accumulate(np.where(back == run, np.arange(len(back)), 0))
+    return (len(xs) - 1 - at)[::-1]
+
+
+def _l1_1d_farthest(xs: np.ndarray) -> np.ndarray:
+    # fl(|a - b|) is monotone in b on either side of a, so the farthest
+    # later point is the largest or the smallest one.
+    hi, lo = _suffix_arg(xs, np.maximum), _suffix_arg(xs, np.minimum)
+    head = xs[:-1]
+    return np.where(_l1_1d_many(head, xs[hi]) >= _l1_1d_many(head, xs[lo]), hi, lo)
+
+
 def make_absdiff_space(t: int, d: int = 1, box=(-100.0, 100.0), eq_tol: float = 1e-12) -> AMetricSpace:
     """Pairwise absolute-difference space: sum of |x_i - x_j| over i < j.
 
     The lift of the l1 gap, which is |x - y| at d = 1.
     """
     carrier = Box.of(box[0], box[1], d)
-    base, base_many = (_l1_1d, _l1_1d_many) if carrier.d == 1 else (_l1_nd, _l1_nd_many)
-    return pair_lift(t, base, carrier, zero_diagonal=True, base_many=base_many, eq_tol=eq_tol,
-                     kind="absdiff")
+    if carrier.d == 1:
+        base, base_many, farthest = _l1_1d, _l1_1d_many, _l1_1d_farthest
+    else:
+        base, base_many, farthest = _l1_nd, _l1_nd_many, None
+    return pair_lift(t, base, carrier, zero_diagonal=True, base_many=base_many,
+                     base_farthest=farthest, eq_tol=eq_tol, kind="absdiff")
 
 
 def _validate_table(table) -> np.ndarray:
@@ -127,6 +158,27 @@ def _validate_table(table) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise UsageError("base table entries must be finite")
     return arr
+
+
+def _table_farthest(arr: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The ``base_farthest`` of a table: a running column argmax, scanned backwards.
+
+    Scanning the points backwards, only a point's last occurrence adds a new
+    column, so the scan runs over the distinct points, in the order of their
+    last occurrences, latest first.
+    """
+    def farthest(idx: np.ndarray) -> np.ndarray:
+        n = len(idx)
+        last = {p: i for i, p in enumerate(idx.tolist())}
+        lasts = np.array(sorted(last.values(), reverse=True))
+        vals = arr[:, idx[lasts]]
+        run = np.maximum.accumulate(vals, axis=1)
+        at = np.maximum.accumulate(np.where(vals == run, np.arange(len(lasts)), 0), axis=1)
+        # Row i sees the columns whose last occurrence lies after i.
+        seen = np.searchsorted(-lasts, -np.arange(n - 1), side="left")
+        return lasts[at[idx[:-1], seen - 1]]
+
+    return farthest
 
 
 def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
@@ -140,7 +192,7 @@ def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
     zero_diagonal = not any(row[i] for i, row in enumerate(rows))
     return pair_lift(t, lambda i, j: rows[i][j], FiniteCarrier(len(rows)),
                      zero_diagonal=zero_diagonal, base_many=lambda i, j: arr[i, j],
-                     eq_tol=eq_tol, kind="lifted-table")
+                     base_farthest=_table_farthest(arr), eq_tol=eq_tol, kind="lifted-table")
 
 
 def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,

@@ -1,12 +1,13 @@
 """Scalar reference for the array sweeps: one Python call per entry or pair.
 
 These are the loops `check_axioms`, `check_symmetry`,
-`check_triangle_inequality`, `verify_cauchy`, `classify` and
-`verify_contraction_inequalities` ran before they became numpy
-expressions over blocks.  They use only the scalar forms of a space and a
-map (`carrier.canon`, `distance`, `rep_fn`, `f.fn`) and `_Recorder.add`,
-so the differential tests can require the array path to give the same
-report, down to the last bit and the sign of a zero.
+`check_triangle_inequality`, `verify_decay`, `verify_cauchy`, `classify`
+and `verify_contraction_inequalities` ran before they became numpy
+expressions over blocks.  They use only the scalar forms of a space, a map
+and a trace (`carrier.canon`, `distance`, `rep_fn`, `f.fn`,
+`trace.bound(n)`, `trace.tail(n)`) and `_Recorder.add`, so the
+differential tests can require the array path to give the same report,
+down to the last bit and the sign of a zero.
 """
 
 import math
@@ -86,6 +87,19 @@ def check_triangle_inequality(space, triples, tol=1e-9, max_witnesses=100):
         rec.add("triangle-a", entry, lhs, rhs_a, scaled_tol(tol, lhs, rhs_a))
         rec.add("triangle-b", entry, lhs, rhs_b, scaled_tol(tol, lhs, rhs_b))
     return rec.report(exhaustive=triples.exhaustive)
+
+
+def verify_decay(trace, tol=1e-9, max_witnesses=100):
+    if not trace.monitored:
+        raise UsageError("verify_decay needs a trace with envelope monitoring enabled")
+    rec = _Recorder("decay", max_witnesses)
+    for n, step in enumerate(trace.steps):
+        if n > 0:
+            rhs = trace.delta * trace.steps[n - 1]
+            rec.add("step-ratio", (n,), step, rhs, scaled_tol(tol, step, rhs))
+        rhs_pow = trace.bound(n)
+        rec.add("step-envelope", (n,), step, rhs_pow, scaled_tol(tol, step, rhs_pow))
+    return rec.report()
 
 
 def verify_cauchy(trace, space, tol=1e-9, max_witnesses=100):

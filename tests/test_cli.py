@@ -5,6 +5,8 @@ non-convergence, 2 usage/config error — and nothing else.
 """
 
 import json
+import logging
+import time
 
 import pytest
 
@@ -230,6 +232,57 @@ def test_verify_lifted_without_x0_starts_at_index_zero(tmp_path, capsys):
     report = load_report(tmp_path)
     assert report["config"]["solver"]["x0"] == 0
     assert report["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_bad_x0_exits_two_before_any_sweep(tmp_path, capsys, caplog, monkeypatch, command):
+    monkeypatch.setenv("AMETRIC_FIX_LOG", "info")
+    caplog.set_level(logging.INFO, logger="ametric_fix")
+    doc = json.loads(json.dumps(PAPER_CFG))
+    cfg = write_cfg(tmp_path, doc, "good.json")
+    assert run([command, "--config", cfg, "--out-dir", str(tmp_path)], capsys)[0] == 0
+    if command == "verify":
+        assert "running law checks" in caplog.text
+    caplog.clear()
+
+    doc["solver"]["x0"] = 500
+    cfg = write_cfg(tmp_path, doc, "bad.json")
+    code, _, err = run([command, "--config", cfg, "--out-dir", str(tmp_path / "bad")], capsys)
+    assert code == 2
+    assert "solver.x0: point 500.0 outside carrier box" in err
+    assert "running law checks" not in caplog.text + err
+    assert not (tmp_path / "bad").exists()
+
+    # A map that would fail its certificate does not get that far either.
+    doc["map"] = {"kind": "shift", "offset": 1.0}
+    cfg = write_cfg(tmp_path, doc, "bad-uncertified.json")
+    code, _, err = run([command, "--config", cfg, "--out-dir", str(tmp_path / "bad")], capsys)
+    assert code == 2
+    assert "solver.x0" in err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_verify_long_trace_checks_every_cauchy_pair(tmp_path, capsys):
+    # lam = 0.999 from x0 = 90 takes 25,904 steps to reach eps = 1e-12: about
+    # 335M iterate pairs, all of which the Cauchy check must count as checked.
+    doc = {
+        "space": {"kind": "absdiff", "t": 3, "d": 1},
+        "map": {"kind": "linear-scale", "lam": 0.999},
+        "sampling": {"seed": 0, "n_tuples": 50, "n_pairs": 50, "n_triples": 50},
+        "tolerances": {"eps": 1e-12},
+        "solver": {"x0": 90, "max_iter": 40_000},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    start = time.perf_counter()
+    code, _, _ = run(["verify", "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    report = load_report(tmp_path)
+    n = report["trace"]["iterations"] + 1
+    assert n > 25_000
+    assert report["cauchy"]["checked"] == n * (n - 1) // 2
+    assert report["cauchy"]["passed"]
+    assert elapsed < 30.0
 
 
 def test_verify_broken_table_fails_law_stage(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Array sweeps against the scalar reference in ``scalar_reference.py``.
 
-The law checks, the Cauchy sweep, the Zamfirescu certificate and the
-contraction check run as numpy expressions over blocks of entries; the
-reference runs the same checks one Python call per entry.
+The law checks, the decay and Cauchy checks, the Zamfirescu certificate
+and the contraction check run as numpy expressions over blocks of entries
+(the Cauchy check clears whole rows by their maxima first); the reference
+runs the same checks one Python call per entry.
 Every comparison is on the full report JSON, so counts, max_gap (with the
 sign of a zero), the first violations and their order, witnesses and info
 must all agree.  Blocks are also shrunk to a few entries so that block
@@ -10,11 +11,13 @@ boundaries, rows of the Cauchy sweep split across blocks and violations
 in several blocks are exercised.
 """
 
+import dataclasses
 import json
 import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import scalar_reference as ref
@@ -39,6 +42,7 @@ from ametric_fix import (
     triple_samples,
     verify_cauchy,
     verify_contraction_inequalities,
+    verify_decay,
 )
 from ametric_fix import core, solver, spaces
 from ametric_fix.errors import CarrierDomainError, UsageError
@@ -205,6 +209,243 @@ def test_cauchy_matches_reference_on_real_traces(block, make_space):
         trace = picard_run(s, f, (7.0, -3.0, 1.5, 50.0), 0.9, StopRule(eps=1e-9))
     assert len(trace.iterates) >= 3
     assert as_json(verify_cauchy(trace, s)) == as_json(ref.verify_cauchy(trace, s))
+
+
+def real_trace(kind):
+    """A Picard trace on absdiff d = 1 or d = 4, or on the 7-point line table."""
+    if kind == "table":
+        s = table_space(3, LINE7)
+        f = make_map(MapSpec.of("finite-table", images=[0, 0, 1, 0, 1, 2, 0]), s)
+        return s, picard_run(s, f, 6, 0.5, StopRule())
+    s = make_absdiff_space(3, d=4 if kind == "absdiff-d4" else 1)
+    f = make_map(MapSpec.of("linear-scale", lam=0.9), s)
+    x0 = (7.0, -3.0, 1.5, 50.0) if kind == "absdiff-d4" else -70.0
+    return s, picard_run(s, f, x0, 0.9, StopRule(eps=1e-9))
+
+
+def hand_trace(space, iterates, delta, d0=None):
+    """A trace through the given iterates, with their steps; d0 defaults to the first."""
+    steps = tuple(space.rep_fn(b, a) for a, b in zip(iterates, iterates[1:]))
+    return PicardTrace(iterates=tuple(iterates), steps=steps, delta=delta,
+                       d0=steps[0] if d0 is None else d0, t=space.t, status="max_iter",
+                       limit=None)
+
+
+def step_trace(steps, delta=0.5, d0=None):
+    """A trace that records only steps (verify_decay reads no iterates)."""
+    return PicardTrace(iterates=(0.0,) * (len(steps) + 1), steps=tuple(steps), delta=delta,
+                       d0=steps[0] if d0 is None else d0, t=3, status="max_iter", limit=None)
+
+
+def decay_case(kind):
+    if kind in ("absdiff-d1", "absdiff-d4", "table"):
+        return real_trace(kind)[1]
+    if kind == "broken":
+        # Both laws fail at n = 1, 3, 5 and 7.
+        return step_trace((1.0, 0.9, 0.2, 0.5, 0.05, 0.3, 0.01, 0.6))
+    if kind == "signed-zeros":
+        # Every gap is a zero; the first, -0.0 - 0.0 at n = 0, is negative.
+        return step_trace((-0.0, 0.0, -0.0, 0.0), d0=0.0)
+    s = make_absdiff_space(3)
+    trace = picard_run(s, make_map(MapSpec.of("linear-scale", lam=0.9), s), 0.0, 0.9, StopRule())
+    assert trace.steps == () and trace.monitored
+    return trace
+
+
+@pytest.mark.parametrize("kind", ["absdiff-d1", "absdiff-d4", "table", "broken", "signed-zeros",
+                                  "no-steps"])
+def test_decay_matches_reference(block, kind):
+    trace = decay_case(kind)
+    for tol in (1e-9, -2.0):  # -2 (1 + |value|): every instance is a violation
+        for k in (1, 3, 100):
+            fast = verify_decay(trace, tol, k)
+            assert as_json(fast) == as_json(ref.verify_decay(trace, tol, k))
+    report = verify_decay(trace)
+    if kind == "broken":
+        assert [(v.law, v.witness) for v in report.violations] == [
+            (law, (n,)) for n in (1, 3, 5, 7) for law in ("step-ratio", "step-envelope")]
+    elif kind == "signed-zeros":
+        assert report.passed and math.copysign(1.0, report.max_gap) == -1.0
+    elif kind == "no-steps":
+        assert report.checked == 0 and report.max_gap == 0.0
+    else:
+        assert report.passed and report.checked == 2 * len(trace.steps) - 1
+
+
+@pytest.mark.parametrize("t", [3, 4, 8])
+def test_envelope_table_has_the_scalar_bits(t):
+    # (t - 1) * delta^n * d0 / (1 - delta), in that order: at t = 4 and 8
+    # another association rounds differently on some rows.
+    steps = tuple(0.1 * (2.0 / 7.0) ** n for n in range(300))
+    trace = PicardTrace(iterates=(0.0,) * 301, steps=steps, delta=2.0 / 7.0, d0=0.1, t=t,
+                        status="converged", limit=0.0)
+    bound, tail = trace.envelope
+    assert bound.tolist() == [trace.bound(n) for n in range(301)]
+    assert tail.tolist() == [solver.tail_bound(2.0 / 7.0, t, 0.1, n) for n in range(301)]
+
+
+def test_decay_and_summary_read_the_envelope_table():
+    s, trace = real_trace("absdiff-d1")
+    bound, tail = trace.envelope
+    n = len(trace.steps)
+    assert len(bound) == len(tail) == n + 1
+    summary = trace.summary_dict()
+    assert summary["final_bound"] == trace.bound(n - 1)
+    assert summary["final_tail_bound"] == trace.tail(n)
+    assert {type(summary["final_bound"]), type(summary["final_tail_bound"])} == {float}
+    # One `%` format per row gives the text format() gives cell by cell.
+    prev = None
+    for row, line in enumerate(trace.to_csv().splitlines()[1:]):
+        step = trace.steps[row]
+        ratio = "" if prev in (None, 0.0) else format(step / prev, ".17g")
+        assert line == ",".join((str(row), format(step, ".17g"), format(trace.bound(row), ".17g"),
+                                 ratio, format(trace.tail(row), ".17g")))
+        prev = step
+
+
+def assert_cauchy_matches(space, trace, tols=(1e-9, -2.0), witnesses=(1, 3, 100)):
+    for tol in tols:
+        for k in witnesses:
+            fast = verify_cauchy(trace, space, tol, k)
+            assert as_json(fast) == as_json(ref.verify_cauchy(trace, space, tol, k))
+    return verify_cauchy(trace, space)
+
+
+def separated_violations_trace(kind):
+    """A trace whose Cauchy violations lie in rows 5, 12, 20 (d = 1) or 3, 6 (table) only.
+
+    The iterates decay faster than the envelope, except for spikes at those
+    rows: a spike is farther than tail(n) from the iterates after it, but
+    within the twice larger tail(n-1) of the iterate before it.
+    """
+    if kind == "table":
+        s = table_space(3, LINE7)
+        xs = [0] * 30
+        xs[0], xs[3], xs[6] = 6, 4, 1
+        return s, hand_trace(s, xs, 0.5)
+    s = make_absdiff_space(3)
+    xs = [64.0 * 0.25 ** k for k in range(40)]
+    trace = hand_trace(s, xs, 0.5)
+    for n in (5, 12, 20):
+        xs[n] = 0.75 * trace.tail(n)
+    return s, hand_trace(s, xs, 0.5, d0=trace.d0)
+
+
+@pytest.mark.parametrize("kind", ["absdiff-d1", "table"])
+def test_cauchy_violations_in_separate_rows_match_reference(block, kind):
+    s, trace = separated_violations_trace(kind)
+    assert s.farthest_later is not None
+    report = assert_cauchy_matches(s, trace)
+    every = verify_cauchy(trace, s, max_witnesses=10 ** 6)
+    assert {n for n, _ in (v.witness for v in every.violations)} == (
+        {3, 6} if kind == "table" else {5, 12, 20})
+    assert report.checked == len(trace.iterates) * (len(trace.iterates) - 1) // 2
+
+
+@pytest.mark.parametrize("kind", ["absdiff-d1", "table"])
+def test_cauchy_matches_reference_on_more_real_traces(block, kind):
+    s, trace = real_trace(kind)
+    assert assert_cauchy_matches(s, trace, witnesses=(3,)).passed
+
+
+@pytest.mark.parametrize("far", [1.5, 2.0, math.nextafter(1.5, 9.0), math.nextafter(2.0, 9.0)])
+def test_cauchy_row_maximum_on_its_tolerance_matches_reference(block, far):
+    # tail(2) = 1.0 and tol = 0.5.  Row 2's largest value rep(0.5, far) is
+    # 2.0 at far = 1.5: its gap 1.0 is exactly the tolerance of tail(2)
+    # alone, so the row is cleared.  At far = 2.0 it is 3.0: its gap 2.0 is
+    # exactly the pair's tolerance 0.5 * (1 + 3.0), no violation, but the
+    # row is swept.  One ulp further, each moves past its bound.
+    s = make_absdiff_space(3)
+    trace = hand_trace(s, [0.0, 0.5, 0.5, far, 0.75, 0.625], 0.5)
+    assert trace.tail(2) == 1.0
+    val = s.rep_fn(0.5, far)
+    if far in (1.5, 2.0):
+        assert val - 1.0 == (core.scaled_tol(0.5, 1.0) if far == 1.5 else
+                             core.scaled_tol(0.5, val, 1.0))
+    assert_cauchy_matches(s, trace, tols=(0.5,))
+
+
+@pytest.mark.parametrize("kind", ["absdiff-d1", "table"])
+def test_cauchy_repeated_iterates_match_reference(block, kind):
+    if kind == "table":
+        s = table_space(3, LINE7)
+        xs = [1, 2, 1, 2, 5, 5, 3, 3, 6, 0, 0, 6, 0, 0, 0]
+        trace = hand_trace(s, xs, 0.7)
+    else:
+        s = make_absdiff_space(3)
+        xs = [5.0, -5.0, 5.0, -5.0, 3.0, 3.0, -3.0, -3.0, 3.0, 0.0, 0.0, -0.0, 0.0, 1.0, -1.0]
+        trace = hand_trace(s, xs, 0.7)
+    report = assert_cauchy_matches(s, trace)
+    assert not report.passed and report.violations_total < report.checked
+
+
+@pytest.mark.parametrize("xs, sign", [([0, 1, 2, 1, 2], -1.0), ([0, 2, 1, 2, 1], 1.0),
+                                      ([2, 2, 0, 1, 0], 1.0)])
+def test_cauchy_signed_zero_max_gap_matches_reference(block, xs, sign):
+    # A zero envelope and table values of 0.0 and -0.0: every gap is a zero,
+    # each row has zeros of both signs or of one, and the scalar running
+    # maximum keeps the first zero of the first row.
+    s = table_space(3, [[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    trace = hand_trace(s, xs, 0.5, d0=0.0)
+    report = assert_cauchy_matches(s, trace)
+    assert report.passed and report.max_gap == 0.0
+    assert math.copysign(1.0, report.max_gap) == sign
+
+
+def test_cauchy_negative_values_match_reference(block):
+    # A negative base entry and a nonzero diagonal: with tol = -2 a row can
+    # be clear at its maximum and still hold violations at smaller values,
+    # so a negative tolerance sweeps every row.
+    s = table_space(3, BROKEN)
+    trace = hand_trace(s, [1, 2, 1, 2, 2, 1, 0, 3, 1, 2, 3, 3, 0, 1, 2, 2], 0.5)
+    assert trace.d0 > 0.0
+    assert_cauchy_matches(s, trace, tols=(1e-9, 0.5, -0.5, -2.0))
+
+
+def test_farthest_later_gives_a_row_maximum():
+    # Few distinct values, so the largest and smallest later points, and the
+    # row maxima, are tied many times over.
+    rng = np.random.default_rng(SEED)
+    spaces_and_points = [
+        (make_absdiff_space(3), lambda n: rng.integers(-3, 4, n) * 0.5),
+        (make_absdiff_space(3), lambda n: rng.uniform(-100.0, 100.0, n)),
+        (table_space(3, LINE7), lambda n: rng.integers(0, 7, n)),
+        (table_space(4, BROKEN), lambda n: rng.integers(0, 4, n)),
+    ]
+    for s, draw in spaces_and_points:
+        for n in (2, 3, 17, 60):
+            pts = s.carrier.array(draw(n))
+            far = s.farthest_later(pts)
+            assert far.shape == (n - 1,)
+            for i, j in enumerate(far.tolist()):
+                assert j > i
+                row = s.rep_many(np.repeat(pts[i:i + 1], n - i - 1, axis=0), pts[i + 1:])
+                assert s.rep_many(pts[i:i + 1], pts[j:j + 1])[0] == row.max()
+
+
+@pytest.mark.parametrize("kind", ["absdiff-d4", "callable", "absdiff-d1"])
+def test_space_without_kernel_takes_the_full_sweep(kind):
+    if kind == "callable":
+        s = spaces.make_lifted_space(3, lambda x, y: abs(x - y), box=(-100.0, 100.0))
+        f = make_map(MapSpec.of("linear-scale", lam=0.9), s)
+        trace = picard_run(s, f, 60.0, 0.9, StopRule(eps=1e-9))
+    else:
+        s, trace = real_trace(kind)
+    pairs = []
+
+    def counted(xs, ys):
+        pairs.append(len(xs))
+        return s.rep_many(xs, ys)
+
+    spied = dataclasses.replace(s, rep_many=counted)
+    report = verify_cauchy(trace, spied)
+    assert as_json(report) == as_json(ref.verify_cauchy(trace, s))
+    n = len(trace.iterates)
+    if kind == "absdiff-d1":
+        # Every row of a converging trace is cleared by its maximum alone.
+        assert s.farthest_later is not None and sum(pairs) == n - 1
+    else:
+        assert s.farthest_later is None and sum(pairs) == n * (n - 1) // 2
 
 
 def error_of(fn, *args):
