@@ -160,27 +160,6 @@ def _validate_table(table) -> np.ndarray:
     return arr
 
 
-def _table_farthest(arr: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The ``base_farthest`` of a table: a running column argmax, scanned backwards.
-
-    Scanning the points backwards, only a point's last occurrence adds a new
-    column, so the scan runs over the distinct points, in the order of their
-    last occurrences, latest first.
-    """
-    def farthest(idx: np.ndarray) -> np.ndarray:
-        n = len(idx)
-        last = {p: i for i, p in enumerate(idx.tolist())}
-        lasts = np.array(sorted(last.values(), reverse=True))
-        vals = arr[:, idx[lasts]]
-        run = np.maximum.accumulate(vals, axis=1)
-        at = np.maximum.accumulate(np.where(vals == run, np.arange(len(lasts)), 0), axis=1)
-        # Row i sees the columns whose last occurrence lies after i.
-        seen = np.searchsorted(-lasts, -np.arange(n - 1), side="left")
-        return lasts[at[idx[:-1], seen - 1]]
-
-    return farthest
-
-
 def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
     """Ungated sum-over-pairs space from a raw table.
 
@@ -192,7 +171,7 @@ def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
     zero_diagonal = not any(row[i] for i, row in enumerate(rows))
     return pair_lift(t, lambda i, j: rows[i][j], FiniteCarrier(len(rows)),
                      zero_diagonal=zero_diagonal, base_many=lambda i, j: arr[i, j],
-                     base_farthest=_table_farthest(arr), eq_tol=eq_tol, kind="lifted-table")
+                     eq_tol=eq_tol, kind="lifted-table")
 
 
 def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
