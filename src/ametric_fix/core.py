@@ -70,6 +70,8 @@ class Box:
         for a, b in zip(self.lo, self.hi):
             if not (math.isfinite(a) and math.isfinite(b) and a < b):
                 raise UsageError(f"invalid box bounds [{a}, {b}]")
+            if not math.isfinite(b - a):
+                raise UsageError(f"box width of [{a}, {b}] overflows a float")
         scale = max(max(abs(v) for v in self.lo), max(abs(v) for v in self.hi))
         slack = _CONTAIN_SLACK * (1.0 + scale)
         object.__setattr__(self, "scale", scale)
@@ -316,16 +318,6 @@ def points_equal(space: AMetricSpace, x: Point, y: Point) -> bool:
     return bool(carrier.equal(carrier.canon(x), carrier.canon(y), space.eq_tol))
 
 
-def tuple_spread(space: AMetricSpace, points: Sequence[Point]) -> float:
-    """Largest coordinate-wise gap over all point pairs of the tuple.
-
-    Finite carriers have no coordinates: the spread is 0 for an all-equal
-    tuple and +inf otherwise.
-    """
-    carrier = space.carrier
-    return float(carrier.spread(carrier.array(points)[np.newaxis])[0])
-
-
 def scaled_tol(base: float, *values: float) -> float:
     """Absolute tolerance grown with the magnitude of the compared values."""
     mag = 0.0
@@ -489,32 +481,30 @@ def _item(v, i: int) -> float:
     return float(v[i]) if np.ndim(v) else float(v)
 
 
-def _require_entries(samples: SampleSet, width: int, what: str) -> tuple:
+def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str):
+    """Blocks of at most BLOCK entries, each as ``(start, pts)``: the index of
+    its first entry and its validated points, shape (len(block), width, ...).
+
+    The set's size and entry width are checked on the call.  The set is
+    flattened once, a drawn set's point array by a reshape and a given set's
+    entries into one list, and ``carrier.array`` validates each block's slice
+    of it: bounds only for an array slice, every point as given otherwise.
+    """
     if len(samples) == 0:
         raise UsageError(f"{what} needs a nonempty sample set")
-    # Every entry of a drawn set has the width of its point array.
-    for entry in samples if samples.points is None else samples.entries[:1]:
-        if not isinstance(entry, tuple) or len(entry) != width:
-            raise UsageError(f"{what} expects entries of {width} points, got {entry!r}")
-    return samples.entries
-
-
-def _blocks(carrier: Carrier, samples: SampleSet):
-    """Consecutive blocks of at most BLOCK entries, each with its validated point array.
-
-    The array has shape (len(block), width, ...): the points of every
-    entry, validated by ``carrier.array``: a slice of a drawn set's point
-    array is bounds-checked, the Python points of other sets checked as given.
-    """
-    entries, points = samples.entries, samples.points
-    for start in range(0, len(entries), BLOCK):
-        block = entries[start:start + BLOCK]
-        if points is None:
-            flat = chain.from_iterable(block)
-        else:
-            flat = points[start:start + BLOCK].reshape((-1,) + points.shape[2:])
-        pts = carrier.array(flat)
-        yield block, pts.reshape((len(block), -1) + pts.shape[1:])
+    points = samples.points
+    if points is None:
+        for entry in samples.entries:
+            if not isinstance(entry, tuple) or len(entry) != width:
+                raise UsageError(f"{what} expects entries of {width} points, got {entry!r}")
+        flat = list(chain.from_iterable(samples.entries))
+    elif points.shape[1:2] != (width,):
+        raise UsageError(f"{what} expects entries of {width} points, got {samples.entry(0)!r}")
+    else:
+        flat = points.reshape((-1,) + points.shape[2:])
+    starts = range(0, len(samples), BLOCK)
+    arrays = (carrier.array(flat[start * width:(start + BLOCK) * width]) for start in starts)
+    return ((start, pts.reshape((-1, width) + pts.shape[1:])) for start, pts in zip(starts, arrays))
 
 
 def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
@@ -527,11 +517,10 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
     block by block, as the sweep reaches them; witnesses keep the entry as
     given.
     """
-    _require_entries(samples, space.t + 1, "check_axioms")
     rec = _Recorder("axioms", max_witnesses)
     t, carrier, eq_tol = space.t, space.carrier, space.eq_tol
     with np.errstate(invalid="ignore", over="ignore"):
-        for block, pts in _blocks(carrier, samples):
+        for start, pts in _blocks(carrier, samples, t + 1, "check_axioms"):
             xs, pivot = pts[:, :t], pts[:, t]
             d = space.distance_many(xs)
             te = scaled_tols(tol, d)
@@ -539,10 +528,10 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
             # identity, reverse direction: zero distance away from the diagonal
             near_zero = ~degenerate & (np.abs(d) <= te)
             # simplex: d <= sum_i rep(x_i, pivot)
-            rhs = np.zeros(len(block))
+            rhs = np.zeros(len(pts))
             for i in range(t):
                 rhs += space.rep_many(xs[:, i], pivot)
-            rec.add_many(lambda law, i: block[i] if law == "simplex" else block[i][:t], (
+            rec.add_many(lambda law, i: samples.entry(start + i)[:t + 1 if law == "simplex" else t], (
                 ("nonneg", 0.0, d, te, None),
                 ("identity", np.abs(d), 0.0, te, degenerate),
                 ("identity-reverse", carrier.spread(xs), np.maximum(10.0 * te, eq_tol), 0.0,
@@ -555,14 +544,13 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
 def check_symmetry(space: AMetricSpace, pairs: SampleSet, tol: float = 1e-9,
                    max_witnesses: int = 100) -> CheckReport:
     """Two-point reduction must not depend on argument order."""
-    _require_entries(pairs, 2, "check_symmetry")
     rec = _Recorder("symmetry", max_witnesses)
     with np.errstate(invalid="ignore", over="ignore"):
-        for block, pts in _blocks(space.carrier, pairs):
+        for start, pts in _blocks(space.carrier, pairs, 2, "check_symmetry"):
             x, y = pts[:, 0], pts[:, 1]
             fwd = space.rep_many(x, y)
             bwd = space.rep_many(y, x)
-            rec.add_many(lambda law, i: block[i], (
+            rec.add_many(lambda law, i: pairs.entry(start + i), (
                 ("symmetry", np.abs(fwd - bwd), 0.0, scaled_tols(tol, fwd, bwd), None),
             ))
     return rec.report(exhaustive=pairs.exhaustive)
@@ -576,17 +564,16 @@ def check_triangle_inequality(space: AMetricSpace, triples: SampleSet, tol: floa
         rep(x, z) <= (t-1) * rep(x, y) + rep(z, y)
         rep(x, z) <= (t-1) * rep(x, y) + rep(y, z)
     """
-    _require_entries(triples, 3, "check_triangle_inequality")
     rec = _Recorder("triangle", max_witnesses)
     tm1, rep = space.t - 1, space.rep_many
     with np.errstate(invalid="ignore", over="ignore"):
-        for block, pts in _blocks(space.carrier, triples):
+        for start, pts in _blocks(space.carrier, triples, 3, "check_triangle_inequality"):
             x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
             lhs = rep(x, z)
             xy = rep(x, y)
             rhs_a = tm1 * xy + rep(z, y)
             rhs_b = tm1 * xy + rep(y, z)
-            rec.add_many(lambda law, i: block[i], (
+            rec.add_many(lambda law, i: triples.entry(start + i), (
                 ("triangle-a", lhs, rhs_a, scaled_tols(tol, lhs, rhs_a), None),
                 ("triangle-b", lhs, rhs_b, scaled_tols(tol, lhs, rhs_b), None),
             ))

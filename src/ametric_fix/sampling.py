@@ -8,14 +8,14 @@ tuples) are always injected next to the random draws: zero-distance cases
 are measure-zero under random sampling and would otherwise go untested.
 Small finite carriers are enumerated exhaustively instead of sampled.
 
-Points are drawn as the carrier's point array, which a drawn set keeps next
-to its Python entries for the sweeps to read (see ``core._blocks``).
+Points are drawn as the carrier's point array, and a drawn set is that array:
+the sweeps read it directly (see ``core._blocks``), and Python points are
+built from it only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -50,32 +50,45 @@ def philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """A reproducible batch of sample entries.
+    """A reproducible batch of sample entries: point tuples, or bare points for ``starts``.
 
-    ``entries`` holds point tuples for the tuple/pair/triple kinds and bare
-    points for the ``starts`` kind.  ``points`` holds the entries of a drawn
-    tuple, pair or triple set as one read-only array of shape (n, width, ...)
-    in ``carrier.array``'s format; it is None for ``starts`` and for
-    :meth:`from_entries` sets.
+    A drawn set holds its entries once, as ``points``: one read-only array in
+    ``carrier.array``'s format, of shape (n, width, ...), or (n, ...) for
+    ``starts``.  ``entries``, :meth:`entry` and iteration build its Python
+    points (floats, tuples of floats or ints) on each call.  A
+    :meth:`from_entries` set keeps its entries as given; its ``points`` is None.
     """
 
     kind: str
-    entries: tuple = field(repr=False)
+    points: np.ndarray | None = field(repr=False)
     seed: int | None = None
     exhaustive: bool = False
-    points: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _given: tuple | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._given if self.points is None else self.points)
 
     def __iter__(self) -> Iterator:
         return iter(self.entries)
 
+    @property
+    def entries(self) -> tuple:
+        return self._given if self.points is None else tuple(map(_python, self.points.tolist()))
+
+    def entry(self, i: int):
+        """Entry ``i`` as Python points, without building the others."""
+        return self._given[i] if self.points is None else _python(self.points[i].tolist())
+
     @staticmethod
     def from_entries(kind: str, entries, exhaustive: bool = False) -> "SampleSet":
-        return SampleSet(kind=kind, entries=tuple(entries), seed=None, exhaustive=exhaustive)
+        return SampleSet(kind, None, exhaustive=exhaustive, _given=tuple(entries))
+
+
+def _python(value):
+    """An entry or point from ``ndarray.tolist``, its lists made tuples."""
+    return tuple(map(_python, value)) if isinstance(value, list) else value
 
 
 def _exhaustive_ok(carrier, width: int) -> bool:
@@ -90,7 +103,6 @@ def _draw(carrier, kind: str, n: int, seed: int, stream: int, patterns: list,
     width = len(patterns[0])
     if exhaustive:
         points = carrier.array(np.indices((carrier.size,) * width).ravel()).reshape(width, -1).T
-        entries = tuple(product(range(carrier.size), repeat=width))
     else:
         if n < 1:
             raise UsageError(f"{kind[:-1]}_samples needs n >= 1")
@@ -101,10 +113,8 @@ def _draw(carrier, kind: str, n: int, seed: int, stream: int, patterns: list,
         groups = base.reshape((_N_DEGENERATE, -1) + shape)
         points = np.concatenate((drawn.reshape((n, width) + shape),
                                  groups[:, patterns].reshape((-1, width) + shape)))
-        flat = iter(carrier.points(points.reshape((-1,) + shape)))
-        entries = tuple(zip(*[flat] * width))
     points.flags.writeable = False
-    return SampleSet(kind, entries, seed, exhaustive, points)
+    return SampleSet(kind, points, seed, exhaustive)
 
 
 def axiom_samples(space, n: int, seed: int, stream: int = STREAM_AXIOMS) -> SampleSet:
@@ -131,8 +141,10 @@ def start_samples(space, n: int, seed: int) -> SampleSet:
     """Starting points for multi-start runs; every point on finite carriers."""
     carrier = space.carrier
     if carrier.finite:
-        return SampleSet(kind="starts", entries=tuple(range(carrier.size)), seed=seed, exhaustive=True)
-    if n < 1:
+        points = carrier.array(np.arange(carrier.size))
+    elif n < 1:
         raise UsageError("start_samples needs n >= 1")
-    rng = philox(seed, STREAM_STARTS)
-    return SampleSet(kind="starts", entries=tuple(carrier.points(carrier.sample(rng, n))), seed=seed)
+    else:
+        points = carrier.sample(philox(seed, STREAM_STARTS), n)
+    points.flags.writeable = False
+    return SampleSet("starts", points, seed, carrier.finite)

@@ -186,7 +186,8 @@ def picard_run(space: AMetricSpace, f: SelfMap, x0: Point, delta: float,
 
     ``delta`` in [0, 1) enables envelope monitoring; any negative value
     disables it (for maps without a certificate).  An iterate leaving the
-    carrier raises :class:`CarrierDomainError` with the escaping index.
+    carrier raises :class:`CarrierDomainError` with the escaping index.  A
+    step whose rep is not finite ends the run, unrecorded, as ``"overflow"``.
     """
     if delta >= 1.0:
         raise UsageError(f"need delta < 1 (or negative to disable monitoring), got {delta!r}")
@@ -204,6 +205,9 @@ def picard_run(space: AMetricSpace, f: SelfMap, x0: Point, delta: float,
             raise CarrierDomainError(f"iterate {n} escaped the carrier: {err}",
                                      point=err.point, index=n) from None
         step = rep(nxt, x)
+        if not math.isfinite(step):
+            status = "overflow"
+            break
         if not steps:
             # x0 is already fixed: the trace keeps x0 alone and no steps.
             if step == 0.0:
@@ -300,9 +304,7 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
             rec.add_many(lambda law, i: (int(n[i]), int(m[i])), (
                 ("tail-envelope", val, envelope, scaled_tols(tol, val, envelope), None),
             ))
-    report = rec.report()
-    report.info = {"envelope_rate": (report.checked - report.violations_total) / report.checked}
-    return report
+    return rec.report(exhaustive=True, info={"envelope_rate": (rec.checked - rec.total) / rec.checked})
 
 
 def uniqueness_probe(space: AMetricSpace, f: SelfMap, starts: Iterable[Point], delta: float,

@@ -43,7 +43,6 @@ from .core import (
     _json_num,
     _json_points,
     _Recorder,
-    _require_entries,
     scaled_tols,
 )
 from .errors import CarrierDomainError, UsageError
@@ -95,21 +94,20 @@ class BranchConstants:
 
 
 def _image_blocks(space: AMetricSpace, f: SelfMap, pairs: SampleSet, what: str):
-    """Blocks of pairs, each with x, y, f(x), f(y) as validated point arrays.
+    """Blocks of pairs, each as its start index and x, y, f(x), f(y) as validated point arrays.
 
     A point or image outside the carrier raises the error of the first bad
     one in the per-pair order x, y, f(x), f(y), found by a scalar replay.
     """
     carrier = space.carrier
-    entries = _require_entries(pairs, 2, what)
+    blocks = _blocks(carrier, pairs, 2, what)
     try:
-        for block, pts in _blocks(carrier, pairs):
-            images = carrier.array(f.many(pts.reshape((-1,) + pts.shape[2:])))
-            images = images.reshape(pts.shape)
-            yield block, pts[:, 0], pts[:, 1], images[:, 0], images[:, 1]
+        for start, pts in blocks:
+            images = carrier.array(f.many(pts.reshape((-1,) + pts.shape[2:]))).reshape(pts.shape)
+            yield start, pts[:, 0], pts[:, 1], images[:, 0], images[:, 1]
     except (CarrierDomainError, UsageError):
         canon = carrier.canon
-        for x, y in entries:
+        for x, y in pairs:
             cx, cy = canon(x), canon(y)
             canon(f(cx))
             canon(f(cy))
@@ -231,7 +229,7 @@ def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet, *,
         branch = np.where(fits, i + 1, branch)
     a, b, c = (_running_max(req[branch == i + 1]) for i, req in enumerate(reqs))
 
-    witnesses = tuple(BranchConstants(*pairs.entries[i], *(float(r[i]) for r in reqs))
+    witnesses = tuple(BranchConstants(*pairs.entry(i), *(float(r[i]) for r in reqs))
                       for i in np.flatnonzero(ratio >= 1.0)[:max(max_witnesses, 0)])
     delta = compute_delta(a, b, c, t) if valid else None
     return ZamfirescuCertificate(
@@ -264,12 +262,12 @@ def verify_contraction_inequalities(space: AMetricSpace, f: SelfMap, delta: floa
     rec = _Recorder("contraction", max_witnesses)
     t, rep = space.t, space.rep_many
     with np.errstate(invalid="ignore", over="ignore"):
-        for block, x, y, fx, fy in _image_blocks(space, f, pairs, "verify_contraction_inequalities"):
+        for start, x, y, fx, fy in _image_blocks(space, f, pairs, "verify_contraction_inequalities"):
             lhs = rep(fx, fy)
             base = delta * rep(x, y)
             rhs_1 = base + t * delta * rep(fx, x)
             rhs_2 = base + t * delta * rep(fy, x)
-            rec.add_many(lambda law, i: block[i], (
+            rec.add_many(lambda law, i: pairs.entry(start + i), (
                 ("contraction-own-step", lhs, rhs_1, scaled_tols(tol, lhs, rhs_1), None),
                 ("contraction-cross-step", lhs, rhs_2, scaled_tols(tol, lhs, rhs_2), None),
             ))

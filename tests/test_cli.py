@@ -405,6 +405,47 @@ def test_escaping_iterate_names_its_point(command, slope, point, tmp_path, capsy
         assert report["failures"] == ["solve"]
 
 
+@pytest.mark.parametrize("command", ["axioms", "classify", "solve", "verify"])
+def test_box_whose_width_overflows_exits_two(command, tmp_path, capsys):
+    # Both bounds are finite, but hi - lo is not: the box cannot be sampled.
+    cfg = write_cfg(tmp_path, {
+        "space": {"kind": "absdiff", "t": 3, "d": 1, "box": [-1e308, 1e308]},
+        "map": {"kind": "affine", "alpha": -0.5, "beta": 0.0},
+        "sampling": {"seed": 0},
+    })
+    code, out, err = run([command, "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err == "error: box width of [-1e+308, 1e+308] overflows a float\n"
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_first_step_that_overflows_fails_the_report(command, tmp_path, capsys):
+    # f(0) = 1.5e308 lies in the box, but rep(f(0), 0) = 2 * 1.5e308 = inf.
+    cfg = write_cfg(tmp_path, {
+        "space": {"kind": "absdiff", "t": 3, "d": 1, "box": [0.0, 1.5e308]},
+        "map": {"kind": "affine", "alpha": -0.5, "beta": 1.5e308},
+        "sampling": {"seed": 0},
+        "solver": {"x0": 0.0},
+    })
+    code, out, err = run([command, "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == ""
+    assert out.split() == [str(tmp_path / "trace.csv"), str(tmp_path / "report.json")]
+    assert (tmp_path / "trace.csv").read_text() == "n,step,bound,ratio,tail_bound\n"
+    report = load_report(tmp_path)
+    assert report["verdict"] == "fail"
+    assert report["certificate"]["valid"]
+    trace = report["trace"]
+    assert (trace["status"], trace["iterations"], trace["d0"], trace["limit"]) == (
+        "overflow", 0, 0.0, None)
+    if command == "verify":
+        assert report["failures"] == ["solve", "uniqueness"]
+        assert report["skipped"]["cauchy"] == "fewer than 3 iterates"
+        assert report["uniqueness"]["violations"][0]["law"] == "non-convergence[overflow]"
+
+
 @pytest.mark.parametrize("command", ["classify", "verify"])
 def test_tuple_witness_is_written_as_a_json_list(command, tmp_path, capsys):
     # Shifting by 5 leaves the d=2 box [-10, 10]; make_map names the first

@@ -10,6 +10,7 @@ Covers:
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,7 +31,6 @@ from ametric_fix import (
     table_space,
     triple_samples,
 )
-from ametric_fix.core import tuple_spread
 from ametric_fix.sampling import SampleSet
 
 SEED = 1234
@@ -203,11 +203,16 @@ def test_points_equal_uses_eq_tol():
 
 
 def test_tuple_spread():
+    """A tuple's spread is carrier.spread of its one-row point array."""
+    def spread(space, points):
+        carrier = space.carrier
+        return float(carrier.spread(carrier.array(points)[np.newaxis])[0])
+
     s = make_absdiff_space(3)
-    assert tuple_spread(s, (1.0, 4.0, 2.0)) == 3.0
+    assert spread(s, (1.0, 4.0, 2.0)) == 3.0
     f = table_space(2, [[0.0, 1.0], [1.0, 0.0]])
-    assert tuple_spread(f, (0, 0)) == 0.0
-    assert tuple_spread(f, (0, 1)) == math.inf
+    assert spread(f, (0, 0)) == 0.0
+    assert spread(f, (0, 1)) == math.inf
 
 
 def test_2d_space_uses_l1_pairs():
@@ -225,3 +230,12 @@ def test_invalid_arity_rejected():
 def test_invalid_box_rejected():
     with pytest.raises(UsageError):
         make_absdiff_space(3, box=(1.0, 1.0))
+
+
+def test_box_whose_width_overflows_is_rejected():
+    # Each bound is finite, but hi - lo is not: numpy could not sample the box.
+    with pytest.raises(UsageError, match=r"box width of \[-1e\+308, 1e\+308\] overflows"):
+        make_absdiff_space(3, box=(-1e308, 1e308))
+    with pytest.raises(UsageError, match="overflows"):
+        Box.of((0.0, -1e308), (1.0, 1e308))
+    assert Box.of(-1e308, 7e307).d == 1

@@ -113,6 +113,9 @@ def test_points_are_the_carrier_array_of_the_entries(name, sampler):
     assert samples.points.dtype == expected.dtype
     assert samples.points.tobytes() == expected.tobytes()
     assert not samples.points.flags.writeable
+    # Equal values of equal types: repr tells a numpy scalar from a Python one.
+    assert all(samples.entry(i) == entry and repr(samples.entry(i)) == repr(entry)
+               for i, entry in enumerate(samples.entries))
 
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))
@@ -122,3 +125,7 @@ def test_start_points_are_carrier_points(name):
     kind = int if space.carrier.finite else float
     assert all(type(c) is kind for p in starts for c in space.carrier.coords(p))
     assert len(starts) == (len(LINE) if space.carrier.finite else 10)
+    assert all(starts.entry(i) == p and repr(starts.entry(i)) == repr(p)
+               for i, p in enumerate(starts.entries))
+    assert space.carrier.array(starts.entries).tobytes() == starts.points.tobytes()
+    assert not starts.points.flags.writeable

@@ -100,6 +100,19 @@ def test_picard_escape_raises_with_index():
     assert err.value.index == 2  # 5 -> 8 -> 11 leaves at the second iterate
 
 
+def test_picard_step_that_overflows_ends_the_run_unrecorded():
+    s = make_absdiff_space(3, box=(0.0, 1.5e308))
+    # 4 -> 2 -> 1 -> 0.5, then a jump whose rep is 2 * (1.5e308 - 0.5) = inf.
+    jumper = SelfMap(kind="jumper", fn=lambda x: 1.5e308 if x < 1.0 else x / 2.0)
+    trace = picard_run(s, jumper, 4.0, 0.5, StopRule())
+    assert (trace.status, trace.limit) == ("overflow", None)
+    assert trace.iterates == (4.0, 2.0, 1.0, 0.5)
+    assert trace.steps == (4.0, 2.0, 1.0) and trace.d0 == 4.0
+    assert trace.summary_dict()["final_tail_bound"] == 2 * 0.5 ** 3 * 4.0 / 0.5
+    first = picard_run(s, jumper, 0.0, 0.5, StopRule())
+    assert (first.status, first.iterates, first.steps, first.d0) == ("overflow", (0.0,), (), 0.0)
+
+
 def test_picard_rejects_bad_delta():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("two-sevenths"), s)
@@ -190,6 +203,19 @@ def test_verify_cauchy_worked_example():
     assert report.checked == n * (n - 1) // 2
     info = report.info
     assert info["envelope_rate"] == 1.0
+
+
+def test_verify_cauchy_is_exhaustive_on_both_paths():
+    s1, row_maxima = paper_trace()
+    s2 = make_absdiff_space(3, d=2)
+    swept = picard_run(s2, make_map(MapSpec.of("two-sevenths"), s2), (7.0, -3.0), 2 / 7, StopRule())
+    # d = 1 clears rows by their maxima; d = 2 has no kernel and sweeps every pair.
+    assert s1.farthest_later is not None and s2.farthest_later is None
+    for space, trace in ((s1, row_maxima), (s2, swept)):
+        report = verify_cauchy(trace, space)
+        n = len(trace.iterates)
+        assert report.passed and report.checked == n * (n - 1) // 2
+        assert report.exhaustive and report.to_dict()["exhaustive"] is True
 
 
 def test_verify_cauchy_short_trace_rejected():

@@ -744,6 +744,29 @@ def test_drawn_sets_match_their_entries_on_tables(block):
     assert_drawn_matches_given(exhaustive, MapSpec.of("finite-table", images=[0, 0, 1, 0, 1, 2, 0]))
 
 
+@pytest.mark.parametrize("make_space, spec", [
+    (lambda: make_absdiff_space(3, d=2), MapSpec.of("two-sevenths")),
+    (lambda: table_space(4, LINE7), MapSpec.of("finite-table", images=[0, 0, 1, 0, 1, 2, 0])),
+], ids=["absdiff-d2", "table"])
+def test_passing_sweeps_build_no_python_entries(block, monkeypatch, make_space, spec):
+    """A drawn set's Python entries are built only for a witness or an error."""
+    space = make_space()
+    f = make_map(spec, space)
+    axioms, pairs, triples = (sampler(space, 40, SEED)
+                              for sampler in (axiom_samples, pair_samples, triple_samples))
+
+    def built(self, *args):
+        raise AssertionError("a passing sweep built Python entries")
+
+    monkeypatch.setattr(SampleSet, "entry", built)
+    monkeypatch.setattr(SampleSet, "entries", property(built))
+    cert = classify(space, f, pairs)
+    reports = (check_axioms(space, axioms), check_symmetry(space, pairs),
+               check_triangle_inequality(space, triples),
+               verify_contraction_inequalities(space, f, cert.delta, pairs))
+    assert cert.valid and all(r.passed for r in reports)
+
+
 @pytest.mark.parametrize("check, sampler, width", [
     (lambda s, f, p: check_axioms(s, p), pair_samples, 4),
     (lambda s, f, p: check_symmetry(s, p), triple_samples, 2),
