@@ -26,7 +26,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .core import _json_points, check_axioms, check_symmetry, check_triangle_inequality, points_equal
+from .core import _jsonable, check_axioms, check_symmetry, check_triangle_inequality, points_equal
 from .errors import CarrierDomainError, ConstructionError, UsageError
 from .sampling import (
     STREAM_HOLDOUT,
@@ -270,20 +270,21 @@ def _write(cfg: dict, out_dir: str, key: str, text: str) -> None:
 
 
 def _finish(cfg: dict, out_dir: str, command: str, passed: bool, **fields) -> int:
-    """Write the command's JSON report, print its path, and return 0 if it passed, else 1."""
-    report = {"command": command, "config": cfg, **fields, "verdict": "pass" if passed else "fail"}
+    """Write the command's JSON report (report objects as their ``to_dict``), print its
+    path, and return 0 if it passed, else 1."""
+    report = _jsonable({"command": command, "config": cfg, **fields,
+                        "verdict": "pass" if passed else "fail"})
     _write(cfg, out_dir, "json_path", json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return EXIT_PASS if passed else EXIT_VIOLATION
 
 
 def _error_fields(err) -> dict:
-    """A failure's report fields: its message, and its witness or escaping point as JSON."""
+    """A failure's report fields: its message, and its witness or escaping point."""
     if isinstance(err, CarrierDomainError):
-        return {"error": str(err), "point": _json_points(err.point)}
+        return {"error": str(err), "point": err.point}
     if err.witness is None:
         return {"error": str(err)}
-    witness = err.witness.to_dict() if hasattr(err.witness, "to_dict") else _json_points(err.witness)
-    return {"error": str(err), "witness": witness}
+    return {"error": str(err), "witness": err.witness}
 
 
 def _pairs(cfg: dict, space):
@@ -323,7 +324,7 @@ def cmd_axioms(cfg: dict, out_dir: str) -> int:
     space = build_space(cfg, gated=False)
     checks = _run_law_checks(cfg, space, _pairs(cfg, space))
     return _finish(cfg, out_dir, "axioms", all(c.passed for c in checks.values()),
-                   checks={name: c.to_dict() for name, c in checks.items()})
+                   checks=checks)
 
 
 def cmd_classify(cfg: dict, out_dir: str) -> int:
@@ -335,8 +336,7 @@ def cmd_classify(cfg: dict, out_dir: str) -> int:
         return _finish(cfg, out_dir, "classify", False, **_error_fields(err))
     return _finish(cfg, out_dir, "classify",
                    cert.valid and (contraction is None or contraction.passed),
-                   certificate=cert.to_dict(),
-                   contraction=contraction.to_dict() if contraction is not None else None)
+                   certificate=cert, contraction=contraction)
 
 
 def cmd_solve(cfg: dict, out_dir: str) -> int:
@@ -351,7 +351,7 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
         return _finish(cfg, out_dir, "solve", False, **_error_fields(err))
     if cert is not None and not cert.valid:
         return _finish(cfg, out_dir, "solve", False, error="map is not certified contractive",
-                       certificate=cert.to_dict())
+                       certificate=cert)
 
     delta = _delta_for_solving(cfg, cert)
     try:
@@ -360,20 +360,23 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
         return _finish(cfg, out_dir, "solve", False, witness=err.index, **_error_fields(err))
     _write(cfg, out_dir, "csv_path", trace.to_csv())
     return _finish(cfg, out_dir, "solve", trace.status == "converged",
-                   certificate=cert.to_dict() if cert is not None else None,
-                   delta_used=delta, trace=trace.summary_dict())
+                   certificate=cert, delta_used=delta, trace=trace.summary_dict())
 
 
 def cmd_verify(cfg: dict, out_dir: str) -> int:
     """Full pipeline: laws, certificate, solve, envelopes, uniqueness, oracle."""
     space = build_space(cfg, gated=False)
     x0 = _resolve_x0(cfg, space)
+    try:  # a malformed map parameter exits 2 here, before any sweep
+        f, map_error = build_map(cfg, space), None
+    except ConstructionError as err:  # an escaping image: reported if the laws hold
+        f, map_error = None, err
     report: dict = {"checks": {}, "skipped": {}, **dict.fromkeys((
         "certificate", "contraction", "trace", "decay", "cauchy", "uniqueness", "oracle"))}
     failures = []
 
     def record(name, check, into=report):
-        into[name] = check.to_dict()
+        into[name] = check
         if not check.passed:
             failures.append(name)
 
@@ -391,12 +394,13 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         report["skipped"]["classification"] = "space law checks failed"
         return finish()
 
+    if map_error is not None:
+        return finish("map-construction", map_error)
     try:
-        f = build_map(cfg, space)
         cert, contraction = _run_classification(cfg, space, f, pairs)
     except ConstructionError as err:
         return finish("map-construction", err)
-    report["certificate"] = cert.to_dict()
+    report["certificate"] = cert
     if not cert.valid:
         report["skipped"]["solve"] = "no valid certificate"
         return finish("classification")

@@ -259,7 +259,6 @@ class AMetricSpace:
     distance: Callable[[tuple], float]
     carrier: Carrier
     eq_tol: float = 1e-12
-    kind: str = "custom"
     rep_fn: Callable[[Point, Point], float] | None = field(default=None, repr=False, compare=False)
     rep_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
         default=None, repr=False, compare=False)
@@ -349,14 +348,7 @@ class Violation:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "witness": _json_points(self.witness),
-            "lhs": _json_num(self.lhs),
-            "rhs": _json_num(self.rhs),
-            "gap": _json_num(self.gap),
-            "tol": _json_num(self.tol),
-        }
+        return _jsonable(vars(self))
 
 
 @dataclass
@@ -373,28 +365,22 @@ class CheckReport:
     info: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "passed": self.passed,
-            "exhaustive": self.exhaustive,
-            "max_gap": _json_num(self.max_gap),
-            "violations_total": self.violations_total,
-            "violations": [v.to_dict() for v in self.violations],
-            "info": {k: _json_num(v) if isinstance(v, float) else v for k, v in sorted(self.info.items())},
-        }
+        return _jsonable(vars(self))
 
 
-def _json_num(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
-    return v
-
-
-def _json_points(obj):
-    if isinstance(obj, tuple):
-        return [_json_points(v) for v in obj]
-    return _json_num(obj)
+def _jsonable(obj):
+    """``obj`` made JSON-safe, at any depth of dicts, lists and tuples: a tuple
+    (a point, a witness) becomes a list, a non-finite float its repr (``"inf"``,
+    ``"-inf"``, ``"nan"``), an object with ``to_dict`` that dict; all else is kept."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, (tuple, list)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    return obj
 
 
 class _Recorder:

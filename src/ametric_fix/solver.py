@@ -38,8 +38,7 @@ from .core import (
     AMetricSpace,
     CheckReport,
     Point,
-    _json_num,
-    _json_points,
+    _jsonable,
     _Recorder,
     scaled_tol,
     scaled_tols,
@@ -161,23 +160,21 @@ class PicardTrace:
         return "".join(lines)
 
     def summary_dict(self) -> dict:
-        final_step = self.steps[-1] if self.steps else 0.0
+        """The report's trace summary.  A run that stopped unconverged before its
+        first step (an ``"overflow"``) has no d0, final step or tail bound."""
         n = len(self.steps)
-        final_bound = final_tail = None
-        if self.monitored:
-            bound, tail = self.envelope
-            final_bound = _json_num(float(bound[n - 1])) if n else None
-            final_tail = _json_num(float(tail[n]))
-        return {
+        stepped = n > 0 or self.status == "converged"
+        bound, tail = self.envelope if self.monitored else (None, None)
+        return _jsonable({
             "status": self.status,
             "iterations": n,
-            "d0": _json_num(self.d0),
-            "delta": _json_num(self.delta) if self.monitored else None,
-            "final_step": _json_num(final_step),
-            "final_bound": final_bound,
-            "final_tail_bound": final_tail,
-            "limit": _json_points(self.limit),
-        }
+            "d0": self.d0 if stepped else None,
+            "delta": self.delta if self.monitored else None,
+            "final_step": (self.steps[-1] if n else 0.0) if stepped else None,
+            "final_bound": float(bound[n - 1]) if self.monitored and n else None,
+            "final_tail_bound": float(tail[n]) if self.monitored and stepped else None,
+            "limit": self.limit,
+        })
 
 
 def picard_run(space: AMetricSpace, f: SelfMap, x0: Point, delta: float,
@@ -248,7 +245,7 @@ def verify_decay(trace: PicardTrace, tol: float = 1e-9, max_witnesses: int = 100
             ("step-ratio", steps, ratio, scaled_tols(tol, steps, ratio), np.arange(len(steps)) > 0),
             ("step-envelope", steps, bound, scaled_tols(tol, steps, bound), None),
         ))
-    return rec.report()
+    return rec.report(exhaustive=True)
 
 
 def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
@@ -352,7 +349,7 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, starts: Iterable[Point], d
         p = limits[0][1]
         residual = rep(space.carrier.canon(f(p)), p)
         rec.add("fixed-point-residual", (p,), residual, 0.0, _RESIDUAL_FACTOR * rule.eps + bound_eps)
-        info["limit"] = _json_points(p)
+        info["limit"] = p
         info["residual"] = residual
     return rec.report(info=info)
 

@@ -36,8 +36,7 @@ _N_CHECK = 200
 
 def pair_lift(t: int, base: Callable[[Point, Point], float], carrier: Carrier, *,
               zero_diagonal: bool, base_many: Callable | None = None,
-              base_farthest: Callable | None = None, eq_tol: float = 1e-12,
-              kind: str = "custom") -> AMetricSpace:
+              base_farthest: Callable | None = None, eq_tol: float = 1e-12) -> AMetricSpace:
     """Sum-over-pairs lift of a two-point ``base`` on canonical points.
 
     A(x_1..x_t) sums base(x_i, x_j) over i < j, so the two-point reduction
@@ -90,7 +89,7 @@ def pair_lift(t: int, base: Callable[[Point, Point], float], carrier: Carrier, *
                     total += base_many(pts[:, i], pts[:, j])
             return total
 
-    return AMetricSpace(t=t, distance=distance, carrier=carrier, eq_tol=eq_tol, kind=kind,
+    return AMetricSpace(t=t, distance=distance, carrier=carrier, eq_tol=eq_tol,
                         rep_fn=rep, rep_many=rep_many, distance_many=distance_many,
                         farthest_later=base_farthest)
 
@@ -148,7 +147,7 @@ def make_absdiff_space(t: int, d: int = 1, box=(-100.0, 100.0), eq_tol: float = 
     else:
         base, base_many, farthest = _l1_nd, _l1_nd_many, None
     return pair_lift(t, base, carrier, zero_diagonal=True, base_many=base_many,
-                     base_farthest=farthest, eq_tol=eq_tol, kind="absdiff")
+                     base_farthest=farthest, eq_tol=eq_tol)
 
 
 def _validate_table(table) -> np.ndarray:
@@ -171,7 +170,7 @@ def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
     zero_diagonal = not any(row[i] for i, row in enumerate(rows))
     return pair_lift(t, lambda i, j: rows[i][j], FiniteCarrier(len(rows)),
                      zero_diagonal=zero_diagonal, base_many=lambda i, j: arr[i, j],
-                     eq_tol=eq_tol, kind="lifted-table")
+                     eq_tol=eq_tol)
 
 
 def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
@@ -188,7 +187,7 @@ def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
         if box is None:
             raise UsageError("a callable base needs an explicit carrier box")
         space = pair_lift(t, lambda x, y: float(base(x, y)), Box.of(box[0], box[1], 1),
-                          zero_diagonal=False, eq_tol=eq_tol, kind="lifted-callable")
+                          zero_diagonal=False, eq_tol=eq_tol)
     else:
         arr = _validate_table(base)
         neg = np.argwhere(arr < 0)

@@ -40,8 +40,7 @@ from .core import (
     CheckReport,
     Point,
     _blocks,
-    _json_num,
-    _json_points,
+    _jsonable,
     _Recorder,
     scaled_tols,
 )
@@ -84,13 +83,7 @@ class BranchConstants:
         return (self.a_req, self.b_req * t, self.c_req * t)
 
     def to_dict(self) -> dict:
-        return {
-            "x": _json_points(self.x),
-            "y": _json_points(self.y),
-            "a_req": _json_num(self.a_req),
-            "b_req": _json_num(self.b_req),
-            "c_req": _json_num(self.c_req),
-        }
+        return _jsonable(vars(self))
 
 
 def _image_blocks(space: AMetricSpace, f: SelfMap, pairs: SampleSet, what: str):
@@ -179,18 +172,10 @@ class ZamfirescuCertificate:
         return compute_delta(self.a * scale, self.b * scale, self.c * scale, self.t)
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "a": _json_num(self.a),
-            "b": _json_num(self.b),
-            "c": _json_num(self.c),
-            "delta": None if self.delta is None else _json_num(self.delta),
-            "valid": self.valid,
-            "exhaustive": self.exhaustive,
-            "n_pairs": self.n_pairs,
-            "branch_counts": self.branch_counts,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-        }
+        """The report: the fields, with ``branch_counts`` for the per-pair ``assignments``."""
+        return _jsonable({"t": self.t, "a": self.a, "b": self.b, "c": self.c, "delta": self.delta,
+                          "valid": self.valid, "exhaustive": self.exhaustive, "n_pairs": self.n_pairs,
+                          "branch_counts": self.branch_counts, "witnesses": self.witnesses})
 
 
 def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet, *,

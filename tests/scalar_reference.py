@@ -109,7 +109,7 @@ def verify_decay(trace, tol=1e-9, max_witnesses=100):
             rec.add("step-ratio", (n,), step, rhs, scaled_tol(tol, step, rhs))
         rhs_pow = trace.bound(n)
         rec.add("step-envelope", (n,), step, rhs_pow, scaled_tol(tol, step, rhs_pow))
-    return rec.report()
+    return rec.report(exhaustive=True)
 
 
 def verify_cauchy(trace, space, tol=1e-9, max_witnesses=100):

@@ -7,6 +7,7 @@ non-convergence, 2 usage/config error — and nothing else.
 import json
 import logging
 import time
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +302,53 @@ def test_verify_broken_table_fails_law_stage(tmp_path, capsys):
     assert report["skipped"]["classification"] == "space law checks failed"
 
 
+def test_verify_malformed_map_parameter_exits_two_before_any_sweep(tmp_path, capsys, caplog,
+                                                                   monkeypatch):
+    monkeypatch.setenv("AMETRIC_FIX_LOG", "info")
+    caplog.set_level(logging.INFO, logger="ametric_fix")
+    cfg = write_cfg(tmp_path, {"space": {"kind": "absdiff", "t": 3},
+                               "map": {"kind": "linear-scale", "lam": "abc"},
+                               "sampling": {"seed": 0}})
+    code, out, err = run(["verify", "--config", cfg, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert (out, err) == ("", "error: lam must be a real number, got 'abc'\n")
+    assert caplog.text == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_law_breaking_table_with_escaping_map_reports_the_laws(tmp_path, capsys):
+    # The map sends index 2 to 5, outside the 3-point carrier: that is
+    # reported only once the law checks pass, and these fail.
+    table = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+    cfg = write_cfg(tmp_path, {"space": {"kind": "lifted", "t": 3, "base_table": table},
+                               "map": {"kind": "finite-table", "images": [1, 1, 5]},
+                               "sampling": {"seed": 0, "n_tuples": 50, "n_pairs": 50,
+                                            "n_triples": 50}})
+    code, _, _ = run(["verify", "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    report = load_report(tmp_path)
+    assert report["failures"] == ["axioms", "triangle"]
+    assert report["skipped"] == {"classification": "space law checks failed"}
+    assert "error" not in report and report["certificate"] is None
+
+
+# Each directory holds a config.json and the report.json (and trace.csv, where
+# the command writes one) of `<command> --seed 0` on it, the command being the
+# directory name's first word.  Regenerate one with
+#   ametric-fix <command> --config <dir>/config.json --out-dir <dir> --seed 0
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in GOLDEN.iterdir()))
+def test_outputs_match_golden_files(case, tmp_path, capsys):
+    expected = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir() if p.name != "config.json"}
+    command = case.split("-", 1)[0]
+    code, _, _ = run([command, "--config", str(GOLDEN / case / "config.json"),
+                      "--out-dir", str(tmp_path), "--seed", "0"], capsys)
+    assert code == (0 if json.loads(expected["report.json"])["verdict"] == "pass" else 1)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == expected
+
+
 def test_verify_outputs_are_byte_identical(tmp_path, capsys):
     cfg = write_cfg(tmp_path, PAPER_CFG)
     for d in ("a", "b"):
@@ -439,7 +487,7 @@ def test_first_step_that_overflows_fails_the_report(command, tmp_path, capsys):
     assert report["certificate"]["valid"]
     trace = report["trace"]
     assert (trace["status"], trace["iterations"], trace["d0"], trace["limit"]) == (
-        "overflow", 0, 0.0, None)
+        "overflow", 0, None, None)
     if command == "verify":
         assert report["failures"] == ["solve", "uniqueness"]
         assert report["skipped"]["cauchy"] == "fewer than 3 iterates"

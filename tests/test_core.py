@@ -8,6 +8,7 @@ Covers:
     - error behavior for arity mismatches, escaped points, empty samples
 """
 
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,9 @@ from ametric_fix import (
     AMetricSpace,
     Box,
     CarrierDomainError,
+    CheckReport,
     UsageError,
+    Violation,
     axiom_samples,
     check_axioms,
     check_symmetry,
@@ -149,6 +152,18 @@ def test_witnesses_keep_entries_as_given():
     s = AMetricSpace(t=2, distance=lambda pts: -1.0, carrier=Box.of(-1.0, 1.0))
     report = check_axioms(s, SampleSet.from_entries("axioms", [(0, (1,), 1)]))
     assert report.violations[0].witness == (0, (1,))
+
+
+def test_report_writes_nested_non_finite_floats_as_strings():
+    inf, nan = math.inf, math.nan
+    violation = Violation("simplex", ((inf, 1.0), -inf, 2), inf, 0.0, inf, 1e-9)
+    report = CheckReport("axioms", 1, (violation,), 1, inf, False,
+                         info={"limit": (inf, 1.0), "runs": [(-inf, nan)], "n": 3})
+    doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+    assert doc["info"] == {"limit": ["inf", 1.0], "runs": [["-inf", "nan"]], "n": 3}
+    assert doc["max_gap"] == "inf"
+    assert doc["violations"] == [{"law": "simplex", "witness": [["inf", 1.0], "-inf", 2],
+                                  "lhs": "inf", "rhs": 0.0, "gap": "inf", "tol": 1e-9}]
 
 
 def test_check_symmetry_absdiff_exact():

@@ -170,6 +170,13 @@ def test_verify_decay_worked_example():
     assert all(abs(r - 2 / 7) <= 1e-12 for r in ratios)
 
 
+def test_verify_decay_is_exhaustive():
+    _, trace = paper_trace()
+    report = verify_decay(trace)
+    assert report.checked == 2 * len(trace.steps) - 1
+    assert report.exhaustive and report.to_dict()["exhaustive"] is True
+
+
 def test_verify_decay_constant_map():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("constant", value=0.3), s)
