@@ -23,6 +23,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import suppress
 from functools import partial
 from pathlib import Path
 
@@ -322,6 +323,8 @@ def _run_classification(cfg: dict, space, f, pairs):
 
 def cmd_axioms(cfg: dict, out_dir: str) -> int:
     space = build_space(cfg, gated=False)
+    with suppress(ConstructionError):  # a malformed map parameter still exits 2
+        build_map(cfg, space)
     checks = _run_law_checks(cfg, space, _pairs(cfg, space))
     return _finish(cfg, out_dir, "axioms", all(c.passed for c in checks.values()),
                    checks=checks)
@@ -427,11 +430,16 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         else:
             report["skipped"]["cauchy"] = "fewer than 3 iterates"
 
+    # The main trace is the run from x0's start: one prepended on a continuous
+    # carrier, and on a finite one, whose starts are its indices in order, start x0.
     starts = list(start_samples(space, cfg["sampling"]["n_starts"], cfg["sampling"]["seed"]))
     if not space.carrier.finite:
         starts = [x0] + starts
+    x0_slot = x0 if space.carrier.finite else 0
     try:
-        record("uniqueness", uniqueness_probe(space, f, starts, delta, rule, tol))
+        traces = [trace if i == x0_slot else picard_run(space, f, start, delta, rule)
+                  for i, start in enumerate(starts)]
+        record("uniqueness", uniqueness_probe(space, f, traces, rule, tol))
     except CarrierDomainError as err:
         return finish("uniqueness", err)
 

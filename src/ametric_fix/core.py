@@ -471,23 +471,16 @@ def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str):
     """Blocks of at most BLOCK entries, each as ``(start, pts)``: the index of
     its first entry and its validated points, shape (len(block), width, ...).
 
-    The set's size and entry width are checked on the call.  The set is
-    flattened once, a drawn set's point array by a reshape and a given set's
-    entries into one list, and ``carrier.array`` validates each block's slice
-    of it: bounds only for an array slice, every point as given otherwise.
+    The set's size and entry width are checked on the call.  ``carrier.array``
+    checks the bounds of each block's slice of the set's point array, which
+    guards a set built by hand rather than drawn or made by ``from_entries``.
     """
     if len(samples) == 0:
         raise UsageError(f"{what} needs a nonempty sample set")
     points = samples.points
-    if points is None:
-        for entry in samples.entries:
-            if not isinstance(entry, tuple) or len(entry) != width:
-                raise UsageError(f"{what} expects entries of {width} points, got {entry!r}")
-        flat = list(chain.from_iterable(samples.entries))
-    elif points.shape[1:2] != (width,):
+    if points.shape[1:2] != (width,):
         raise UsageError(f"{what} expects entries of {width} points, got {samples.entry(0)!r}")
-    else:
-        flat = points.reshape((-1,) + points.shape[2:])
+    flat = points.reshape((-1,) + points.shape[2:])
     starts = range(0, len(samples), BLOCK)
     arrays = (carrier.array(flat[start * width:(start + BLOCK) * width]) for start in starts)
     return ((start, pts.reshape((-1, width) + pts.shape[1:])) for start, pts in zip(starts, arrays))
@@ -499,9 +492,7 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
 
     The identity law is tested in both directions: an all-equal tuple must
     evaluate to ~0, and a ~0 evaluation must come from a near-degenerate
-    tuple (exactly degenerate on finite carriers).  Entries are validated
-    block by block, as the sweep reaches them; witnesses keep the entry as
-    given.
+    tuple (exactly degenerate on finite carriers).
     """
     rec = _Recorder("axioms", max_witnesses)
     t, carrier, eq_tol = space.t, space.carrier, space.eq_tol

@@ -8,9 +8,9 @@ tuples) are always injected next to the random draws: zero-distance cases
 are measure-zero under random sampling and would otherwise go untested.
 Small finite carriers are enumerated exhaustively instead of sampled.
 
-Points are drawn as the carrier's point array, and a drawn set is that array:
-the sweeps read it directly (see ``core._blocks``), and Python points are
-built from it only when asked for.
+A set is the carrier's point array of its entries, drawn or validated
+once when the set is made: the sweeps read it directly (see
+``core._blocks``), and Python points are built from it only when asked for.
 """
 
 from __future__ import annotations
@@ -54,36 +54,42 @@ def philox(seed: int, stream: int) -> np.random.Generator:
 class SampleSet:
     """A reproducible batch of sample entries: point tuples, or bare points for ``starts``.
 
-    A drawn set holds its entries once, as ``points``: one read-only array in
+    A set holds its entries once, as ``points``: one read-only array in
     ``carrier.array``'s format, of shape (n, width, ...), or (n, ...) for
     ``starts``.  ``entries``, :meth:`entry` and iteration build its Python
-    points (floats, tuples of floats or ints) on each call.  A
-    :meth:`from_entries` set keeps its entries as given; its ``points`` is None.
+    points (floats, tuples of floats or ints) on each call.
     """
 
-    kind: str
-    points: np.ndarray | None = field(repr=False)
-    seed: int | None = None
+    points: np.ndarray = field(repr=False)
     exhaustive: bool = False
-    _given: tuple | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return len(self._given if self.points is None else self.points)
+        return len(self.points)
 
     def __iter__(self) -> Iterator:
         return iter(self.entries)
 
     @property
     def entries(self) -> tuple:
-        return self._given if self.points is None else tuple(map(_python, self.points.tolist()))
+        return tuple(map(_python, self.points.tolist()))
 
     def entry(self, i: int):
         """Entry ``i`` as Python points, without building the others."""
-        return self._given[i] if self.points is None else _python(self.points[i].tolist())
+        return _python(self.points[i].tolist())
 
     @staticmethod
-    def from_entries(kind: str, entries, exhaustive: bool = False) -> "SampleSet":
-        return SampleSet(kind, None, exhaustive=exhaustive, _given=tuple(entries))
+    def from_entries(space, entries, exhaustive: bool = False) -> "SampleSet":
+        """The set of ``entries``, tuples of equally many points, validated once, here, by
+        ``space.carrier.array``: a bad point raises ``canon``'s error for the first one."""
+        entries = tuple(entries)
+        width = len(entries[0]) if entries and isinstance(entries[0], tuple) else 0
+        for entry in entries:
+            if not isinstance(entry, tuple) or len(entry) != width:
+                raise UsageError(f"entries must be tuples of equally many points, got {entry!r}")
+        flat = space.carrier.array([p for entry in entries for p in entry])
+        points = flat.reshape((len(entries), width) + flat.shape[1:])
+        points.flags.writeable = False
+        return SampleSet(points, exhaustive)
 
 
 def _python(value):
@@ -114,7 +120,7 @@ def _draw(carrier, kind: str, n: int, seed: int, stream: int, patterns: list,
         points = np.concatenate((drawn.reshape((n, width) + shape),
                                  groups[:, patterns].reshape((-1, width) + shape)))
     points.flags.writeable = False
-    return SampleSet(kind, points, seed, exhaustive)
+    return SampleSet(points, exhaustive)
 
 
 def axiom_samples(space, n: int, seed: int, stream: int = STREAM_AXIOMS) -> SampleSet:
@@ -147,4 +153,4 @@ def start_samples(space, n: int, seed: int) -> SampleSet:
     else:
         points = carrier.sample(philox(seed, STREAM_STARTS), n)
     points.flags.writeable = False
-    return SampleSet("starts", points, seed, carrier.finite)
+    return SampleSet(points, carrier.finite)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -304,26 +304,27 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
     return rec.report(exhaustive=True, info={"envelope_rate": (rec.checked - rec.total) / rec.checked})
 
 
-def uniqueness_probe(space: AMetricSpace, f: SelfMap, starts: Iterable[Point], delta: float,
+def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Sequence[PicardTrace],
                      rule: StopRule, tol: float = 1e-9, max_witnesses: int = 100) -> CheckReport:
     """Multi-start agreement: every run must converge to one common point.
 
-    Limits must agree pairwise within a tolerance derived from the stop
-    rule (finishing steps dominate eq_tol), and the consensus limit must be
-    a fixed point up to the residual acceptance 10 * eps.  When the rule's
-    ``bound_eps`` applies (``delta >= 0``), a run may stop anywhere within
-    bound_eps of the fixed point p: two such limits a, b are within
-    rep(a, b) <= (t-1) rep(a, p) + rep(b, p) <= t * bound_eps of each other,
+    ``traces`` are finished runs under ``rule`` with one delta, one per start
+    (a run's first iterate).  Limits must agree pairwise within a tolerance
+    derived from the stop rule (finishing steps dominate eq_tol), and the
+    consensus limit must be a fixed point up to the residual acceptance
+    10 * eps.  When the rule's ``bound_eps`` applies (``delta >= 0``), a run
+    may stop anywhere within bound_eps of the fixed point p: two such limits
+    a, b are rep(a, b) <= (t-1) rep(a, p) + rep(b, p) <= t * bound_eps apart,
     and the step after a limit, below its envelope delta^n * d0, is within
     bound_eps.  Both terms are added to the respective tolerances.
     """
-    start_list = list(starts)
-    if len(start_list) < 2:
-        raise UsageError("uniqueness_probe needs at least 2 starting points")
+    if len(traces) < 2 or len({trace.delta for trace in traces}) > 1:
+        raise UsageError("uniqueness_probe needs at least 2 runs, all with one delta")
+    delta = traces[0].delta
     rec = _Recorder("uniqueness", max_witnesses)
     limits = []
-    for x0 in start_list:
-        trace = picard_run(space, f, x0, delta, rule)
+    for trace in traces:
+        x0 = trace.iterates[0]
         if trace.status != "converged":
             rec.add(f"non-convergence[{trace.status}]", (x0,), math.inf, 0.0, 0.0)
             continue
@@ -344,7 +345,7 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, starts: Iterable[Point], d
             gap = rep(pa, pb)
             rec.add("limit-agreement", (sa, sb), gap, 0.0, agree_tol)
 
-    info: dict = {"n_starts": len(start_list), "n_converged": len(limits)}
+    info: dict = {"n_starts": len(traces), "n_converged": len(limits)}
     if limits:
         p = limits[0][1]
         residual = rep(space.carrier.canon(f(p)), p)

@@ -425,7 +425,8 @@ def make_map(spec: MapSpec, space: AMetricSpace, *, seed: int = 0) -> SelfMap:
 
     Finite carriers are checked exhaustively; continuous ones on a seeded
     sample.  An escaping image raises :class:`ConstructionError` with the
-    witness point, the first probe whose image escapes.
+    witness point, the first probe whose image escapes: ``carrier.array`` names
+    only the bad image, so a failure replays the probes one by one to find it.
     """
     fn, many = _build_fn(spec, space)
     carrier = space.carrier

@@ -44,7 +44,7 @@ from .core import (
     _Recorder,
     scaled_tols,
 )
-from .errors import CarrierDomainError, UsageError
+from .errors import UsageError
 from .sampling import SampleSet
 from .spaces import SelfMap
 
@@ -89,22 +89,14 @@ class BranchConstants:
 def _image_blocks(space: AMetricSpace, f: SelfMap, pairs: SampleSet, what: str):
     """Blocks of pairs, each as its start index and x, y, f(x), f(y) as validated point arrays.
 
-    A point or image outside the carrier raises the error of the first bad
-    one in the per-pair order x, y, f(x), f(y), found by a scalar replay.
+    An image outside the carrier raises ``carrier.canon``'s error for the
+    first bad one in the per-pair order f(x), f(y): ``carrier.array`` takes
+    a block's images in that order.
     """
     carrier = space.carrier
-    blocks = _blocks(carrier, pairs, 2, what)
-    try:
-        for start, pts in blocks:
-            images = carrier.array(f.many(pts.reshape((-1,) + pts.shape[2:]))).reshape(pts.shape)
-            yield start, pts[:, 0], pts[:, 1], images[:, 0], images[:, 1]
-    except (CarrierDomainError, UsageError):
-        canon = carrier.canon
-        for x, y in pairs:
-            cx, cy = canon(x), canon(y)
-            canon(f(cx))
-            canon(f(cy))
-        raise
+    for start, pts in _blocks(carrier, pairs, 2, what):
+        images = carrier.array(f.many(pts.reshape((-1,) + pts.shape[2:]))).reshape(pts.shape)
+        yield start, pts[:, 0], pts[:, 1], images[:, 0], images[:, 1]
 
 
 def _requirements(space: AMetricSpace, f: SelfMap, pairs: SampleSet, what: str) -> tuple:
@@ -121,7 +113,7 @@ def _requirements(space: AMetricSpace, f: SelfMap, pairs: SampleSet, what: str) 
 
 def branch_constants(space: AMetricSpace, f: SelfMap, x: Point, y: Point) -> BranchConstants:
     """Minimal constants making each branch inequality hold for (x, y)."""
-    reqs = _requirements(space, f, SampleSet.from_entries("pairs", [(x, y)]), "branch_constants")
+    reqs = _requirements(space, f, SampleSet.from_entries(space, [(x, y)]), "branch_constants")
     return BranchConstants(x, y, *(float(r[0]) for r in reqs))
 
 

@@ -24,6 +24,17 @@ from ametric_fix.zamfirescu import (
 )
 
 
+class Given(tuple):
+    """Entries as given, not validated, for the loops below, which validate
+    each point as they reach it (a ``SampleSet`` validates them when made)."""
+
+    exhaustive = False
+
+    @property
+    def entries(self):
+        return tuple(self)
+
+
 def _require_entries(samples, width, what):
     if len(samples) == 0:
         raise UsageError(f"{what} needs a nonempty sample set")

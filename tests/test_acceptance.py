@@ -57,8 +57,8 @@ CATALOG_BOX = (-1e6, 1e6)
 LINE_10 = [0.0, 0.5, 1.1, 2.0, 3.3, 4.1, 5.9, 7.2, 8.8, 10.0]
 
 
-def grid_pairs():
-    return SampleSet.from_entries("pairs", product(GRID_POINTS, GRID_POINTS), exhaustive=True)
+def grid_pairs(space):
+    return SampleSet.from_entries(space, product(GRID_POINTS, GRID_POINTS), exhaustive=True)
 
 
 def _report(cid: str, detail: str):
@@ -72,7 +72,7 @@ def test_c1_worked_example(t):
     space = make_absdiff_space(t)
     f = make_map(MapSpec.of("two-sevenths"), space)
 
-    cert = classify(space, f, grid_pairs())
+    cert = classify(space, f, grid_pairs(space))
     assert cert.valid
     assert abs(cert.a - 2 / 7) <= 1e-12
     assert cert.b == 0.0 and cert.c == 0.0

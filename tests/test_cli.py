@@ -316,6 +316,31 @@ def test_verify_malformed_map_parameter_exits_two_before_any_sweep(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_axioms_malformed_map_parameter_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"space": {"kind": "absdiff", "t": 3},
+                               "map": {"kind": "linear-scale", "lam": "abc"},
+                               "sampling": {"seed": 0}})
+    code, out, err = run(["axioms", "--config", cfg, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert (out, err) == ("", "error: lam must be a real number, got 'abc'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("space, map_, code", [
+    ({"kind": "absdiff", "t": 3}, {"kind": "shift", "offset": 500.0}, 0),
+    ({"kind": "lifted", "t": 3, "base_table": [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]},
+     {"kind": "finite-table", "images": [1, 1, 5]}, 1),
+], ids=["lawful-absdiff", "law-breaking-table"])
+def test_axioms_verdict_ignores_an_escaping_image(space, map_, code, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"space": space, "map": map_,
+                               "sampling": {"seed": 0, "n_tuples": 50, "n_pairs": 50,
+                                            "n_triples": 50}})
+    assert run(["axioms", "--config", cfg, "--out-dir", str(tmp_path)], capsys)[0] == code
+    report = load_report(tmp_path)
+    assert report["verdict"] == ("pass" if code == 0 else "fail")
+    assert "error" not in report
+
+
 def test_verify_law_breaking_table_with_escaping_map_reports_the_laws(tmp_path, capsys):
     # The map sends index 2 to 5, outside the 3-point carrier: that is
     # reported only once the law checks pass, and these fail.

@@ -110,7 +110,7 @@ def test_check_axioms_zero_everywhere_fails_reverse_identity():
 def test_check_axioms_empty_samples():
     s = make_absdiff_space(3)
     with pytest.raises(UsageError):
-        check_axioms(s, SampleSet.from_entries("axioms", []))
+        check_axioms(s, SampleSet.from_entries(s, []))
 
 
 def test_degenerate_tuples_are_injected():
@@ -122,7 +122,7 @@ def test_degenerate_tuples_are_injected():
 
 def test_all_equal_tuple_contributes_zero_gap():
     s = make_absdiff_space(3)
-    samples = SampleSet.from_entries("axioms", [(2.0, 2.0, 2.0, 2.0)])
+    samples = SampleSet.from_entries(s, [(2.0, 2.0, 2.0, 2.0)])
     report = check_axioms(s, samples)
     assert report.passed
     assert report.max_gap <= 0.0
@@ -145,13 +145,16 @@ def test_finite_exhaustive_sweep():
 def test_checks_reject_entries_outside_carrier(check, entry):
     s = make_absdiff_space(3, box=(-1.0, 1.0))
     with pytest.raises(CarrierDomainError):
-        check(s, SampleSet.from_entries("entries", [(0.0,) * len(entry), entry]))
+        check(s, SampleSet.from_entries(s, [(0.0,) * len(entry), entry]))
 
 
-def test_witnesses_keep_entries_as_given():
+def test_witnesses_are_canonical_points():
+    # from_entries validates the entry into canonical points: an int and a
+    # 1-tuple on a 1-d box become floats, and the witness shows them so.
     s = AMetricSpace(t=2, distance=lambda pts: -1.0, carrier=Box.of(-1.0, 1.0))
-    report = check_axioms(s, SampleSet.from_entries("axioms", [(0, (1,), 1)]))
-    assert report.violations[0].witness == (0, (1,))
+    report = check_axioms(s, SampleSet.from_entries(s, [(0, (1,), 1)]))
+    witness = report.violations[0].witness
+    assert witness == (0.0, 1.0) and {type(p) for p in witness} == {float}
 
 
 def test_report_writes_nested_non_finite_floats_as_strings():
@@ -192,13 +195,13 @@ def test_triangle_hand_case():
     s = make_absdiff_space(3)
     assert rep_distance(s, 0.0, 2.0) == 4.0
     assert 2 * rep_distance(s, 0.0, 1.0) + rep_distance(s, 2.0, 1.0) == 6.0
-    report = check_triangle_inequality(s, SampleSet.from_entries("triples", [(0.0, 1.0, 2.0)]))
+    report = check_triangle_inequality(s, SampleSet.from_entries(s, [(0.0, 1.0, 2.0)]))
     assert report.passed
 
 
 def test_triangle_degenerate_triple():
     s = make_absdiff_space(3)
-    report = check_triangle_inequality(s, SampleSet.from_entries("triples", [(1.0, 1.0, 1.0)]))
+    report = check_triangle_inequality(s, SampleSet.from_entries(s, [(1.0, 1.0, 1.0)]))
     assert report.passed
     assert report.max_gap <= 0.0
 
@@ -209,6 +212,20 @@ def test_triangle_sweep(t):
     report = check_triangle_inequality(s, triple_samples(s, 1000, SEED))
     assert report.passed
     assert report.checked == 2 * len(triple_samples(s, 1000, SEED))
+
+
+@pytest.mark.parametrize("x, inside", [(1.0 + 1e-12, True), (1.0 + 1e-10, False),
+                                       (-1.0 - 1e-12, True), (-1.0 - 1e-10, False)])
+def test_box_admits_one_rounding_step_past_its_bounds(x, inside):
+    # The box [-1, 1] has scale 1, so membership admits 1e-12 * (1 + 1) past a bound.
+    box = Box.of(-1.0, 1.0)
+    validators = (box.canon, lambda p: box.array([p])[0], lambda p: box.array(np.array([p]))[0])
+    for validate in validators:
+        if inside:
+            assert validate(x) == x
+        else:
+            with pytest.raises(CarrierDomainError):
+                validate(x)
 
 
 def test_points_equal_uses_eq_tol():

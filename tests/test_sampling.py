@@ -14,6 +14,8 @@ from itertools import chain
 import pytest
 
 from ametric_fix import (
+    CarrierDomainError,
+    UsageError,
     axiom_samples,
     make_absdiff_space,
     pair_samples,
@@ -21,6 +23,7 @@ from ametric_fix import (
     table_space,
     triple_samples,
 )
+from ametric_fix.sampling import SampleSet
 
 SEED = 2024
 LINE = [0, 1, 3, 4, 7, 9]
@@ -129,3 +132,18 @@ def test_start_points_are_carrier_points(name):
                for i, p in enumerate(starts.entries))
     assert space.carrier.array(starts.entries).tobytes() == starts.points.tobytes()
     assert not starts.points.flags.writeable
+
+
+def test_given_entries_are_validated_when_the_set_is_made():
+    space = make_absdiff_space(3, box=(-1.0, 1.0))
+    made = SampleSet.from_entries(space, [(0, 0.5), ((0.25,), -1.0)], exhaustive=True)
+    assert made.points.dtype == float and made.points.tolist() == [[0.0, 0.5], [0.25, -1.0]]
+    assert made.exhaustive and not made.points.flags.writeable
+    assert made.entries == ((0.0, 0.5), (0.25, -1.0))
+    # canon's error, for the first bad point in entry order.
+    with pytest.raises(CarrierDomainError) as err:
+        SampleSet.from_entries(space, [(0.0, 0.5), (0.5, 3.0), (2.0, 0.0)])
+    assert (str(err.value), err.value.point) == ("point 3.0 outside carrier box", 3.0)
+    for entries in ([(0.0, 0.5), (0.5,)], [(0.0, 0.5), [0.5, 0.0]], [0.5]):
+        with pytest.raises(UsageError, match="entries must be tuples of equally many points"):
+            SampleSet.from_entries(space, entries)

@@ -89,7 +89,9 @@ def test_picard_divergence_detected():
     trace = picard_run(s, doubler, 1.0, -1.0, StopRule(eps=1e-12))
     assert trace.status == "diverged"
     assert trace.limit is None
-    assert len(trace.steps) < 20
+    # Every step doubles the one before; growth is counted from the second
+    # step, so the 11th step completes the 10-step growth window.
+    assert len(trace.steps) == 11
 
 
 def test_picard_escape_raises_with_index():
@@ -242,10 +244,22 @@ def test_verify_cauchy_rejects_iterate_outside_carrier():
         verify_cauchy(trace, s)
 
 
+def probe(space, f, starts, delta, rule):
+    """The uniqueness report on one Picard run from each start."""
+    traces = [picard_run(space, f, x0, delta, rule) for x0 in starts]
+    return uniqueness_probe(space, f, traces, rule)
+
+
+def converged(start, limit, delta=0.5):
+    """A hand-built converged run from ``start`` that stopped at ``limit``."""
+    return PicardTrace(iterates=(start, limit), steps=(1.0,), delta=delta, d0=1.0, t=3,
+                       status="converged", limit=limit)
+
+
 def test_uniqueness_probe_worked_example():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("two-sevenths"), s)
-    report = uniqueness_probe(s, f, [-5.0, 0.1, 7.0], 2 / 7, StopRule(eps=1e-12))
+    report = probe(s, f, [-5.0, 0.1, 7.0], 2 / 7, StopRule(eps=1e-12))
     assert report.passed
     assert abs(report.info["limit"]) < 1e-11
     assert report.info["n_converged"] == 3
@@ -254,7 +268,7 @@ def test_uniqueness_probe_worked_example():
 def test_uniqueness_probe_constant_map():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("constant", value=0.3), s)
-    report = uniqueness_probe(s, f, [-50.0, 0.0, 12.0], 0.0, StopRule())
+    report = probe(s, f, [-50.0, 0.0, 12.0], 0.0, StopRule())
     assert report.passed
     assert report.info["limit"] == 0.3
 
@@ -262,7 +276,7 @@ def test_uniqueness_probe_constant_map():
 def test_uniqueness_probe_identity_disagrees():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("identity"), s)
-    report = uniqueness_probe(s, f, [0.0, 1.0], -1.0, StopRule())
+    report = probe(s, f, [0.0, 1.0], -1.0, StopRule())
     assert not report.passed
     assert any(v.law == "limit-agreement" for v in report.violations)
 
@@ -272,7 +286,7 @@ def test_uniqueness_probe_bound_eps_admits_limits_within_the_envelope():
     # point 0, so their limits differ by far more than the eps-based tolerance.
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("two-sevenths"), s)
-    report = uniqueness_probe(s, f, [-5.0, 0.1, 7.0, 60.0], 2 / 7, StopRule(bound_eps=1e-6))
+    report = probe(s, f, [-5.0, 0.1, 7.0, 60.0], 2 / 7, StopRule(bound_eps=1e-6))
     assert report.passed
     assert report.info["n_converged"] == 4
     assert 1e-9 < abs(report.info["limit"]) <= 1e-6 / 2
@@ -283,7 +297,7 @@ def test_uniqueness_probe_bound_eps_still_rejects_two_fixed_points():
     s = make_absdiff_space(3)
     spec = MapSpec.of("piecewise", breakpoints=[0.0], pieces=[[0.5, -25.0], [0.5, 25.0]])
     f = make_map(spec, s)
-    report = uniqueness_probe(s, f, [-10.0, 10.0], 0.5, StopRule(bound_eps=1e-6))
+    report = probe(s, f, [-10.0, 10.0], 0.5, StopRule(bound_eps=1e-6))
     assert report.info["n_converged"] == 2
     assert [v.law for v in report.violations] == ["limit-agreement"]
     assert report.violations[0].lhs > 199.99
@@ -293,7 +307,46 @@ def test_uniqueness_probe_needs_two_starts():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("identity"), s)
     with pytest.raises(UsageError):
-        uniqueness_probe(s, f, [0.0], -1.0, StopRule())
+        probe(s, f, [0.0], -1.0, StopRule())
+
+
+def test_uniqueness_probe_names_each_run_by_its_first_iterate():
+    s = make_absdiff_space(3)
+    f = make_map(MapSpec.of("identity"), s)
+    stalled = PicardTrace(iterates=(4.0, 3.0), steps=(2.0,), delta=0.5, d0=2.0, t=3,
+                          status="max_iter", limit=None)
+    report = uniqueness_probe(s, f, [converged(1.0, 0.0), stalled, converged(2.0, 0.0)], StopRule())
+    assert report.info["n_starts"] == 3 and report.info["n_converged"] == 2
+    assert [(v.law, v.witness) for v in report.violations] == [("non-convergence[max_iter]", (4.0,))]
+    with pytest.raises(UsageError):
+        uniqueness_probe(s, f, [converged(1.0, 0.0), converged(2.0, 0.0, delta=0.25)], StopRule())
+
+
+@pytest.mark.parametrize("residual, passed", [(5e-12, True), (5e-11, False)])
+def test_uniqueness_residual_acceptance_is_ten_eps(residual, passed):
+    # rep(f(p), p) = 2 * |offset| at t = 3; the acceptance is 10 * eps = 1e-11.
+    s = make_absdiff_space(3)
+    f = SelfMap(kind="nudge", fn=lambda x: x + residual / 2)
+    report = uniqueness_probe(s, f, [converged(1.0, 0.0), converged(2.0, 0.0)], StopRule(eps=1e-12))
+    assert report.info["residual"] == residual
+    assert report.passed is passed
+    assert [v.law for v in report.violations] == ([] if passed else ["fixed-point-residual"])
+
+
+@pytest.mark.parametrize("bound_eps", [None, 1e-6])
+@pytest.mark.parametrize("past, passed", [(-1e-12, True), (1e-12, False)])
+def test_uniqueness_limits_just_past_the_agreement_tolerance_fail(bound_eps, past, passed):
+    # At t = 3, delta = 0.5 and eps = 1e-12 the scaled term is
+    # 10 * (t-1) * eps / (1 - delta) = 4e-11 (eq_tol's term is about 1e-12);
+    # with bound_eps it gains t * bound_eps = 3e-6.  The limits 0 and b are
+    # rep = 2b apart, 1e-12 inside or past that tolerance.
+    s = make_absdiff_space(3)
+    f = make_map(MapSpec.of("identity"), s)
+    tol = 4e-11 + 3 * (bound_eps or 0.0)
+    runs = [converged(1.0, 0.0), converged(2.0, (tol + past) / 2)]
+    report = uniqueness_probe(s, f, runs, StopRule(eps=1e-12, bound_eps=bound_eps))
+    assert report.passed is passed
+    assert [v.law for v in report.violations] == ([] if passed else ["limit-agreement"])
 
 
 def test_brute_force_fixed_points():

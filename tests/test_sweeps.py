@@ -164,7 +164,7 @@ def test_signed_zero_max_gap_matches_reference(negative_first):
 
     space = AMetricSpace(t=3, distance=distance, carrier=FiniteCarrier(3))
     runs = [[(0, 1, 2)] * 100, [(2, 1, 1)] * 100]
-    triples = SampleSet.from_entries("triples", sum(runs if negative_first else runs[::-1], []))
+    triples = SampleSet.from_entries(space, sum(runs if negative_first else runs[::-1], []))
     report = check_triangle_inequality(space, triples)
     assert report.max_gap == 0.0
     assert math.copysign(1.0, report.max_gap) == (-1.0 if negative_first else 1.0)
@@ -461,8 +461,9 @@ def error_of(fn, *args):
 def test_escaping_entry_raises_as_before(bad, first):
     s = make_absdiff_space(3, box=(-1.0, 1.0))
     good = (0.0, 0.1, 0.2, 0.3)
-    samples = SampleSet.from_entries("axioms", [good] * 5 + [bad])
-    fast, slow = error_of(check_axioms, s, samples), error_of(ref.check_axioms, s, samples)
+    entries = [good] * 5 + [bad]
+    fast = error_of(SampleSet.from_entries, s, entries)
+    slow = error_of(ref.check_axioms, s, ref.Given(entries))
     assert fast[:2] == slow[:2]
     if first is not None:
         assert fast[2] == first or (math.isnan(first) and math.isnan(fast[2]))
@@ -471,17 +472,18 @@ def test_escaping_entry_raises_as_before(bad, first):
 @pytest.mark.parametrize("bad", [(0, 5, 1), (0, True, 1), (0, -1, 9), (0, 1.0, 1)])
 def test_escaping_index_raises_as_before(bad):
     s = table_space(3, [row[:3] for row in LINE7[:3]])
-    samples = SampleSet.from_entries("triples", [(0, 1, 2), bad])
-    fast = error_of(check_triangle_inequality, s, samples)
-    assert fast == error_of(ref.check_triangle_inequality, s, samples)
+    entries = [(0, 1, 2), bad]
+    fast = error_of(SampleSet.from_entries, s, entries)
+    assert fast == error_of(ref.check_triangle_inequality, s, ref.Given(entries))
 
 
 def test_escaping_d4_point_raises_as_before():
     s = make_absdiff_space(2, d=4, box=(-1.0, 1.0))
     ok = (0.0, 0.0, 0.0, 0.0)
     for bad in ((0.0, 0.0, 2.0, 0.0), (0.0, 0.0, 0.0), [0.0, 0.0, 0.0, 0.0, 0.0], 0.5):
-        samples = SampleSet.from_entries("pairs", [(ok, ok), (ok, bad)])
-        assert error_of(check_symmetry, s, samples) == error_of(ref.check_symmetry, s, samples)
+        entries = [(ok, ok), (ok, bad)]
+        assert error_of(SampleSet.from_entries, s, entries) == error_of(
+            ref.check_symmetry, s, ref.Given(entries))
 
 
 def test_escaping_iterate_raises_as_before():
@@ -649,8 +651,8 @@ def unchecked_map(spec, space):
 
 @pytest.mark.parametrize("check", ["classify", "contraction"])
 @pytest.mark.parametrize("pairs, first", [
-    # f(x) of the first pair escapes; the second pair's y is outside itself.
-    ([(0.1, 0.0), (0.9, 0.0), (0.0, 5.0)], 1.4),
+    # f(x) of the first escaping pair, and then a later f(y), leave the box.
+    ([(0.1, 0.0), (0.9, 0.0), (0.0, 0.8)], 1.4),
     ([(0.1, 0.0), (0.0, 5.0), (0.9, 0.0)], 5.0),
     ([(0.1, 0.2), (0.2, 0.95), (0.7, 0.1)], 1.45),  # f(y) only
     ([(0.1, 0.2), (0.2, math.nan)], math.nan),
@@ -659,13 +661,15 @@ def unchecked_map(spec, space):
 def test_escaping_pair_or_image_raises_as_before(block, check, pairs, first):
     s = make_absdiff_space(3, box=(-1.0, 1.0))
     f = unchecked_map(MapSpec.of("shift", offset=0.5), s)
-    samples = SampleSet.from_entries("pairs", [(0.0, 0.1)] * 9 + pairs)
+    # A bad point raises when the set is made, a bad image in the sweep.
+    entries = [(0.0, 0.1)] * 9 + pairs
     if check == "classify":
-        fast = error_of(classify, s, f, samples)
-        slow = error_of(ref.classify, s, f, samples)
+        fast = error_of(lambda: classify(s, f, SampleSet.from_entries(s, entries)))
+        slow = error_of(ref.classify, s, f, ref.Given(entries))
     else:
-        fast = error_of(verify_contraction_inequalities, s, f, 0.5, samples)
-        slow = error_of(ref.verify_contraction_inequalities, s, f, 0.5, samples)
+        fast = error_of(lambda: verify_contraction_inequalities(
+            s, f, 0.5, SampleSet.from_entries(s, entries)))
+        slow = error_of(ref.verify_contraction_inequalities, s, f, 0.5, ref.Given(entries))
     assert fast[:2] == slow[:2]
     assert "np." not in fast[1]
     if first is not None:
@@ -676,11 +680,33 @@ def test_escaping_pair_or_image_raises_as_before(block, check, pairs, first):
 def test_escaping_d2_image_raises_as_before(block):
     s = make_absdiff_space(3, d=2, box=(-1.0, 1.0))
     f = unchecked_map(MapSpec.of("affine", alpha=2.0, beta=0.0), s)
-    samples = SampleSet.from_entries("pairs", [((0.1, 0.2), (0.3, -0.4))] * 9
+    samples = SampleSet.from_entries(s, [((0.1, 0.2), (0.3, -0.4))] * 9
                                      + [((0.1, 0.2), (0.3, 0.6))])
     fast = error_of(classify, s, f, samples)
     assert fast == error_of(ref.classify, s, f, samples)
     assert fast[2] == (0.6, 1.2) and {type(c) for c in fast[2]} == {float}
+
+
+@pytest.mark.parametrize("d, spec", [
+    (1, MapSpec.of("shift", offset=0.05)),
+    (1, MapSpec.of("affine", alpha=1.05, beta=0.0)),
+    (1, MapSpec.of("piecewise", breakpoints=[0.9], pieces=[[0.5, 0.0], [1.0, 0.15]])),
+    (2, MapSpec.of("shift", offset=0.05)),
+], ids=["shift", "affine", "piecewise", "shift-d2"])
+@pytest.mark.parametrize("seed", range(10))
+def test_escaping_images_raise_as_the_scalar_reference(block, d, spec, seed):
+    # About one image in twenty leaves the box.  Seven pairs that stay inside
+    # come first, so with BLOCK = 7 the first bad image is in a later block.
+    s = make_absdiff_space(3, d=d, box=(-1.0, 1.0))
+    f = unchecked_map(spec, s)
+    origin = 0.0 if d == 1 else (0.0,) * d
+    entries = [(origin, origin)] * 7 + list(pair_samples(s, 200, seed))
+    pairs = SampleSet.from_entries(s, entries)
+    fast = error_of(classify, s, f, pairs)
+    assert fast == error_of(ref.classify, s, f, pairs)
+    assert fast[0] is CarrierDomainError
+    fast = error_of(verify_contraction_inequalities, s, f, 0.5, pairs)
+    assert fast == error_of(ref.verify_contraction_inequalities, s, f, 0.5, pairs)
 
 
 def test_valid_certificate_keeps_pairs_off_a_branch_at_its_cap(block):
@@ -695,15 +721,17 @@ def test_valid_certificate_keeps_pairs_off_a_branch_at_its_cap(block):
 
     space = AMetricSpace(t=2, distance=distance, carrier=FiniteCarrier(8))
     f = SelfMap(kind="spread", fn=lambda i: (4, 5, 6, 7, 4, 4, 4, 4)[i])
-    cert = assert_certificate_matches(space, f, SampleSet.from_entries("pairs", [(0, 1), (2, 3)]))
+    cert = assert_certificate_matches(space, f, SampleSet.from_entries(space, [(0, 1), (2, 3)]))
     assert cert.valid and cert.assignments == (1, 2)
     assert (cert.a, cert.b, cert.c) == (1.0 - 1e-10, 0.25, 0.0)
 
 
-def given_twin(samples):
-    """The same entries as a set made by from_entries, which carries no point array."""
-    twin = SampleSet.from_entries(samples.kind, samples.entries, samples.exhaustive)
-    assert samples.points is not None and twin.points is None
+def given_twin(space, samples):
+    """The same entries as a set made by from_entries, which validates them
+    into the drawn set's point array, bit for bit."""
+    twin = SampleSet.from_entries(space, samples.entries, samples.exhaustive)
+    assert twin.points.dtype == samples.points.dtype and twin.points.shape == samples.points.shape
+    assert twin.points.tobytes() == samples.points.tobytes() and not twin.points.flags.writeable
     return twin
 
 
@@ -716,16 +744,16 @@ def assert_drawn_matches_given(space, spec, n=60, seed=SEED):
         drawn = sampler(space, n, seed)
         for kwargs in ({}, {"tol": -2.0, "max_witnesses": 3}):  # -2: every instance fails
             assert as_json(check(space, drawn, **kwargs)) == as_json(
-                check(space, given_twin(drawn), **kwargs))
+                check(space, given_twin(space, drawn), **kwargs))
     pairs = pair_samples(space, n, seed)
-    cert, twin = classify(space, f, pairs), classify(space, f, given_twin(pairs))
+    cert, twin = classify(space, f, pairs), classify(space, f, given_twin(space, pairs))
     assert as_json(cert) == as_json(twin)
     assert cert.assignments == twin.assignments
     for delta in {0.5} | ({cert.delta} if cert.valid else set()):
         for tol in (1e-9, -2.0):
             args = (space, f, delta)
             assert as_json(verify_contraction_inequalities(*args, pairs, tol)) == as_json(
-                verify_contraction_inequalities(*args, given_twin(pairs), tol))
+                verify_contraction_inequalities(*args, given_twin(space, pairs), tol))
 
 
 @pytest.mark.parametrize("t", [2, 3, 8])
@@ -779,7 +807,7 @@ def test_drawn_set_of_the_wrong_width_is_rejected(check, sampler, width):
     f = make_map(MapSpec.of("two-sevenths"), space)
     drawn = sampler(space, 5, SEED)
     fast = error_of(check, space, f, drawn)
-    assert fast == error_of(check, space, f, given_twin(drawn))
+    assert fast == error_of(check, space, f, given_twin(space, drawn))
     assert fast[0] is UsageError
     assert fast[1].endswith(f"expects entries of {width} points, got {drawn.entries[0]!r}")
 
@@ -801,5 +829,5 @@ def test_drawn_set_outside_the_carrier_raises_as_its_twin(block, wide, narrow, e
                          (check_triangle_inequality, triple_samples(wide, 20, SEED)),
                          (lambda s, p: classify(s, f, p), pair_samples(wide, 20, SEED))):
         fast = error_of(check, narrow, drawn)
-        assert fast == error_of(check, narrow, given_twin(drawn))
+        assert fast == error_of(SampleSet.from_entries, narrow, drawn.entries)
         assert fast[0] is error

@@ -38,8 +38,8 @@ SEED = 424242
 GRID_POINTS = [-7.0, -3.5, -1.0, 0.0, 0.5, 1.0, 2.0, 3.5, 7.0, 14.0]
 
 
-def grid_pairs():
-    return SampleSet.from_entries("pairs", product(GRID_POINTS, GRID_POINTS), exhaustive=True)
+def grid_pairs(space):
+    return SampleSet.from_entries(space, product(GRID_POINTS, GRID_POINTS), exhaustive=True)
 
 
 def test_branch_constants_worked_example():
@@ -72,7 +72,7 @@ def test_branch_constants_constant_map():
 def test_classify_worked_example(t):
     s = make_absdiff_space(t)
     f = make_map(MapSpec.of("two-sevenths"), s)
-    cert = classify(s, f, grid_pairs())
+    cert = classify(s, f, grid_pairs(s))
     assert cert.valid
     assert abs(cert.a - 2 / 7) <= 1e-12
     assert cert.b == 0.0 and cert.c == 0.0
@@ -108,7 +108,7 @@ def test_classify_shift_invalid_with_witnesses():
 def test_classify_identity_invalid():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("identity"), s)
-    cert = classify(s, f, grid_pairs())
+    cert = classify(s, f, grid_pairs(s))
     assert not cert.valid
     assert len(cert.witnesses) > 0
 
@@ -125,7 +125,7 @@ def test_classify_empty_pairs():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("identity"), s)
     with pytest.raises(UsageError):
-        classify(s, f, SampleSet.from_entries("pairs", []))
+        classify(s, f, SampleSet.from_entries(s, []))
 
 
 def test_valid_certificate_pairs_satisfy_some_branch():
@@ -148,7 +148,7 @@ def test_valid_certificate_pairs_satisfy_some_branch():
 def test_t2_certificate_caps():
     s = make_absdiff_space(2)
     f = make_map(MapSpec.of("identity"), s)
-    cert = classify(s, f, grid_pairs())
+    cert = classify(s, f, grid_pairs(s))
     assert not cert.valid  # a_req == 1 and c_req == 1/2 both sit exactly at their caps
 
 
@@ -190,7 +190,7 @@ def test_compute_delta_monotone(t, fa, fb, fa2, fb2):
 def test_contraction_inequalities_hold_for_worked_example():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("two-sevenths"), s)
-    cert = classify(s, f, grid_pairs())
+    cert = classify(s, f, grid_pairs(s))
     fresh = pair_samples(s, 1000, SEED, stream=STREAM_HOLDOUT)
     report = verify_contraction_inequalities(s, f, cert.delta, fresh)
     assert report.passed
@@ -200,14 +200,14 @@ def test_contraction_inequalities_hold_for_worked_example():
 def test_contraction_inequalities_trivial_on_diagonal():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("linear-scale", lam=0.5), s)
-    pairs = SampleSet.from_entries("pairs", [(2.0, 2.0)])
+    pairs = SampleSet.from_entries(s, [(2.0, 2.0)])
     assert verify_contraction_inequalities(s, f, 0.5, pairs).passed
 
 
 def test_contraction_inequalities_forged_delta_fails():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("linear-scale", lam=0.5), s)
-    report = verify_contraction_inequalities(s, f, 0.0, grid_pairs())
+    report = verify_contraction_inequalities(s, f, 0.0, grid_pairs(s))
     assert not report.passed
     assert report.violations[0].lhs > 0
 
@@ -215,21 +215,21 @@ def test_contraction_inequalities_forged_delta_fails():
 def test_certificate_serializes_with_infinite_witnesses():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("identity"), s)
-    cert = classify(s, f, grid_pairs())
+    cert = classify(s, f, grid_pairs(s))
     doc = cert.to_dict()
     text = json.dumps(doc, sort_keys=True, allow_nan=False)
     assert "inf" in text
     assert doc["valid"] is False and doc["delta"] is None
-    assert doc["n_pairs"] == len(grid_pairs())
+    assert doc["n_pairs"] == len(grid_pairs(s))
 
 
 def test_delta_with_margin():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("two-sevenths"), s)
-    cert = classify(s, f, grid_pairs())
+    cert = classify(s, f, grid_pairs(s))
     inflated = cert.delta_with_margin(1e-9)
     assert cert.delta < inflated < cert.delta * (1 + 1e-8)
-    bad = classify(s, make_map(MapSpec.of("identity"), s), grid_pairs())
+    bad = classify(s, make_map(MapSpec.of("identity"), s), grid_pairs(s))
     with pytest.raises(UsageError):
         bad.delta_with_margin()
 
@@ -238,7 +238,7 @@ def test_escaping_images_are_rejected():
     # Built directly, so make_map's range check never sees the escape.
     s = make_absdiff_space(3, box=(-1.0, 1.0))
     f = SelfMap(kind="escape", fn=lambda x: x + 1.5)
-    pairs = SampleSet.from_entries("pairs", [(-1.0, -0.9), (0.0, 0.5)])
+    pairs = SampleSet.from_entries(s, [(-1.0, -0.9), (0.0, 0.5)])
     with pytest.raises(CarrierDomainError):
         classify(s, f, pairs)
     with pytest.raises(CarrierDomainError):
