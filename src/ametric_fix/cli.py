@@ -439,7 +439,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     try:
         traces = [trace if i == x0_slot else picard_run(space, f, start, delta, rule)
                   for i, start in enumerate(starts)]
-        record("uniqueness", uniqueness_probe(space, f, traces, rule, tol))
+        record("uniqueness", uniqueness_probe(space, f, traces, rule))
     except CarrierDomainError as err:
         return finish("uniqueness", err)
 

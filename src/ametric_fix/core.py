@@ -20,9 +20,13 @@ shape (n,) for a 1-dimensional box, (n, d) above, integer indices on finite
 carriers.  Only the carrier classes branch on either format; other code
 validates, converts, compares, spreads, draws and maps points through their
 methods.  The law checks work on blocks of at most ``BLOCK`` entries, so
-their memory does not grow with the sample set.  All comparisons between
-distances use an absolute tolerance scaled by the magnitudes involved,
-since distances grow with the arity and the coordinate range.
+their memory does not grow with the sample set.  The exhaustive set of a
+finite carrier, the product grid of (t+1)-tuples, is swept by t-tuple and
+pivot instead: one distance per t-tuple for all of its pivots, with the
+report of the entry-by-entry sweep, bit for bit (see :func:`check_axioms`).
+All comparisons between distances use an absolute tolerance scaled by the
+magnitudes involved, since distances grow with the arity and the
+coordinate range.
 """
 
 from __future__ import annotations
@@ -418,13 +422,19 @@ class _Recorder:
         room = max(self.max_witnesses - len(self.violations), 0)
         found, gaps, top = [], [], -math.inf
         for pos, (law, lhs, rhs, tol, where) in enumerate(checks):
+            if where is not None and not where.any():
+                continue  # the law applies to no entry of this block
             gap = np.subtract(lhs, rhs)
             if where is None:
-                where = np.ones(gap.shape, dtype=bool)
+                self.checked += gap.size
+                top = max(top, float(np.fmax.reduce(gap, axis=None, initial=-math.inf)))
+                bad = np.flatnonzero(gap > tol)
+                where = True
+            else:
+                self.checked += int(np.count_nonzero(where))
+                top = max(top, float(np.fmax.reduce(gap, where=where, initial=-math.inf)))
+                bad = np.flatnonzero(where & (gap > tol))
             gaps.append((gap, where))
-            self.checked += int(np.count_nonzero(where))
-            top = max(top, float(np.fmax.reduce(gap, where=where, initial=-math.inf)))
-            bad = np.flatnonzero(where & (gap > tol))
             self.total += len(bad)
             found.extend((int(i), pos, law, lhs, rhs, gap, tol) for i in bad[:room])
         if top > self.max_gap:
@@ -467,9 +477,11 @@ def _item(v, i: int) -> float:
     return float(v[i]) if np.ndim(v) else float(v)
 
 
-def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str):
-    """Blocks of at most BLOCK entries, each as ``(start, pts)``: the index of
-    its first entry and its validated points, shape (len(block), width, ...).
+def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str, group: int = 1):
+    """Blocks of whole runs of ``group`` entries, each as ``(start, pts)``: the
+    index of its first entry and its validated points, shape (len(block),
+    width, ...).  A block holds as many runs as fit in BLOCK entries, and at
+    least one.
 
     The set's size and entry width are checked on the call.  ``carrier.array``
     checks the bounds of each block's slice of the set's point array, which
@@ -481,9 +493,44 @@ def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str):
     if points.shape[1:2] != (width,):
         raise UsageError(f"{what} expects entries of {width} points, got {samples.entry(0)!r}")
     flat = points.reshape((-1,) + points.shape[2:])
-    starts = range(0, len(samples), BLOCK)
-    arrays = (carrier.array(flat[start * width:(start + BLOCK) * width]) for start in starts)
+    size = max(BLOCK // group, 1) * group
+    starts = range(0, len(samples), size)
+    arrays = (carrier.array(flat[start * width:(start + size) * width]) for start in starts)
     return ((start, pts.reshape((-1, width) + pts.shape[1:])) for start, pts in zip(starts, arrays))
+
+
+def _axiom_laws(space: AMetricSpace, xs: np.ndarray, rhs: np.ndarray, tol: float,
+                per: int) -> tuple:
+    """The law checks of :func:`check_axioms` on one block, for
+    :meth:`_Recorder.add_many`.  ``xs`` holds the block's t-tuples, each the
+    tuple of ``per`` consecutive entries, and ``rhs`` the simplex right-hand
+    side of every entry.  Per-tuple values are computed once and repeated."""
+    carrier = space.carrier
+    d = space.distance_many(xs)
+    te = scaled_tols(tol, d)
+    degenerate = np.all(carrier.equal(xs[:, :1], xs[:, 1:], space.eq_tol), axis=1)
+    # identity, reverse direction: zero distance away from the diagonal
+    near_zero = ~degenerate & (np.abs(d) <= te)
+    spread = carrier.spread(xs)
+    if per > 1:
+        d, te, degenerate, near_zero, spread = (
+            np.repeat(v, per) for v in (d, te, degenerate, near_zero, spread))
+    return (
+        ("nonneg", 0.0, d, te, None),
+        ("identity", np.abs(d), 0.0, te, degenerate),
+        ("identity-reverse", spread, np.maximum(10.0 * te, space.eq_tol), 0.0, near_zero),
+        # simplex: d <= sum_i rep(x_i, pivot)
+        ("simplex", d, rhs, scaled_tols(tol, d, rhs), None),
+    )
+
+
+def _base_code(pts: np.ndarray, n: int) -> np.ndarray:
+    """Each row of an (m, width) array of indices below ``n``, read as a base-n
+    number, its first column the leading digit."""
+    code = pts[:, 0]
+    for j in range(1, pts.shape[1]):
+        code = code * n + pts[:, j]
+    return code
 
 
 def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
@@ -493,28 +540,43 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
     The identity law is tested in both directions: an all-equal tuple must
     evaluate to ~0, and a ~0 evaluation must come from a near-degenerate
     tuple (exactly degenerate on finite carriers).
+
+    On a finite carrier of n points, a set of n^(t+1) entries may be the
+    product grid of (t+1)-tuples in ``itertools.product`` order, which
+    exhaustive sampling draws: each t-tuple followed by all n pivots.  Its
+    blocks hold whole t-tuples with all their pivots, and a block whose
+    entries, read as base-n numbers, are their own indices is the grid's
+    slice; the points decide, not the set's ``exhaustive`` flag.  There each
+    tuple's distance, tolerances and identity tests are computed once and
+    repeated over its pivots, and the simplex right-hand side is added up
+    from one n x n table of rep_many values, in the order the entry-by-entry
+    sweep adds them.  Every entry gets the values that sweep computes for
+    it, and the block is recorded in entry order, so the report is
+    bit-identical.  Other blocks, and other sets, are swept entry by entry.
     """
     rec = _Recorder("axioms", max_witnesses)
-    t, carrier, eq_tol = space.t, space.carrier, space.eq_tol
+    t, carrier = space.t, space.carrier
+    n = carrier.size if carrier.finite and len(samples) == carrier.size ** (t + 1) else 0
+    reps = None
     with np.errstate(invalid="ignore", over="ignore"):
-        for start, pts in _blocks(carrier, samples, t + 1, "check_axioms"):
-            xs, pivot = pts[:, :t], pts[:, t]
-            d = space.distance_many(xs)
-            te = scaled_tols(tol, d)
-            degenerate = np.all(carrier.equal(xs[:, :1], xs[:, 1:], eq_tol), axis=1)
-            # identity, reverse direction: zero distance away from the diagonal
-            near_zero = ~degenerate & (np.abs(d) <= te)
-            # simplex: d <= sum_i rep(x_i, pivot)
-            rhs = np.zeros(len(pts))
-            for i in range(t):
-                rhs += space.rep_many(xs[:, i], pivot)
-            rec.add_many(lambda law, i: samples.entry(start + i)[:t + 1 if law == "simplex" else t], (
-                ("nonneg", 0.0, d, te, None),
-                ("identity", np.abs(d), 0.0, te, degenerate),
-                ("identity-reverse", carrier.spread(xs), np.maximum(10.0 * te, eq_tol), 0.0,
-                 near_zero),
-                ("simplex", d, rhs, scaled_tols(tol, d, rhs), None),
-            ))
+        for start, pts in _blocks(carrier, samples, t + 1, "check_axioms", max(n, 1)):
+            xs = pts[:, :t]
+            if n and np.array_equal(_base_code(pts, n), np.arange(start, start + len(pts))):
+                if reps is None:
+                    idx = carrier.array(np.arange(n))
+                    reps = space.rep_many(np.repeat(idx, n), np.tile(idx, n)).reshape(n, n)
+                xs = np.asfortranarray(xs[::n])  # column-major: columns are read one by one
+                rhs = np.zeros((len(xs), n))
+                for i in range(t):
+                    rhs += np.take(reps, xs[:, i], axis=0)
+                checks = _axiom_laws(space, xs, rhs.ravel(), tol, n)
+            else:
+                rhs = np.zeros(len(pts))
+                for i in range(t):
+                    rhs += space.rep_many(xs[:, i], pts[:, t])
+                checks = _axiom_laws(space, xs, rhs, tol, 1)
+            rec.add_many(lambda law, i: samples.entry(start + i)[:t + 1 if law == "simplex" else t],
+                         checks)
     return rec.report(exhaustive=samples.exhaustive)
 
 

@@ -108,7 +108,11 @@ def _draw(carrier, kind: str, n: int, seed: int, stream: int, patterns: list,
     ``_N_DEGENERATE`` groups of base points, one entry per index pattern."""
     width = len(patterns[0])
     if exhaustive:
-        points = carrier.array(np.indices((carrier.size,) * width).ravel()).reshape(width, -1).T
+        # Row-major, so each block a sweep takes is one contiguous slice.
+        grid = np.empty((carrier.size,) * width + (width,), dtype=np.intp)
+        for j, axis in enumerate(np.indices(grid.shape[:-1], sparse=True)):
+            grid[..., j] = axis
+        points = carrier.array(grid.reshape(-1)).reshape(-1, width)
     else:
         if n < 1:
             raise UsageError(f"{kind[:-1]}_samples needs n >= 1")

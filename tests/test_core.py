@@ -34,6 +34,7 @@ from ametric_fix import (
     table_space,
     triple_samples,
 )
+from ametric_fix.core import FiniteCarrier
 from ametric_fix.sampling import SampleSet
 
 SEED = 1234
@@ -105,6 +106,32 @@ def test_check_axioms_zero_everywhere_fails_reverse_identity():
     report = check_axioms(s, axiom_samples(s, 10, SEED))
     assert not report.passed
     assert any(v.law == "identity-reverse" for v in report.violations)
+
+
+@pytest.mark.parametrize("x, passed", [(0.5, True), (0.75, False)])
+def test_reverse_identity_admits_a_spread_of_exactly_its_bound(x, passed):
+    # At distance 0 and tol 0.05 the bound is max(10 * 0.05, eq_tol) = 0.5.
+    s = AMetricSpace(t=3, distance=lambda pts: 0.0, carrier=Box.of(-1.0, 1.0), eq_tol=0.1)
+    report = check_axioms(s, SampleSet.from_entries(s, [(0.0, x, 0.0, 0.0)]), tol=0.05)
+    assert report.passed is passed
+    assert report.max_gap == x - 0.5
+
+
+def test_reverse_identity_applies_at_a_distance_of_exactly_its_tolerance():
+    # Distance 1 and tol 0.5: the tolerance 0.5 * (1 + 1) is exactly 1, so the
+    # distance counts as ~0 and the non-degenerate tuple is checked for it.
+    s = AMetricSpace(t=3, distance=lambda pts: 1.0, carrier=Box.of(-1.0, 1.0))
+    report = check_axioms(s, SampleSet.from_entries(s, [(0.0, 0.5, 0.0, 0.0)]), tol=0.5)
+    assert report.passed and report.checked == 3  # nonneg, identity-reverse, simplex
+
+
+@pytest.mark.parametrize("check, sampler", [(check_axioms, axiom_samples),
+                                            (check_symmetry, pair_samples),
+                                            (check_triangle_inequality, triple_samples)])
+def test_law_checks_keep_100_witnesses_by_default(check, sampler):
+    s = make_absdiff_space(3)
+    report = check(s, sampler(s, 200, SEED), tol=-2.0)  # -2 (1 + |value|): every instance fails
+    assert report.violations_total > 100 and len(report.violations) == 100
 
 
 def test_check_axioms_empty_samples():
@@ -215,9 +242,11 @@ def test_triangle_sweep(t):
 
 
 @pytest.mark.parametrize("x, inside", [(1.0 + 1e-12, True), (1.0 + 1e-10, False),
-                                       (-1.0 - 1e-12, True), (-1.0 - 1e-10, False)])
+                                       (-1.0 - 1e-12, True), (-1.0 - 1e-10, False),
+                                       (1.0 + 3e-12, False), (-1.0 - 3e-12, False)])
 def test_box_admits_one_rounding_step_past_its_bounds(x, inside):
-    # The box [-1, 1] has scale 1, so membership admits 1e-12 * (1 + 1) past a bound.
+    # The box [-1, 1] has scale 1, so membership admits 1e-12 * (1 + 1) past a
+    # bound, and not 3e-12.
     box = Box.of(-1.0, 1.0)
     validators = (box.canon, lambda p: box.array([p])[0], lambda p: box.array(np.array([p]))[0])
     for validate in validators:
@@ -228,10 +257,46 @@ def test_box_admits_one_rounding_step_past_its_bounds(x, inside):
                 validate(x)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_box_admits_points_on_its_slack_bounds(d):
+    box = Box.of(-1.0, 1.0, d)
+    for bound in (box._lo_slack[0], box._hi_slack[0]):
+        p = bound if d == 1 else (bound, 0.0)
+        assert box.canon(p) == p
+        assert box.array(np.array([p])).tolist() == [p if d == 1 else list(p)]
+
+
 def test_points_equal_uses_eq_tol():
     s = make_absdiff_space(3, eq_tol=1e-9)
     assert points_equal(s, 1.0, 1.0 + 1e-10)
     assert not points_equal(s, 1.0, 1.0 + 1e-8)
+
+
+def test_zero_eq_tol_is_exact_equality():
+    s = make_absdiff_space(3, eq_tol=0.0)
+    assert points_equal(s, 1.0, 1.0)
+    assert not points_equal(s, 1.0, 1.0 + 2.0 ** -52)
+
+
+def test_default_eq_tol_is_1e_12():
+    raw = AMetricSpace(t=2, distance=lambda pts: abs(pts[0] - pts[1]), carrier=Box.of(-1.0, 1.0))
+    assert points_equal(raw, 0.0, 1e-12)
+    assert not points_equal(raw, 0.0, 5e-12)
+
+
+@pytest.mark.parametrize("points", [[0, 3], np.array([0, 3]), [-1, 0], np.array([-1, 0])],
+                         ids=["list-past-end", "array-past-end", "list-negative", "array-negative"])
+def test_finite_carrier_rejects_indices_just_outside(points):
+    with pytest.raises(CarrierDomainError):
+        FiniteCarrier(3).array(points)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_points_equal_admits_a_gap_of_exactly_eq_tol(d):
+    s = make_absdiff_space(3, d=d, eq_tol=0.5)
+    lift = (lambda v: v) if d == 1 else (lambda v: (0.0, v))
+    assert points_equal(s, lift(1.0), lift(1.5))
+    assert not points_equal(s, lift(1.0), lift(1.75))
 
 
 def test_tuple_spread():

@@ -12,6 +12,7 @@ in several blocks are exercised.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -149,6 +150,14 @@ def test_raw_distance_matches_reference(block, d):
     space = AMetricSpace(t=3, distance=distance, carrier=Box.of(-4.0, 4.0, d))
     assert_law_checks_match(space, n=120)
     assert seen == ({float} if d == 1 else {float, tuple})
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_zero_distance_matches_reference(block, d):
+    # Every tuple that is not all-equal fails identity-reverse, whose lhs is
+    # the tuple's largest coordinate gap.
+    space = AMetricSpace(t=3, distance=lambda pts: 0.0, carrier=Box.of(-4.0, 4.0, d))
+    assert_law_checks_match(space, n=60)
 
 
 @pytest.mark.parametrize("negative_first", [True, False])
@@ -831,3 +840,109 @@ def test_drawn_set_outside_the_carrier_raises_as_its_twin(block, wide, narrow, e
         fast = error_of(check, narrow, drawn)
         assert fast == error_of(SampleSet.from_entries, narrow, drawn.entries)
         assert fast[0] is error
+
+
+# Exhaustive sets on finite carriers: check_axioms sweeps the product grid by
+# t-tuple and pivot, one distance per t-tuple and the simplex sums from an
+# n x n table of rep values.  It must give the report of the entry-by-entry
+# sweep, bit for bit.
+
+GRID_POINTS = (0, 1, 3, 4, 7, 9, 12, 13, 16, 20, 21, 25)
+
+
+def grid_table(kind, n):
+    """An n-point table: ``line`` passes every law, ``zeros`` has zero entries
+    off the diagonal (identity-reverse fires), ``broken`` is asymmetric, has a
+    nonzero diagonal and a long edge (identity and simplex fire), and its
+    entries are floats whose sums depend on the order they are added in."""
+    line = [[float(abs(a - b)) for b in GRID_POINTS[:n]] for a in GRID_POINTS[:n]]
+    if kind == "line":
+        return line
+    if kind == "zeros":
+        for i in range(0, n - 1, 2):
+            line[i][i + 1] = line[i + 1][i] = 0.0
+        return line
+    table = np.random.default_rng(n).uniform(0.1, 1.0, size=(n, n))
+    table[0, -1] = 10.0
+    return table.tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def grid_reference(kind, n, t, max_witnesses):
+    space = table_space(t, grid_table(kind, n))
+    return as_json(ref.check_axioms(space, axiom_samples(space, 1, SEED), max_witnesses=max_witnesses))
+
+
+def counting_distance(space):
+    """``space`` with its distance_many counting the tuples it is given."""
+    rows = []
+
+    def distance_many(xs):
+        rows.append(len(xs))
+        return space.distance_many(xs)
+
+    return dataclasses.replace(space, distance_many=distance_many), rows
+
+
+@pytest.mark.parametrize("max_witnesses", [1, 3, 100])
+@pytest.mark.parametrize("kind", ["line", "zeros", "broken"])
+@pytest.mark.parametrize("t", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_exhaustive_grid_sweep_matches_reference(block, n, t, kind, max_witnesses):
+    space, rows = counting_distance(table_space(t, grid_table(kind, n)))
+    samples = axiom_samples(space, 1, SEED)
+    assert samples.exhaustive and len(samples) == n ** (t + 1)
+    report = check_axioms(space, samples, max_witnesses=max_witnesses)
+    assert as_json(report) == grid_reference(kind, n, t, max_witnesses)
+    # One distance per t-tuple, not one per entry.
+    assert sum(rows) == n ** t
+
+
+def test_exhaustive_grid_sweep_fires_every_law():
+    laws = {kind: {v.law for v in check_axioms(space, axiom_samples(space, 1, SEED),
+                                               max_witnesses=10 ** 6).violations}
+            for kind, space in ((kind, table_space(3, grid_table(kind, 7)))
+                                for kind in ("line", "zeros", "broken"))}
+    assert not laws["line"]
+    assert "identity-reverse" in laws["zeros"]
+    assert {"identity", "simplex"} <= laws["broken"]
+
+
+def test_exhaustive_grid_sweep_at_the_size_limit():
+    space = table_space(4, grid_table("line", 12))
+    samples = axiom_samples(space, 1, SEED)
+    assert samples.exhaustive and len(samples) == 12 ** 5 == 248_832
+    assert as_json(check_axioms(space, samples)) == as_json(ref.check_axioms(space, samples))
+
+
+@pytest.mark.parametrize("order", ["reversed", "pivot-first", "one-swap"])
+def test_grid_entries_out_of_order_take_the_entry_sweep(block, order):
+    # Sets flagged exhaustive but not in product order: each block that is not
+    # the grid's slice is swept entry by entry, and the report still matches.
+    space, rows = counting_distance(table_space(3, grid_table("broken", 7)))
+    entries = list(axiom_samples(space, 1, SEED).entries)
+    if order == "reversed":
+        entries.reverse()
+    elif order == "pivot-first":
+        entries = [e[1:] + e[:1] for e in entries]
+    else:
+        entries[-1], entries[-2] = entries[-2], entries[-1]
+    samples = SampleSet.from_entries(space, entries, exhaustive=True)
+    for max_witnesses in (1, 3, 100):
+        rows.clear()
+        report = check_axioms(space, samples, max_witnesses=max_witnesses)
+        assert as_json(report) == as_json(ref.check_axioms(space, samples, max_witnesses=max_witnesses))
+        if order == "one-swap" and block is not None:
+            # Only the block holding the swap is swept entry by entry.
+            assert 7 ** 3 < sum(rows) < len(entries)
+        else:
+            assert sum(rows) == len(entries)
+
+
+def test_set_not_of_grid_size_takes_the_entry_sweep(block):
+    # Entries whose digit sums count up 0, 1, 2, 3, on a 2-point carrier: a
+    # set of 4 entries, not 2^3, is never read as a grid, whatever its points.
+    space, rows = counting_distance(table_space(2, grid_table("broken", 2)))
+    samples = SampleSet.from_entries(space, [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)])
+    assert as_json(check_axioms(space, samples)) == as_json(ref.check_axioms(space, samples))
+    assert sum(rows) == 4
