@@ -422,19 +422,13 @@ class _Recorder:
         room = max(self.max_witnesses - len(self.violations), 0)
         found, gaps, top = [], [], -math.inf
         for pos, (law, lhs, rhs, tol, where) in enumerate(checks):
-            if where is not None and not where.any():
-                continue  # the law applies to no entry of this block
             gap = np.subtract(lhs, rhs)
             if where is None:
-                self.checked += gap.size
-                top = max(top, float(np.fmax.reduce(gap, axis=None, initial=-math.inf)))
-                bad = np.flatnonzero(gap > tol)
-                where = True
-            else:
-                self.checked += int(np.count_nonzero(where))
-                top = max(top, float(np.fmax.reduce(gap, where=where, initial=-math.inf)))
-                bad = np.flatnonzero(where & (gap > tol))
+                where = np.ones(gap.shape, dtype=bool)
             gaps.append((gap, where))
+            self.checked += int(np.count_nonzero(where))
+            top = max(top, float(np.fmax.reduce(gap, where=where, initial=-math.inf)))
+            bad = np.flatnonzero(where & (gap > tol))
             self.total += len(bad)
             found.extend((int(i), pos, law, lhs, rhs, gap, tol) for i in bad[:room])
         if top > self.max_gap:

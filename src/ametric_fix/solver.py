@@ -305,7 +305,7 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
 
 
 def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Sequence[PicardTrace],
-                     rule: StopRule, max_witnesses: int = 100) -> CheckReport:
+                     rule: StopRule, *, max_witnesses: int = 100) -> CheckReport:
     """Multi-start agreement: every run must converge to one common point.
 
     ``traces`` are finished runs under ``rule`` with one delta, one per start

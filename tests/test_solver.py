@@ -322,6 +322,17 @@ def test_uniqueness_probe_names_each_run_by_its_first_iterate():
         uniqueness_probe(s, f, [converged(1.0, 0.0), converged(2.0, 0.0, delta=0.25)], StopRule())
 
 
+def test_uniqueness_probe_takes_max_witnesses_by_keyword_only():
+    # A fifth positional argument, as the tolerance the probe once took, is refused.
+    s = make_absdiff_space(3)
+    f = make_map(MapSpec.of("identity"), s)
+    runs = [converged(1.0, 0.0), converged(2.0, 5.0)]  # two fixed points of the identity
+    with pytest.raises(TypeError):
+        uniqueness_probe(s, f, runs, StopRule(), 1e-9)
+    report = uniqueness_probe(s, f, runs, StopRule(), max_witnesses=0)
+    assert report.violations_total > 0 and report.violations == ()
+
+
 @pytest.mark.parametrize("residual, passed", [(5e-12, True), (5e-11, False)])
 def test_uniqueness_residual_acceptance_is_ten_eps(residual, passed):
     # rep(f(p), p) = 2 * |offset| at t = 3; the acceptance is 10 * eps = 1e-11.

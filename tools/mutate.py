@@ -1,7 +1,6 @@
 """Mutation testing for one module of the package, with the standard library only.
 
-    python3 tools/mutate.py src/ametric_fix/core.py [--tests PATH ...] [--timeout S]
-                            [--workdir DIR] [--only LINE ...] [--list]
+    python3 tools/mutate.py src/ametric_fix/core.py [--tests PATH ...]
 
 Each mutant changes one spot of the module's syntax tree:
 
@@ -11,10 +10,10 @@ Each mutant changes one spot of the module's syntax tree:
   ``10 * c`` (``0.0`` becomes ``1.0``).
 
 For each mutant the module is written back with ``ast.unparse`` into a copy
-of ``src/`` and ``tests/`` under the work directory (a new temporary
-directory unless ``--workdir`` is given), never into the checkout, and the
-test files run there with ``pytest -x``.  A mutant is killed when the tests
-fail or overrun ``--timeout``, and survives when they pass.  The tests are
+of ``src/`` and ``tests/`` in a new temporary directory, never into the
+checkout, and the test files run there with ``pytest -x``.  The directory
+is removed at the end.  A mutant is killed when the tests fail or overrun
+``TIMEOUT`` seconds, and survives when they pass.  The tests are
 the module's own test file, ``tests/test_<module>.py``, unless ``--tests``
 names others (a directory runs every test file under it).  The unmutated
 copy must pass first.  The last lines list the survivors: each one is either
@@ -36,6 +35,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300.0  # seconds per test run
 
 SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
@@ -74,15 +74,15 @@ def _set_const(node: ast.Constant, value):
     return apply
 
 
-def run_tests(workdir: Path, tests: list[str], timeout: float) -> tuple[bool, str]:
+def run_tests(workdir: Path, tests: list[str]) -> tuple[bool, str]:
     """Run ``tests`` in ``workdir``; (passed, last line of the pytest output)."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     env = {**os.environ, "PYTHONPATH": str(workdir / "src")}
     try:
         done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return False, f"timed out after {timeout:g} s"
+        return False, f"timed out after {TIMEOUT:g} s"
     lines = done.stdout.strip().splitlines()
     return done.returncode == 0, lines[-1] if lines else f"exit {done.returncode}"
 
@@ -92,50 +92,38 @@ def main(argv=None) -> int:
     parser.add_argument("module", help="path of the module to mutate, under src/")
     parser.add_argument("--tests", nargs="+", help="test files or directories (relative to the "
                         "repository root); default tests/test_<module>.py")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
-    parser.add_argument("--workdir", help="directory for the copy (default: a new temporary one)")
-    parser.add_argument("--only", type=int, nargs="+", help="mutate only these lines")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     args = parser.parse_args(argv)
 
     module = Path(args.module).resolve()
     rel = module.relative_to(ROOT)
     tests = args.tests or [f"tests/test_{module.stem}.py"]
     tree = ast.parse(module.read_text(encoding="utf-8"))
-    sites = [s for s in mutants(tree) if not args.only or s[0] in args.only]
-    if args.list:
-        for line, what, _ in sites:
-            print(f"{rel}:{line}: {what}")
-        print(f"{len(sites)} mutants")
-        return 0
+    sites = mutants(tree)
 
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="mutate-"))
-    for part in ("src", "tests"):
-        shutil.rmtree(workdir / part, ignore_errors=True)
-        shutil.copytree(ROOT / part, workdir / part,
-                        ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
-    target = workdir / rel
-    passed, summary = run_tests(workdir, tests, args.timeout)
-    if not passed:
-        print(f"the unmutated tests do not pass in {workdir}: {summary}", file=sys.stderr)
-        return 2
-    print(f"{len(sites)} mutants of {rel}, tests: {' '.join(tests)}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
+        workdir = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, workdir / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        target = workdir / rel
+        passed, summary = run_tests(workdir, tests)
+        if not passed:
+            print(f"the unmutated tests do not pass: {summary}", file=sys.stderr)
+            return 2
+        print(f"{len(sites)} mutants of {rel}, tests: {' '.join(tests)}", flush=True)
 
-    survivors = []
-    try:
+        survivors = []
         for number, (line, what, apply) in enumerate(sites, 1):
             undo = apply()
             target.write_text(ast.unparse(tree) + "\n", encoding="utf-8")
             undo()
             start = time.perf_counter()
-            passed, summary = run_tests(workdir, tests, args.timeout)
+            passed, summary = run_tests(workdir, tests)
             verdict = "SURVIVED" if passed else "killed"
             print(f"[{number}/{len(sites)}] {verdict:8s} {rel}:{line}: {what}  "
                   f"({summary}; {time.perf_counter() - start:.1f} s)", flush=True)
             if passed:
                 survivors.append(f"{rel}:{line}: {what}")
-    finally:
-        shutil.copyfile(module, target)
     print(f"{len(sites) - len(survivors)} of {len(sites)} mutants killed; "
           f"{len(survivors)} survived:")
     for survivor in survivors:
