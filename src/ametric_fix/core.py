@@ -21,9 +21,11 @@ carriers.  Only the carrier classes branch on either format; other code
 validates, converts, compares, spreads, draws and maps points through their
 methods.  The law checks work on blocks of at most ``BLOCK`` entries, so
 their memory does not grow with the sample set.  The exhaustive set of a
-finite carrier, the product grid of (t+1)-tuples, is swept by t-tuple and
-pivot instead: one distance per t-tuple for all of its pivots, with the
-report of the entry-by-entry sweep, bit for bit (see :func:`check_axioms`).
+finite carrier of n points, the product grid of (t+1)-tuples, is swept by
+t-tuple and pivot instead, in blocks of up to ``BLOCK`` t-tuples with all n
+of their pivots: one distance per t-tuple, and the laws that depend on the
+t-tuple alone recorded once for all of its pivots, with the report of the
+entry-by-entry sweep, bit for bit (see :func:`check_axioms`).
 All comparisons between distances use an absolute tolerance scaled by the
 magnitudes involved, since distances grow with the arity and the
 coordinate range.
@@ -31,6 +33,7 @@ coordinate range.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -332,11 +335,12 @@ def scaled_tol(base: float, *values: float) -> float:
 
 
 def scaled_tols(base: float, *values: np.ndarray) -> np.ndarray:
-    """:func:`scaled_tol` elementwise over float arrays, with the same skips."""
-    mag = np.zeros(np.shape(values[0]))
-    for v in values:
-        a = np.abs(v)
-        mag = np.where((mag < a) & (a < math.inf), a, mag)
+    """:func:`scaled_tol` elementwise over float arrays that broadcast together,
+    with the same skips: the magnitude is the largest finite ``|v|``, or 0."""
+    mags = [np.abs(v) for v in values]
+    mag = functools.reduce(np.fmax, mags)  # fmax skips NaN
+    if not mag.max(initial=0.0) < math.inf:  # an inf somewhere, or NaN in every value
+        mag = functools.reduce(np.maximum, [np.where(a < math.inf, a, 0.0) for a in mags])
     return base * (1.0 + mag)
 
 
@@ -412,36 +416,60 @@ class _Recorder:
         """Record one block of entries, as :meth:`add` called entry by entry would.
 
         ``checks`` lists ``(law, lhs, rhs, tol, where)`` in the order the
-        scalar loop adds them for one entry: lhs, rhs and tol are floats or
-        float arrays over the block, and ``where`` masks the entries the law
-        applies to (None: all of them).  ``witness(law, i)`` is the witness of
-        entry i.  The first violations are kept in scalar order, by entry and
-        then by law, and ``max_gap`` gets the value the scalar running maximum
-        would, down to the sign of a zero.
+        scalar loop adds them for one entry.  lhs, rhs and tol are floats or
+        float arrays, and ``where`` masks the entries the law applies to
+        (None: all of them).  All of them broadcast to the block's shape, and
+        entry i is flat index i of that shape: a law given as an (m, 1) array
+        of an (m, n) block holds one value for each run of n entries.  Such a
+        law is tested once per value and counted once per entry, and only its
+        failing values are expanded into entries.  ``witness(law, i)`` is the
+        witness of entry i.  The first violations are kept in scalar order,
+        by entry and then by law, and ``max_gap`` gets the value the scalar
+        running maximum would, down to the sign of a zero.
         """
-        room = max(self.max_witnesses - len(self.violations), 0)
-        found, gaps, top = [], [], -math.inf
-        for pos, (law, lhs, rhs, tol, where) in enumerate(checks):
+        laws = []
+        for law, lhs, rhs, tol, where in checks:
             gap = np.subtract(lhs, rhs)
+            bad = gap > tol if where is None else (gap > tol) & where
+            if gap.shape != bad.shape:
+                gap = np.broadcast_to(gap, bad.shape)
+            laws.append((law, lhs, rhs, tol, where, gap, bad))
+        shape = np.broadcast(*(bad for *_, bad in laws)).shape
+        size = math.prod(shape)
+        if not size:
+            return
+        room = max(self.max_witnesses - len(self.violations), 0)
+        found, tops = [], []
+        for pos, (law, lhs, rhs, tol, where, gap, bad) in enumerate(laws):
             if where is None:
-                where = np.ones(gap.shape, dtype=bool)
-            gaps.append((gap, where))
-            self.checked += int(np.count_nonzero(where))
-            top = max(top, float(np.fmax.reduce(gap, where=where, initial=-math.inf)))
-            bad = np.flatnonzero(where & (gap > tol))
-            self.total += len(bad)
-            found.extend((int(i), pos, law, lhs, rhs, gap, tol) for i in bad[:room])
+                self.checked += size
+                top = np.fmax.reduce(gap, axis=None, initial=-math.inf)
+            else:
+                self.checked += size // where.size * int(np.count_nonzero(where))
+                top = np.fmax.reduce(gap, axis=None, where=where, initial=-math.inf)
+            tops.append((float(top), gap, where))
+            count = int(np.count_nonzero(bad))
+            self.total += size // bad.size * count
+            if count and room:
+                entries = np.flatnonzero(np.broadcast_to(bad, shape))[:room]
+                found.extend((int(i), pos, law, lhs, rhs, gap, tol) for i in entries)
+        top = max((law_top for law_top, _, _ in tops), default=-math.inf)
         if top > self.max_gap:
             if top == 0.0:
                 # Tied gaps differ only in the sign of zero: the first one wins.
-                i, pos = min((int(np.argmax(zero)), pos) for pos, zero in
-                             enumerate(where & (gap == 0.0) for gap, where in gaps) if zero.any())
-                top = float(gaps[pos][0][i])
+                firsts = []
+                for pos, (law_top, gap, where) in enumerate(tops):
+                    if law_top == 0.0:
+                        zero = gap == 0.0 if where is None else where & (gap == 0.0)
+                        firsts.append((_entry(int(np.argmax(zero)), zero.shape, shape), pos))
+                i, pos = min(firsts)
+                top = _item(tops[pos][1], i, shape)
             self.max_gap = top
         found.sort(key=lambda v: v[:2])
         for i, _, law, lhs, rhs, gap, tol in found[:room]:
-            self.violations.append(Violation(law, witness(law, i), _item(lhs, i), _item(rhs, i),
-                                             float(gap[i]), _item(tol, i)))
+            self.violations.append(Violation(law, witness(law, i), _item(lhs, i, shape),
+                                             _item(rhs, i, shape), _item(gap, i, shape),
+                                             _item(tol, i, shape)))
 
     def add_cleared(self, count: int, top: float):
         """Record ``count`` entries shown to pass without enumerating them.
@@ -466,16 +494,26 @@ class _Recorder:
         )
 
 
-def _item(v, i: int) -> float:
-    """Entry i of a float array, or the float itself."""
-    return float(v[i]) if np.ndim(v) else float(v)
+def _item(v, i: int, shape: tuple) -> float:
+    """Entry i of a float or float array broadcast to ``shape``, as a float."""
+    return float(np.broadcast_to(v, shape).flat[i])
+
+
+def _entry(k: int, lshape: tuple, shape: tuple) -> int:
+    """The first entry of ``shape`` that flat index k of an array of shape
+    ``lshape`` covers when broadcast to ``shape``."""
+    i, stride = 0, 1
+    for lsize, size in zip(reversed(lshape), reversed(shape)):
+        k, c = divmod(k, lsize)
+        i += c * stride
+        stride *= size
+    return i
 
 
 def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str, group: int = 1):
-    """Blocks of whole runs of ``group`` entries, each as ``(start, pts)``: the
-    index of its first entry and its validated points, shape (len(block),
-    width, ...).  A block holds as many runs as fit in BLOCK entries, and at
-    least one.
+    """Blocks of up to BLOCK runs of ``group`` entries, each as ``(start, pts)``:
+    the index of its first entry and its validated points, shape
+    (len(block), width, ...).
 
     The set's size and entry width are checked on the call.  ``carrier.array``
     checks the bounds of each block's slice of the set's point array, which
@@ -487,44 +525,51 @@ def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str, group: 
     if points.shape[1:2] != (width,):
         raise UsageError(f"{what} expects entries of {width} points, got {samples.entry(0)!r}")
     flat = points.reshape((-1,) + points.shape[2:])
-    size = max(BLOCK // group, 1) * group
+    size = BLOCK * group
     starts = range(0, len(samples), size)
     arrays = (carrier.array(flat[start * width:(start + size) * width]) for start in starts)
     return ((start, pts.reshape((-1, width) + pts.shape[1:])) for start, pts in zip(starts, arrays))
 
 
-def _axiom_laws(space: AMetricSpace, xs: np.ndarray, rhs: np.ndarray, tol: float,
-                per: int) -> tuple:
+def _axiom_laws(space: AMetricSpace, xs: np.ndarray, rhs: np.ndarray, tol: float) -> tuple:
     """The law checks of :func:`check_axioms` on one block, for
-    :meth:`_Recorder.add_many`.  ``xs`` holds the block's t-tuples, each the
-    tuple of ``per`` consecutive entries, and ``rhs`` the simplex right-hand
-    side of every entry.  Per-tuple values are computed once and repeated."""
+    :meth:`_Recorder.add_many`.  ``xs`` holds the block's m t-tuples and
+    ``rhs``, shape (m, k), the simplex right-hand side of each tuple's k
+    entries.  The laws that depend on the tuple alone are (m, 1) arrays."""
     carrier = space.carrier
-    d = space.distance_many(xs)
+    d = space.distance_many(xs)[:, None]
     te = scaled_tols(tol, d)
-    degenerate = np.all(carrier.equal(xs[:, :1], xs[:, 1:], space.eq_tol), axis=1)
+    degenerate = np.all(carrier.equal(xs[:, :1], xs[:, 1:], space.eq_tol), axis=1)[:, None]
     # identity, reverse direction: zero distance away from the diagonal
     near_zero = ~degenerate & (np.abs(d) <= te)
-    spread = carrier.spread(xs)
-    if per > 1:
-        d, te, degenerate, near_zero, spread = (
-            np.repeat(v, per) for v in (d, te, degenerate, near_zero, spread))
     return (
         ("nonneg", 0.0, d, te, None),
         ("identity", np.abs(d), 0.0, te, degenerate),
-        ("identity-reverse", spread, np.maximum(10.0 * te, space.eq_tol), 0.0, near_zero),
+        ("identity-reverse", carrier.spread(xs)[:, None], np.maximum(10.0 * te, space.eq_tol),
+         0.0, near_zero),
         # simplex: d <= sum_i rep(x_i, pivot)
         ("simplex", d, rhs, scaled_tols(tol, d, rhs), None),
     )
 
 
-def _base_code(pts: np.ndarray, n: int) -> np.ndarray:
-    """Each row of an (m, width) array of indices below ``n``, read as a base-n
-    number, its first column the leading digit."""
-    code = pts[:, 0]
-    for j in range(1, pts.shape[1]):
-        code = code * n + pts[:, j]
-    return code
+def _grid_tuples(pts: np.ndarray, n: int, first: int) -> bool:
+    """Whether ``pts``, entries of indices below ``n``, are the entries of the
+    t-tuples ``first``, ``first + 1``, ... of the product grid: each t-tuple,
+    read as a base-n number with its first point the leading digit, followed
+    by the pivots 0, ..., n - 1."""
+    m, w = len(pts) // n, pts.shape[1]
+    heads = pts[::n]
+    code = heads[:, 0]
+    for j in range(1, w - 1):
+        code = code * n + heads[:, j]
+    # Within a run, each entry but the last has the next one's t-tuple.
+    flat = pts.reshape(-1)
+    same = np.empty(len(flat), dtype=bool)
+    np.equal(flat[w:], flat[:-w], out=same[:-w])
+    tuple_cols = np.tile(np.arange(w) < w - 1, n - 1)
+    return bool(np.array_equal(code, np.arange(first, first + m))
+                and (pts[:, -1].reshape(m, n) == np.arange(n)).all()
+                and (same.reshape(m, n * w)[:, :(n - 1) * w] == tuple_cols).all())
 
 
 def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
@@ -538,15 +583,16 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
     On a finite carrier of n points, a set of n^(t+1) entries may be the
     product grid of (t+1)-tuples in ``itertools.product`` order, which
     exhaustive sampling draws: each t-tuple followed by all n pivots.  Its
-    blocks hold whole t-tuples with all their pivots, and a block whose
-    entries, read as base-n numbers, are their own indices is the grid's
-    slice; the points decide, not the set's ``exhaustive`` flag.  There each
-    tuple's distance, tolerances and identity tests are computed once and
-    repeated over its pivots, and the simplex right-hand side is added up
-    from one n x n table of rep_many values, in the order the entry-by-entry
-    sweep adds them.  Every entry gets the values that sweep computes for
-    it, and the block is recorded in entry order, so the report is
-    bit-identical.  Other blocks, and other sets, are swept entry by entry.
+    blocks hold up to BLOCK whole t-tuples with all their pivots, and a
+    block whose points are the grid's is swept as an (m tuples, n pivots)
+    grid; the points decide, not the set's ``exhaustive`` flag.  There each
+    tuple's distance, tolerances and identity tests are computed and
+    recorded once, for all n of its entries, and the simplex right-hand
+    side is added up from one n x n table of rep_many values, in the order
+    the entry-by-entry sweep adds them.  Every entry gets the values that
+    sweep computes for it, and the block is recorded in entry order, so the
+    report is bit-identical.  Other blocks, and other sets, are swept entry
+    by entry.
     """
     rec = _Recorder("axioms", max_witnesses)
     t, carrier = space.t, space.carrier
@@ -554,23 +600,22 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
     reps = None
     with np.errstate(invalid="ignore", over="ignore"):
         for start, pts in _blocks(carrier, samples, t + 1, "check_axioms", max(n, 1)):
-            xs = pts[:, :t]
-            if n and np.array_equal(_base_code(pts, n), np.arange(start, start + len(pts))):
+            if n and _grid_tuples(pts, n, start // n):
                 if reps is None:
                     idx = carrier.array(np.arange(n))
                     reps = space.rep_many(np.repeat(idx, n), np.tile(idx, n)).reshape(n, n)
-                xs = np.asfortranarray(xs[::n])  # column-major: columns are read one by one
+                xs = np.asfortranarray(pts[::n, :t])  # column-major: columns are read one by one
                 rhs = np.zeros((len(xs), n))
                 for i in range(t):
                     rhs += np.take(reps, xs[:, i], axis=0)
-                checks = _axiom_laws(space, xs, rhs.ravel(), tol, n)
             else:
+                xs = pts[:, :t]
                 rhs = np.zeros(len(pts))
                 for i in range(t):
                     rhs += space.rep_many(xs[:, i], pts[:, t])
-                checks = _axiom_laws(space, xs, rhs, tol, 1)
+                rhs = rhs[:, None]
             rec.add_many(lambda law, i: samples.entry(start + i)[:t + 1 if law == "simplex" else t],
-                         checks)
+                         _axiom_laws(space, xs, rhs, tol))
     return rec.report(exhaustive=samples.exhaustive)
 
 

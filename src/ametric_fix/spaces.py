@@ -166,10 +166,11 @@ def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
     running diagnostics against deliberately broken tables.
     """
     rows = _validate_table(table).tolist()
-    arr = np.array(rows)
+    size = len(rows)
+    flat = np.array(rows).ravel()
     zero_diagonal = not any(row[i] for i, row in enumerate(rows))
-    return pair_lift(t, lambda i, j: rows[i][j], FiniteCarrier(len(rows)),
-                     zero_diagonal=zero_diagonal, base_many=lambda i, j: arr[i, j],
+    return pair_lift(t, lambda i, j: rows[i][j], FiniteCarrier(size),
+                     zero_diagonal=zero_diagonal, base_many=lambda i, j: flat.take(i * size + j),
                      eq_tol=eq_tol)
 
 

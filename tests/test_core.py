@@ -291,6 +291,39 @@ def test_finite_carrier_rejects_indices_just_outside(points):
         FiniteCarrier(3).array(points)
 
 
+@pytest.fixture
+def no_canon(monkeypatch):
+    """Box.canon and FiniteCarrier.canon raise: only the array fast paths validate."""
+    def refuse(self, p):
+        raise AssertionError(f"canon called on {p!r}")
+
+    monkeypatch.setattr(Box, "canon", refuse)
+    monkeypatch.setattr(FiniteCarrier, "canon", refuse)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_box_array_takes_plain_points_in_bounds_as_they_are(no_canon, d):
+    box = Box.of(-1.0, 1.0, d)
+    # Both slack bounds, and points inside; at d = 2 each point is a tuple.
+    values = [box._lo_slack[0], -0.5, 0.0, 0.25, box._hi_slack[0]]
+    points = values if d == 1 else [(v, -v) for v in values]
+    expected = np.array(points, dtype=float)
+    for given in (points, tuple(points)):
+        arr = box.array(given)
+        assert arr.dtype == float and arr.shape == expected.shape
+        assert arr.tolist() == expected.tolist()
+    assert box.array(expected) is expected
+
+
+def test_finite_carrier_array_takes_plain_indices_in_bounds_as_they_are(no_canon):
+    carrier = FiniteCarrier(5)
+    for given in ([0, 2, 4], [4, 0], [0], [4]):
+        arr = carrier.array(given)
+        assert arr.dtype == np.intp and arr.tolist() == given
+        indices = np.array(given, dtype=np.intp)
+        assert carrier.array(indices) is indices
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_points_equal_admits_a_gap_of_exactly_eq_tol(d):
     s = make_absdiff_space(3, d=d, eq_tol=0.5)

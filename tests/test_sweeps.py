@@ -915,6 +915,89 @@ def test_exhaustive_grid_sweep_at_the_size_limit():
     assert as_json(check_axioms(space, samples)) == as_json(ref.check_axioms(space, samples))
 
 
+@pytest.mark.parametrize("max_witnesses", [1, 3, 7, 8, 100])
+@pytest.mark.parametrize("kind, t", [("zeros", 2), ("zeros", 3), ("broken", 2), ("broken", 3)])
+def test_grid_witness_cut_inside_a_tuple_run_matches_reference(block, kind, t, max_witnesses):
+    # A per-tuple law fails on all 7 pivots of a tuple, in a run of entries
+    # that simplex violations of the same or nearby tuples interleave with;
+    # 1, 3, 7 and 8 witnesses cut the list inside or at the end of a run.
+    space = table_space(t, grid_table(kind, 7))
+    samples = axiom_samples(space, 1, SEED)
+    report = check_axioms(space, samples, max_witnesses=max_witnesses)
+    assert as_json(report) == grid_reference(kind, 7, t, max_witnesses)
+    every = json.loads(grid_reference(kind, 7, t, 100))["violations"]
+    simplex = [v["law"] == "simplex" for v in every]
+    assert not simplex[0] and sum(a != b for a, b in zip(simplex, simplex[1:])) >= 2
+
+
+def test_grid_violations_interleave_within_a_tuple_run():
+    # broken at t=2: tuple (0, 0) fails identity on every pivot and simplex
+    # on pivot 3, so a witness list of 3 to 7 ends inside the tuple's run.
+    laws = [(v["law"], v["witness"]) for v in
+            json.loads(grid_reference("broken", 7, 2, 8))["violations"]]
+    assert laws == [("identity", [0, 0])] * 4 + [("simplex", [0, 0, 3])] + [("identity", [0, 0])] * 3
+
+
+def scalar_add_loop(rec, checks, shape):
+    """``checks`` recorded through ``_Recorder.add``, entry by entry over ``shape``."""
+    for i in range(math.prod(shape)):
+        for law, lhs, rhs, tol, where in checks:
+            if where is None or np.broadcast_to(where, shape).flat[i]:
+                lhs_i, rhs_i, tol_i = (float(np.broadcast_to(v, shape).flat[i]) for v in (lhs, rhs, tol))
+                rec.add(law, (i,), lhs_i, rhs_i, tol_i)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_add_many_per_tuple_and_per_entry_laws_match_the_scalar_loop(seed):
+    # An (m, 1) law next to an (m, n) one, and a (1, n) law under an (m, n)
+    # mask: gaps of both signs of zero, NaN, violations and masks, with room
+    # for a few witnesses.
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(1, 5, size=2)
+    values = np.array([-2.0, -0.0, 0.0, 1.0, math.nan])
+    p = [0.3, 0.25, 0.25, 0.1, 0.1]
+    checks = (
+        ("per-tuple", rng.choice(values, (m, 1), p=p), 0.0, rng.choice([0.0, 0.5], (m, 1)),
+         rng.random((m, 1)) < 0.7),
+        ("per-entry", rng.choice(values, (m, n), p=p), rng.choice([0.0, -0.0], (m, n)), 0.0, None),
+        ("per-pivot", rng.choice(values, (1, n), p=p), 0.0, 0.0, rng.random((m, n)) < 0.5),
+    )
+    max_witnesses = int(rng.integers(0, 8))
+    fast, slow = core._Recorder("mix", max_witnesses), core._Recorder("mix", max_witnesses)
+    fast.add_many(lambda law, i: (i,), checks)
+    scalar_add_loop(slow, checks, (m, n))
+    assert as_json(fast.report()) == as_json(slow.report())
+
+
+def test_add_many_first_zero_gap_wins_across_broadcast_laws():
+    # Entry 2 (row 0) gives the per-entry law a zero; row 1 gives the
+    # per-tuple law a zero of the other sign from entry 3 on.  The scalar
+    # loop keeps the first one.
+    for zero in (-0.0, 0.0):
+        per_tuple = np.array([[-1.0], [-zero]])
+        per_entry = np.array([[-1.0, -1.0, zero], [-zero, -1.0, -1.0]])
+        checks = (("per-tuple", per_tuple, 0.0, 0.0, None), ("per-entry", per_entry, 0.0, 0.0, None))
+        fast, slow = core._Recorder("mix", 10), core._Recorder("mix", 10)
+        fast.add_many(lambda law, i: (i,), checks)
+        scalar_add_loop(slow, checks, (2, 3))
+        assert as_json(fast.report()) == as_json(slow.report())
+        assert repr(fast.max_gap) == repr(zero)
+
+
+def test_exhaustive_grid_sweep_at_the_size_limit_stays_in_bounded_memory():
+    # 20,736 t-tuples of 12 pivots each, in blocks of BLOCK whole tuples.
+    space = table_space(4, grid_table("line", 12))
+    samples = axiom_samples(space, 1, SEED)
+    tracemalloc.start()
+    try:
+        report = check_axioms(space, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == 2 * 12 ** 5 + 12 ** 2
+    assert peak < 4 * 1024 * 1024
+
+
 @pytest.mark.parametrize("order", ["reversed", "pivot-first", "one-swap"])
 def test_grid_entries_out_of_order_take_the_entry_sweep(block, order):
     # Sets flagged exhaustive but not in product order: each block that is not
@@ -944,5 +1027,15 @@ def test_set_not_of_grid_size_takes_the_entry_sweep(block):
     # set of 4 entries, not 2^3, is never read as a grid, whatever its points.
     space, rows = counting_distance(table_space(2, grid_table("broken", 2)))
     samples = SampleSet.from_entries(space, [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)])
+    assert as_json(check_axioms(space, samples)) == as_json(ref.check_axioms(space, samples))
+    assert sum(rows) == 4
+
+
+def test_set_not_of_grid_size_takes_the_entry_sweep_whatever_its_t_tuples(block):
+    # Read as a grid of one point, these entries pass the grid test: their
+    # t-tuples' digit sums count up 0, 1, 2, 3 and every pivot is 0.  A set
+    # of 4 entries, not 2^4, is still swept entry by entry.
+    space, rows = counting_distance(table_space(3, grid_table("broken", 2)))
+    samples = SampleSet.from_entries(space, [(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0)])
     assert as_json(check_axioms(space, samples)) == as_json(ref.check_axioms(space, samples))
     assert sum(rows) == 4
