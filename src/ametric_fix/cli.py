@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from contextlib import suppress
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .core import _jsonable, check_axioms, check_symmetry, check_triangle_inequality, points_equal
@@ -466,8 +466,9 @@ def _setup_logging():
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
 
 
-def main(argv=None) -> int:
-    _setup_logging()
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of :func:`main` (not at import) and kept."""
     parser = argparse.ArgumentParser(
         prog="ametric-fix",
         description="Certify branch-contractive self-maps on arity-t metric "
@@ -479,8 +480,13 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out-dir", default=".", help="directory for reports (default: .)")
         p.add_argument("--seed", type=int, default=None, help="override sampling.seed")
+    return parser
+
+
+def main(argv=None) -> int:
+    _setup_logging()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return EXIT_PASS if not err.code else EXIT_USAGE
     try:

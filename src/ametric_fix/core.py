@@ -54,6 +54,9 @@ _CONTAIN_SLACK = 1e-12
 # memory is a few arrays of this length, whatever the sample or trace size.
 BLOCK = 4096
 
+# Violations a check report keeps as witnesses; violations_total counts all.
+MAX_WITNESSES = 100
+
 
 def _only(values, cls) -> bool:
     """True when every value is exactly of type ``cls`` (bool is not int)."""
@@ -392,11 +395,11 @@ def _jsonable(obj):
 
 
 class _Recorder:
-    """Accumulates inequality instances and their worst gap."""
+    """Accumulates inequality instances, their worst gap and the first ``cap`` violations."""
 
-    def __init__(self, name: str, max_witnesses: int):
+    def __init__(self, name: str):
         self.name = name
-        self.max_witnesses = max_witnesses
+        self.cap = MAX_WITNESSES
         self.checked = 0
         self.total = 0
         self.max_gap = -math.inf
@@ -409,7 +412,7 @@ class _Recorder:
             self.max_gap = gap
         if gap > tol:
             self.total += 1
-            if len(self.violations) < self.max_witnesses:
+            if len(self.violations) < self.cap:
                 self.violations.append(Violation(law, witness, lhs, rhs, gap, tol))
 
     def add_many(self, witness: Callable[[str, int], tuple], checks: Sequence[tuple]):
@@ -438,7 +441,7 @@ class _Recorder:
         size = math.prod(shape)
         if not size:
             return
-        room = max(self.max_witnesses - len(self.violations), 0)
+        room = self.cap - len(self.violations)
         found, tops = [], []
         for pos, (law, lhs, rhs, tol, where, gap, bad) in enumerate(laws):
             if where is None:
@@ -572,8 +575,7 @@ def _grid_tuples(pts: np.ndarray, n: int, first: int) -> bool:
                 and (same.reshape(m, n * w)[:, :(n - 1) * w] == tuple_cols).all())
 
 
-def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
-                 max_witnesses: int = 100) -> CheckReport:
+def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9) -> CheckReport:
     """Evaluate the three defining laws on every sampled (tuple, pivot) entry.
 
     The identity law is tested in both directions: an all-equal tuple must
@@ -592,9 +594,9 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
     the entry-by-entry sweep adds them.  Every entry gets the values that
     sweep computes for it, and the block is recorded in entry order, so the
     report is bit-identical.  Other blocks, and other sets, are swept entry
-    by entry.
+    by entry.  The report keeps the first ``MAX_WITNESSES`` violations.
     """
-    rec = _Recorder("axioms", max_witnesses)
+    rec = _Recorder("axioms")
     t, carrier = space.t, space.carrier
     n = carrier.size if carrier.finite and len(samples) == carrier.size ** (t + 1) else 0
     reps = None
@@ -619,10 +621,9 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9,
     return rec.report(exhaustive=samples.exhaustive)
 
 
-def check_symmetry(space: AMetricSpace, pairs: SampleSet, tol: float = 1e-9,
-                   max_witnesses: int = 100) -> CheckReport:
-    """Two-point reduction must not depend on argument order."""
-    rec = _Recorder("symmetry", max_witnesses)
+def check_symmetry(space: AMetricSpace, pairs: SampleSet, tol: float = 1e-9) -> CheckReport:
+    """Two-point reduction must not depend on argument order; keeps ``MAX_WITNESSES`` witnesses."""
+    rec = _Recorder("symmetry")
     with np.errstate(invalid="ignore", over="ignore"):
         for start, pts in _blocks(space.carrier, pairs, 2, "check_symmetry"):
             x, y = pts[:, 0], pts[:, 1]
@@ -634,15 +635,15 @@ def check_symmetry(space: AMetricSpace, pairs: SampleSet, tol: float = 1e-9,
     return rec.report(exhaustive=pairs.exhaustive)
 
 
-def check_triangle_inequality(space: AMetricSpace, triples: SampleSet, tol: float = 1e-9,
-                              max_witnesses: int = 100) -> CheckReport:
+def check_triangle_inequality(space: AMetricSpace, triples: SampleSet,
+                              tol: float = 1e-9) -> CheckReport:
     """Both triangle-type forms of the two-point reduction.
 
-    For each sampled (x, y, z):
+    For each sampled (x, y, z), keeping the first ``MAX_WITNESSES`` violations:
         rep(x, z) <= (t-1) * rep(x, y) + rep(z, y)
         rep(x, z) <= (t-1) * rep(x, y) + rep(y, z)
     """
-    rec = _Recorder("triangle", max_witnesses)
+    rec = _Recorder("triangle")
     tm1, rep = space.t - 1, space.rep_many
     with np.errstate(invalid="ignore", over="ignore"):
         for start, pts in _blocks(space.carrier, triples, 3, "check_triangle_inequality"):

@@ -227,17 +227,18 @@ def picard_run(space: AMetricSpace, f: SelfMap, x0: Point, delta: float,
                        d0=d0, t=space.t, status=status, limit=limit)
 
 
-def verify_decay(trace: PicardTrace, tol: float = 1e-9, max_witnesses: int = 100) -> CheckReport:
+def verify_decay(trace: PicardTrace, tol: float = 1e-9) -> CheckReport:
     """Geometric decay of the step sequence under the trace's delta.
 
     Asserts d_n <= delta * d_{n-1} and d_n <= delta^n * d_0 for every
     recorded step, in one array pass over the steps and the envelope table.
+    The report keeps the first ``core.MAX_WITNESSES`` violations.
     """
     if not trace.monitored:
         raise UsageError("verify_decay needs a trace with envelope monitoring enabled")
     steps = np.array(trace.steps, dtype=float)
     bound = trace.envelope[0][:len(steps)]
-    rec = _Recorder("decay", max_witnesses)
+    rec = _Recorder("decay")
     with np.errstate(invalid="ignore", over="ignore"):
         # Entry n of ratio is delta * d_{n-1}; entry 0 is masked out.
         ratio = trace.delta * np.concatenate((steps[:1], steps[:-1]))
@@ -248,8 +249,7 @@ def verify_decay(trace: PicardTrace, tol: float = 1e-9, max_witnesses: int = 100
     return rec.report(exhaustive=True)
 
 
-def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
-                  max_witnesses: int = 100) -> CheckReport:
+def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9) -> CheckReport:
     """Pairwise iterate distances against the tail envelope.
 
     For all recorded n < m, asserts rep(x_n, x_m) <= tail(n).  Iterates are
@@ -268,7 +268,7 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
     (n, m) order, BLOCK pairs at a time, so the violations, their count and
     their order are those of the full sweep.  ``checked`` counts all
     n(n-1)/2 pairs, and ``max_gap`` is the largest of the cleared rows' and
-    the swept pairs' gaps.
+    the swept pairs' gaps.  The first ``core.MAX_WITNESSES`` violations are kept.
     """
     if not trace.monitored:
         raise UsageError("verify_cauchy needs a trace with envelope monitoring enabled")
@@ -276,7 +276,7 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
     if n_pts < 3:
         raise UsageError(f"verify_cauchy needs at least 3 iterates, got {n_pts}")
     pts = space.carrier.array(trace.iterates)
-    rec = _Recorder("cauchy", max_witnesses)
+    rec = _Recorder("cauchy")
     tails = trace.envelope[1][:n_pts - 1]
     rows = np.arange(n_pts - 1)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -305,7 +305,7 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9,
 
 
 def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Sequence[PicardTrace],
-                     rule: StopRule, *, max_witnesses: int = 100) -> CheckReport:
+                     rule: StopRule) -> CheckReport:
     """Multi-start agreement: every run must converge to one common point.
 
     ``traces`` are finished runs under ``rule`` with one delta, one per start
@@ -316,12 +316,13 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Sequence[PicardTra
     may stop anywhere within bound_eps of the fixed point p: two such limits
     a, b are rep(a, b) <= (t-1) rep(a, p) + rep(b, p) <= t * bound_eps apart,
     and the step after a limit, below its envelope delta^n * d0, is within
-    bound_eps.  Both terms are added to the respective tolerances.
+    bound_eps.  Both terms are added to the respective tolerances.  The
+    report keeps the first ``core.MAX_WITNESSES`` violations.
     """
     if len(traces) < 2 or len({trace.delta for trace in traces}) > 1:
         raise UsageError("uniqueness_probe needs at least 2 runs, all with one delta")
     delta = traces[0].delta
-    rec = _Recorder("uniqueness", max_witnesses)
+    rec = _Recorder("uniqueness")
     limits = []
     for trace in traces:
         x0 = trace.iterates[0]

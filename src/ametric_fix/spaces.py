@@ -228,14 +228,18 @@ MAP_PARAMS = {
     "finite-table": ("images",),
 }
 MAP_KINDS = tuple(MAP_PARAMS)
+_MAP_DEFAULTS = {"shift": {"offset": 1.0}}  # map kind -> its optional parameters' defaults
 
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Declarative self-map description, JSON round-trippable."""
+    """Declarative self-map description, JSON round-trippable, defaults included."""
 
     kind: str
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", {**_MAP_DEFAULTS.get(self.kind, {}), **self.params})
 
     @staticmethod
     def of(kind: str, **params) -> "MapSpec":
@@ -323,16 +327,16 @@ def _two_sevenths_many(xs: np.ndarray) -> np.ndarray:
     return np.where(np.abs(xs) < _TWICE_OVERFLOWS, 2.0 * xs / 7.0, 2.0 * (xs / 7.0))
 
 
-def _param(spec: MapSpec, name: str, default=None, required: bool = False):
-    if name in spec.params:
-        return spec.params[name]
-    if required:
+def _param(spec: MapSpec, name: str):
+    if name not in spec.params:
         raise UsageError(f"map kind {spec.kind!r} requires parameter {name!r}")
-    return default
+    return spec.params[name]
 
 
 def _finite_real(value, what: str) -> float:
     try:
+        if isinstance(value, (str, bool)):  # float() would read either as a number
+            raise TypeError
         v = float(value)
     except (TypeError, ValueError):
         raise UsageError(f"{what} must be a real number, got {value!r}") from None
@@ -351,7 +355,7 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
     if kind == "finite-table":
         if not finite:
             raise UsageError("finite-table maps need a finite carrier")
-        images = _param(spec, "images", required=True)
+        images = _param(spec, "images")
         size = carrier.size
         if (not isinstance(images, (list, tuple)) or len(images) != size
                 or any(isinstance(v, bool) or not isinstance(v, int) for v in images)):
@@ -366,14 +370,14 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
     if kind == "two-sevenths":
         return _by_coordinate(carrier, _two_sevenths, _two_sevenths_many)
     if kind == "linear-scale":
-        lam = _finite_real(_param(spec, "lam", required=True), "lam")
+        lam = _finite_real(_param(spec, "lam"), "lam")
         return _by_coordinate(carrier, lambda x: lam * x)
     if kind == "affine":
-        alpha = _finite_real(_param(spec, "alpha", required=True), "alpha")
-        beta = _finite_real(_param(spec, "beta", required=True), "beta")
+        alpha = _finite_real(_param(spec, "alpha"), "alpha")
+        beta = _finite_real(_param(spec, "beta"), "beta")
         return _by_coordinate(carrier, lambda x: alpha * x + beta)
     if kind == "constant":
-        value = _param(spec, "value", required=True)
+        value = _param(spec, "value")
         if finite:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise UsageError("a constant map on a finite carrier needs an integer index")
@@ -386,16 +390,16 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
     if kind == "identity":
         return (lambda p: p), (lambda pts: pts)
     if kind == "shift":
-        offset = _finite_real(_param(spec, "offset", 1.0), "offset")
+        offset = _finite_real(_param(spec, "offset"), "offset")
         return _by_coordinate(carrier, lambda x: x + offset)
     if kind == "piecewise":
         if carrier.d != 1:
             raise UsageError("piecewise maps are one-dimensional")
-        breaks = _param(spec, "breakpoints", required=True)
+        breaks = _param(spec, "breakpoints")
         if not isinstance(breaks, (list, tuple)):
             raise UsageError(f"breakpoints must be a list, got {breaks!r}")
         breaks = [_finite_real(v, "breakpoint") for v in breaks]
-        pieces = _param(spec, "pieces", required=True)
+        pieces = _param(spec, "pieces")
         if not isinstance(pieces, (list, tuple)):
             raise UsageError(f"pieces must be a list, got {pieces!r}")
         if any(b >= c for b, c in zip(breaks, breaks[1:])):

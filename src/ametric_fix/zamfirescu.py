@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     AMetricSpace,
     CheckReport,
@@ -170,14 +171,14 @@ class ZamfirescuCertificate:
                           "branch_counts": self.branch_counts, "witnesses": self.witnesses})
 
 
-def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet, *,
-             max_witnesses: int = 100) -> ZamfirescuCertificate:
+def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet) -> ZamfirescuCertificate:
     """Certify (or reject) a self-map over a sampled or exhaustive pair set.
 
     Valid exactly when every pair's best normalized requirement stays below
-    1. Witnesses are the pairs for which no branch is feasible.  The
-    assignment threshold is the worst per-pair minimum, so the reported
-    constants realize the smallest possible maximum normalized constant.
+    1. Witnesses are the first ``core.MAX_WITNESSES`` pairs for which no
+    branch is feasible.  The assignment threshold is the worst per-pair
+    minimum, so the reported constants realize the smallest possible
+    maximum normalized constant.
     """
     if len(pairs) == 0:
         raise UsageError("classify needs a nonempty pair set")
@@ -207,7 +208,7 @@ def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet, *,
     a, b, c = (_running_max(req[branch == i + 1]) for i, req in enumerate(reqs))
 
     witnesses = tuple(BranchConstants(*pairs.entry(i), *(float(r[i]) for r in reqs))
-                      for i in np.flatnonzero(ratio >= 1.0)[:max(max_witnesses, 0)])
+                      for i in np.flatnonzero(ratio >= 1.0)[:core.MAX_WITNESSES])
     delta = compute_delta(a, b, c, t) if valid else None
     return ZamfirescuCertificate(
         t=t,
@@ -224,19 +225,19 @@ def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet, *,
 
 
 def verify_contraction_inequalities(space: AMetricSpace, f: SelfMap, delta: float,
-                                    pairs: SampleSet, tol: float = 1e-9,
-                                    max_witnesses: int = 100) -> CheckReport:
+                                    pairs: SampleSet, tol: float = 1e-9) -> CheckReport:
     """Check the two damped-contraction consequences of a certificate.
 
     For every sampled pair (x, y):
         rep(fx, fy) <= delta * rep(x, y) + t * delta * rep(fx, x)
         rep(fx, fy) <= delta * rep(x, y) + t * delta * rep(fy, x)
+    The first ``core.MAX_WITNESSES`` violations are kept.
     """
     if not (0.0 <= delta < 1.0):
         raise UsageError(f"need 0 <= delta < 1, got {delta!r}")
     if len(pairs) == 0:
         raise UsageError("verify_contraction_inequalities needs a nonempty pair set")
-    rec = _Recorder("contraction", max_witnesses)
+    rec = _Recorder("contraction")
     t, rep = space.t, space.rep_many
     with np.errstate(invalid="ignore", over="ignore"):
         for start, x, y, fx, fy in _image_blocks(space, f, pairs, "verify_contraction_inequalities"):

@@ -35,6 +35,15 @@ class Given(tuple):
         return tuple(self)
 
 
+def _recorder(name, max_witnesses):
+    """A recorder keeping the first ``max_witnesses`` violations: the
+    reference takes its cap as an argument, the array path reads
+    ``core.MAX_WITNESSES``."""
+    rec = _Recorder(name)
+    rec.cap = max_witnesses
+    return rec
+
+
 def _require_entries(samples, width, what):
     if len(samples) == 0:
         raise UsageError(f"{what} needs a nonempty sample set")
@@ -63,7 +72,7 @@ def _spread(carrier, pts):
 
 def check_axioms(space, samples, tol=1e-9, max_witnesses=100):
     entries = _require_entries(samples, space.t + 1, "check_axioms")
-    rec = _Recorder("axioms", max_witnesses)
+    rec = _recorder("axioms", max_witnesses)
     t, carrier, rep, eq_tol = space.t, space.carrier, space.rep_fn, space.eq_tol
     for entry in entries:
         pts = tuple(map(carrier.canon, entry))
@@ -84,7 +93,7 @@ def check_axioms(space, samples, tol=1e-9, max_witnesses=100):
 
 def check_symmetry(space, pairs, tol=1e-9, max_witnesses=100):
     entries = _require_entries(pairs, 2, "check_symmetry")
-    rec = _Recorder("symmetry", max_witnesses)
+    rec = _recorder("symmetry", max_witnesses)
     canon, rep = space.carrier.canon, space.rep_fn
     for entry in entries:
         x, y = canon(entry[0]), canon(entry[1])
@@ -96,7 +105,7 @@ def check_symmetry(space, pairs, tol=1e-9, max_witnesses=100):
 
 def check_triangle_inequality(space, triples, tol=1e-9, max_witnesses=100):
     entries = _require_entries(triples, 3, "check_triangle_inequality")
-    rec = _Recorder("triangle", max_witnesses)
+    rec = _recorder("triangle", max_witnesses)
     tm1 = space.t - 1
     canon, rep = space.carrier.canon, space.rep_fn
     for entry in entries:
@@ -113,7 +122,7 @@ def check_triangle_inequality(space, triples, tol=1e-9, max_witnesses=100):
 def verify_decay(trace, tol=1e-9, max_witnesses=100):
     if not trace.monitored:
         raise UsageError("verify_decay needs a trace with envelope monitoring enabled")
-    rec = _Recorder("decay", max_witnesses)
+    rec = _recorder("decay", max_witnesses)
     for n, step in enumerate(trace.steps):
         if n > 0:
             rhs = trace.delta * trace.steps[n - 1]
@@ -126,7 +135,7 @@ def verify_decay(trace, tol=1e-9, max_witnesses=100):
 def verify_cauchy(trace, space, tol=1e-9, max_witnesses=100):
     pts = list(map(space.carrier.canon, trace.iterates))
     rep = space.rep_fn
-    rec = _Recorder("cauchy", max_witnesses)
+    rec = _recorder("cauchy", max_witnesses)
     n_pts = len(pts)
     for n in range(n_pts - 1):
         envelope = trace.tail(n)
@@ -208,7 +217,7 @@ def verify_contraction_inequalities(space, f, delta, pairs, tol=1e-9, max_witnes
         raise UsageError(f"need 0 <= delta < 1, got {delta!r}")
     if len(pairs) == 0:
         raise UsageError("verify_contraction_inequalities needs a nonempty pair set")
-    rec = _Recorder("contraction", max_witnesses)
+    rec = _recorder("contraction", max_witnesses)
     t = space.t
     canon, rep = space.carrier.canon, space.rep_fn
     for x, y in pairs:

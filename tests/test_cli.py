@@ -407,6 +407,17 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_reuses_its_parser_across_calls(tmp_path, capsys):
+    # A run, a usage error and a run again: the parser keeps no state of a call.
+    cfg = write_cfg(tmp_path, PAPER_CFG)
+    argv = ["axioms", "--config", cfg, "--out-dir", str(tmp_path)]
+    assert run(argv, capsys)[0] == 0
+    code, out, err = run(["axioms", "--out-dir", str(tmp_path)], capsys)
+    assert code == 2 and out == "" and "--config" in err
+    assert run(argv, capsys)[:2] == (0, str(tmp_path / "report.json") + "\n")
+    assert cli._parser() is cli._parser()
+
+
 def test_exit_codes_stay_in_contract(tmp_path, capsys):
     cfg = write_cfg(tmp_path, PAPER_CFG)
     for argv in (
@@ -569,6 +580,11 @@ def test_defaults_are_materialized():
     assert materialize_config(nulls, "cfg.json") == expected
 
 
+def test_shift_offset_default_is_materialized():
+    doc = dict(PAPER_CFG, map={"kind": "shift"})
+    assert materialize_config(doc, "cfg.json")["map"] == {"kind": "shift", "offset": 1.0}
+
+
 def _paper_with(**sections):
     doc = json.loads(json.dumps(PAPER_CFG))
     doc.update(sections)
@@ -596,9 +612,23 @@ def _piecewise(breakpoints, pieces):
     (_paper_with(map={"kind": "linear-scale", "lam": 0.5, "lamda": 0.99}),
      "map kind 'linear-scale' has no parameter 'lamda'"),
     (b'{"space": "\xff"}', "config is not UTF-8"),
+    (_paper_with(map={"kind": "linear-scale", "lam": "0.5"}), "lam must be a real number, got '0.5'"),
+    (_paper_with(map={"kind": "linear-scale", "lam": True}), "lam must be a real number, got True"),
+    (_paper_with(map={"kind": "affine", "alpha": "0.5", "beta": 0}),
+     "alpha must be a real number, got '0.5'"),
+    (_paper_with(map={"kind": "affine", "alpha": 0.5, "beta": False}),
+     "beta must be a real number, got False"),
+    (_paper_with(map={"kind": "shift", "offset": True}), "offset must be a real number, got True"),
+    (_paper_with(map={"kind": "constant", "value": "0.3"}), "value must be a real number, got '0.3'"),
+    (_paper_with(map={"kind": "constant", "value": [True]}), "value must be a real number, got True"),
+    (_piecewise(["0"], [[0.5, 0], [0.25, 0]]), "breakpoint must be a real number, got '0'"),
+    (_piecewise([0.0], [[True, 0], [0.25, 0]]), "slope must be a real number, got True"),
+    (_piecewise([0.0], [[0.5, "1"], [0.25, 0]]), "intercept must be a real number, got '1'"),
 ], ids=["tolerances-5", "solver-5", "sampling-5", "outputs-7", "space-list", "eps-null",
         "piece-short", "piece-int", "breakpoints-int", "pieces-null", "box-overflow",
-        "param-overflow", "unknown-map-parameter", "not-utf8"])
+        "param-overflow", "unknown-map-parameter", "not-utf8", "lam-string", "lam-bool",
+        "alpha-string", "beta-bool", "offset-bool", "value-string", "value-list-bool",
+        "breakpoint-string", "slope-bool", "intercept-string"])
 def test_malformed_config_exits_two(doc, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())

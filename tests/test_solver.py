@@ -31,6 +31,7 @@ from ametric_fix import (
     verify_cauchy,
     verify_decay,
 )
+from ametric_fix import core
 
 SEED = 91
 
@@ -322,14 +323,18 @@ def test_uniqueness_probe_names_each_run_by_its_first_iterate():
         uniqueness_probe(s, f, [converged(1.0, 0.0), converged(2.0, 0.0, delta=0.25)], StopRule())
 
 
-def test_uniqueness_probe_takes_max_witnesses_by_keyword_only():
-    # A fifth positional argument, as the tolerance the probe once took, is refused.
+def test_uniqueness_probe_takes_no_fifth_argument_and_no_witness_cap(monkeypatch):
+    # A fifth positional argument, as the tolerance the probe once took, is
+    # refused, and so is a witness cap: core.MAX_WITNESSES sets it.
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("identity"), s)
     runs = [converged(1.0, 0.0), converged(2.0, 5.0)]  # two fixed points of the identity
     with pytest.raises(TypeError):
         uniqueness_probe(s, f, runs, StopRule(), 1e-9)
-    report = uniqueness_probe(s, f, runs, StopRule(), max_witnesses=0)
+    with pytest.raises(TypeError):
+        uniqueness_probe(s, f, runs, StopRule(), max_witnesses=0)
+    monkeypatch.setattr(core, "MAX_WITNESSES", 0)
+    report = uniqueness_probe(s, f, runs, StopRule())
     assert report.violations_total > 0 and report.violations == ()
 
 

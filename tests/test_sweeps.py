@@ -11,6 +11,7 @@ boundaries, rows of the Cauchy sweep split across blocks and violations
 in several blocks are exercised.
 """
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -31,6 +32,7 @@ from ametric_fix import (
     SelfMap,
     StopRule,
     axiom_samples,
+    branch_constants,
     check_axioms,
     check_symmetry,
     check_triangle_inequality,
@@ -41,6 +43,7 @@ from ametric_fix import (
     picard_run,
     table_space,
     triple_samples,
+    uniqueness_probe,
     verify_cauchy,
     verify_contraction_inequalities,
     verify_decay,
@@ -74,13 +77,24 @@ def as_json(report):
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
-def assert_law_checks_match(space, n=200, seed=SEED, **kwargs):
+@contextlib.contextmanager
+def witness_cap(k):
+    """The array path keeping k witnesses per check; the reference takes its
+    cap as an argument."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "MAX_WITNESSES", k)
+        yield
+
+
+def assert_law_checks_match(space, n=200, seed=SEED, tol=1e-9, max_witnesses=100):
     for fast, slow, samples in (
         (check_axioms, ref.check_axioms, axiom_samples(space, n, seed)),
         (check_symmetry, ref.check_symmetry, pair_samples(space, n, seed)),
         (check_triangle_inequality, ref.check_triangle_inequality, triple_samples(space, n, seed)),
     ):
-        assert as_json(fast(space, samples, **kwargs)) == as_json(slow(space, samples, **kwargs))
+        with witness_cap(max_witnesses):
+            report = fast(space, samples, tol)
+        assert as_json(report) == as_json(slow(space, samples, tol, max_witnesses))
 
 
 @pytest.mark.parametrize("t", [2, 3, 8])
@@ -110,7 +124,8 @@ def test_broken_table_matches_reference(block, t, max_witnesses):
     samples = axiom_samples(space, 300, SEED)
     every = ref.check_axioms(space, samples, max_witnesses=10 ** 6)
     assert {v.law for v in every.violations} == {"nonneg", "identity", "identity-reverse", "simplex"}
-    report = check_axioms(space, samples, max_witnesses=max_witnesses)
+    with witness_cap(max_witnesses):
+        report = check_axioms(space, samples)
     assert len(report.violations) == min(max_witnesses, report.violations_total)
     for v in report.violations:
         # Python floats, and the entry as given (its first t points for all
@@ -195,7 +210,8 @@ def spiked_trace(n_pts=160, spikes=(40, 90, 150)):
 @pytest.mark.parametrize("max_witnesses", [1, 3, 100])
 def test_cauchy_matches_reference_across_blocks(block, max_witnesses):
     s, trace = spiked_trace()
-    report = verify_cauchy(trace, s, max_witnesses=max_witnesses)
+    with witness_cap(max_witnesses):
+        report = verify_cauchy(trace, s)
     assert report.checked == 160 * 159 // 2 > core.BLOCK
     # Violations land in several blocks of either size.
     positions = {(n * (2 * 160 - n - 1)) // 2 + (m - n - 1) for n, m in
@@ -267,7 +283,8 @@ def test_decay_matches_reference(block, kind):
     trace = decay_case(kind)
     for tol in (1e-9, -2.0):  # -2 (1 + |value|): every instance is a violation
         for k in (1, 3, 100):
-            fast = verify_decay(trace, tol, k)
+            with witness_cap(k):
+                fast = verify_decay(trace, tol)
             assert as_json(fast) == as_json(ref.verify_decay(trace, tol, k))
     report = verify_decay(trace)
     if kind == "broken":
@@ -315,7 +332,8 @@ def test_decay_and_summary_read_the_envelope_table():
 def assert_cauchy_matches(space, trace, tols=(1e-9, -2.0), witnesses=(1, 3, 100)):
     for tol in tols:
         for k in witnesses:
-            fast = verify_cauchy(trace, space, tol, k)
+            with witness_cap(k):
+                fast = verify_cauchy(trace, space, tol)
             assert as_json(fast) == as_json(ref.verify_cauchy(trace, space, tol, k))
     return verify_cauchy(trace, space)
 
@@ -345,7 +363,8 @@ def test_cauchy_violations_in_separate_rows_match_reference(block, kind):
     s, trace = separated_violations_trace(kind)
     assert (s.farthest_later is None) == (kind == "table")
     report = assert_cauchy_matches(s, trace)
-    every = verify_cauchy(trace, s, max_witnesses=10 ** 6)
+    with witness_cap(10 ** 6):
+        every = verify_cauchy(trace, s)
     assert {n for n, _ in (v.witness for v in every.violations)} == (
         {3, 6} if kind == "table" else {5, 12, 20})
     assert report.checked == len(trace.iterates) * (len(trace.iterates) - 1) // 2
@@ -550,7 +569,8 @@ def test_long_trace_pair_sweep_stays_in_bounded_memory():
 def assert_certificate_matches(space, f, pairs, max_witnesses=100):
     """classify and the contraction check agree with the reference: full JSON,
     assignments (as Python ints) and the first error, if any."""
-    fast = classify(space, f, pairs, max_witnesses=max_witnesses)
+    with witness_cap(max_witnesses):
+        fast = classify(space, f, pairs)
     slow = ref.classify(space, f, pairs, max_witnesses=max_witnesses)
     assert as_json(fast) == as_json(slow)
     assert fast.assignments == slow.assignments
@@ -558,9 +578,10 @@ def assert_certificate_matches(space, f, pairs, max_witnesses=100):
     deltas = {0.0, 0.5} | ({fast.delta} if fast.valid else set())
     for delta in sorted(deltas):
         for tol in (1e-9, -2.0):  # -2 (1 + |value|): every instance is a violation
-            args = (space, f, delta, pairs, tol, max_witnesses)
-            assert as_json(verify_contraction_inequalities(*args)) == as_json(
-                ref.verify_contraction_inequalities(*args))
+            args = (space, f, delta, pairs, tol)
+            with witness_cap(max_witnesses):
+                report = verify_contraction_inequalities(*args)
+            assert as_json(report) == as_json(ref.verify_contraction_inequalities(*args, max_witnesses))
     return fast
 
 
@@ -751,9 +772,10 @@ def assert_drawn_matches_given(space, spec, n=60, seed=SEED):
             (check_triangle_inequality, triple_samples))
     for check, sampler in laws:
         drawn = sampler(space, n, seed)
-        for kwargs in ({}, {"tol": -2.0, "max_witnesses": 3}):  # -2: every instance fails
-            assert as_json(check(space, drawn, **kwargs)) == as_json(
-                check(space, given_twin(space, drawn), **kwargs))
+        for tol, cap in ((1e-9, 100), (-2.0, 3)):  # -2: every instance fails
+            with witness_cap(cap):
+                assert as_json(check(space, drawn, tol)) == as_json(
+                    check(space, given_twin(space, drawn), tol))
     pairs = pair_samples(space, n, seed)
     cert, twin = classify(space, f, pairs), classify(space, f, given_twin(space, pairs))
     assert as_json(cert) == as_json(twin)
@@ -892,17 +914,18 @@ def test_exhaustive_grid_sweep_matches_reference(block, n, t, kind, max_witnesse
     space, rows = counting_distance(table_space(t, grid_table(kind, n)))
     samples = axiom_samples(space, 1, SEED)
     assert samples.exhaustive and len(samples) == n ** (t + 1)
-    report = check_axioms(space, samples, max_witnesses=max_witnesses)
+    with witness_cap(max_witnesses):
+        report = check_axioms(space, samples)
     assert as_json(report) == grid_reference(kind, n, t, max_witnesses)
     # One distance per t-tuple, not one per entry.
     assert sum(rows) == n ** t
 
 
 def test_exhaustive_grid_sweep_fires_every_law():
-    laws = {kind: {v.law for v in check_axioms(space, axiom_samples(space, 1, SEED),
-                                               max_witnesses=10 ** 6).violations}
-            for kind, space in ((kind, table_space(3, grid_table(kind, 7)))
-                                for kind in ("line", "zeros", "broken"))}
+    with witness_cap(10 ** 6):
+        laws = {kind: {v.law for v in check_axioms(space, axiom_samples(space, 1, SEED)).violations}
+                for kind, space in ((kind, table_space(3, grid_table(kind, 7)))
+                                    for kind in ("line", "zeros", "broken"))}
     assert not laws["line"]
     assert "identity-reverse" in laws["zeros"]
     assert {"identity", "simplex"} <= laws["broken"]
@@ -923,7 +946,8 @@ def test_grid_witness_cut_inside_a_tuple_run_matches_reference(block, kind, t, m
     # 1, 3, 7 and 8 witnesses cut the list inside or at the end of a run.
     space = table_space(t, grid_table(kind, 7))
     samples = axiom_samples(space, 1, SEED)
-    report = check_axioms(space, samples, max_witnesses=max_witnesses)
+    with witness_cap(max_witnesses):
+        report = check_axioms(space, samples)
     assert as_json(report) == grid_reference(kind, 7, t, max_witnesses)
     every = json.loads(grid_reference(kind, 7, t, 100))["violations"]
     simplex = [v["law"] == "simplex" for v in every]
@@ -963,7 +987,8 @@ def test_add_many_per_tuple_and_per_entry_laws_match_the_scalar_loop(seed):
         ("per-pivot", rng.choice(values, (1, n), p=p), 0.0, 0.0, rng.random((m, n)) < 0.5),
     )
     max_witnesses = int(rng.integers(0, 8))
-    fast, slow = core._Recorder("mix", max_witnesses), core._Recorder("mix", max_witnesses)
+    with witness_cap(max_witnesses):
+        fast, slow = core._Recorder("mix"), core._Recorder("mix")
     fast.add_many(lambda law, i: (i,), checks)
     scalar_add_loop(slow, checks, (m, n))
     assert as_json(fast.report()) == as_json(slow.report())
@@ -977,7 +1002,8 @@ def test_add_many_first_zero_gap_wins_across_broadcast_laws():
         per_tuple = np.array([[-1.0], [-zero]])
         per_entry = np.array([[-1.0, -1.0, zero], [-zero, -1.0, -1.0]])
         checks = (("per-tuple", per_tuple, 0.0, 0.0, None), ("per-entry", per_entry, 0.0, 0.0, None))
-        fast, slow = core._Recorder("mix", 10), core._Recorder("mix", 10)
+        with witness_cap(10):
+            fast, slow = core._Recorder("mix"), core._Recorder("mix")
         fast.add_many(lambda law, i: (i,), checks)
         scalar_add_loop(slow, checks, (2, 3))
         assert as_json(fast.report()) == as_json(slow.report())
@@ -1013,7 +1039,8 @@ def test_grid_entries_out_of_order_take_the_entry_sweep(block, order):
     samples = SampleSet.from_entries(space, entries, exhaustive=True)
     for max_witnesses in (1, 3, 100):
         rows.clear()
-        report = check_axioms(space, samples, max_witnesses=max_witnesses)
+        with witness_cap(max_witnesses):
+            report = check_axioms(space, samples)
         assert as_json(report) == as_json(ref.check_axioms(space, samples, max_witnesses=max_witnesses))
         if order == "one-swap" and block is not None:
             # Only the block holding the swap is swept entry by entry.
@@ -1039,3 +1066,45 @@ def test_set_not_of_grid_size_takes_the_entry_sweep_whatever_its_t_tuples(block)
     samples = SampleSet.from_entries(space, [(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0)])
     assert as_json(check_axioms(space, samples)) == as_json(ref.check_axioms(space, samples))
     assert sum(rows) == 4
+
+
+
+def capped_check(name):
+    """One of the eight capped checks on input it fails on more than 3
+    times: its witnesses, and the count the cap applies to."""
+    s = make_absdiff_space(3)
+    identity = make_map(MapSpec.of("identity"), s)
+    pairs = pair_samples(s, 20, SEED)
+    rule = StopRule()
+    if name == "classify":
+        infeasible = sum(min(branch_constants(s, identity, x, y).normalized(3)) >= 1.0
+                         for x, y in pairs)
+        return classify(s, identity, pairs).witnesses, infeasible
+    trace = picard_run(s, make_map(MapSpec.of("linear-scale", lam=0.5), s), 7.0, 0.5, rule)
+    broken = table_space(3, BROKEN)
+    run = {  # a tolerance of -2 makes every instance fail
+        "check_axioms": lambda: check_axioms(broken, axiom_samples(broken, 300, SEED)),
+        "check_symmetry": lambda: check_symmetry(s, pairs, -2.0),
+        "check_triangle_inequality": lambda: check_triangle_inequality(
+            s, triple_samples(s, 20, SEED), -2.0),
+        "verify_decay": lambda: verify_decay(trace, -2.0),
+        "verify_cauchy": lambda: verify_cauchy(trace, s, -2.0),
+        # The identity fixes every start, so the six pairs of limits disagree.
+        "uniqueness_probe": lambda: uniqueness_probe(
+            s, identity, [picard_run(s, identity, x, 0.5, rule) for x in (1.0, 2.0, 3.0, 4.0)], rule),
+        "verify_contraction_inequalities": lambda: verify_contraction_inequalities(
+            s, identity, 0.5, pairs, -2.0),
+    }[name]
+    report = run()
+    return report.violations, report.violations_total
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("name", [
+    "check_axioms", "check_symmetry", "check_triangle_inequality", "verify_decay",
+    "verify_cauchy", "uniqueness_probe", "classify", "verify_contraction_inequalities"])
+def test_one_cap_sets_the_witnesses_of_every_check(monkeypatch, name, k):
+    monkeypatch.setattr(core, "MAX_WITNESSES", k)
+    witnesses, total = capped_check(name)
+    assert total > 3
+    assert len(witnesses) == min(k, total)

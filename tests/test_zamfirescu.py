@@ -29,9 +29,11 @@ from ametric_fix import (
     make_map,
     pair_samples,
     rep_distance,
+    table_space,
     verify_contraction_inequalities,
 )
 from ametric_fix.sampling import STREAM_HOLDOUT
+from ametric_fix.zamfirescu import BRANCH_CHATTERJEA
 
 SEED = 424242
 
@@ -121,11 +123,38 @@ def test_classify_constant_map():
     assert cert.a == 0.0 and cert.delta == 0.0
 
 
+def test_branch_counts_count_every_branch():
+    # On the line 2, 3, 7 at t=3, f = (0, 2, 2) puts the pairs (0, 1) and
+    # (1, 0) on the Chatterjea branch: rep(f0, f1) = 10 against a Banach
+    # base of 2, a Kannan sum of 8 and a Chatterjea sum of 12, normalized
+    # requirements 5, 3.75 and 2.5, and only the last is within the worst
+    # per-pair minimum.
+    s = table_space(3, [[0.0, 1.0, 5.0], [1.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
+    f = make_map(MapSpec.of("finite-table", images=[0, 2, 2]), s)
+    cert = classify(s, f, pair_samples(s, 1, SEED))
+    assert cert.assignments.count(BRANCH_CHATTERJEA) == 2
+    assert cert.branch_counts == {"banach": 7, "kannan": 0, "chatterjea": 2}
+
+
+@pytest.mark.parametrize("q, kannan", [(1.0 + 1e-8, 2), (1.0 + 1e-9, 0)])
+def test_assignment_threshold_is_worst_times_one_plus_1e_9(q, kannan):
+    # t=2, base 0-1: 1, 1-2: q, 0-2: 1.5, f = (1, 2, 2).  The pairs (0, 1)
+    # and (1, 0) are the worst, with Kannan ratio 2q / (1 + q) and Banach
+    # ratio q, (1 + q) / 2 times more: 1 + 5e-9 or 1 + 5e-10.  Banach is
+    # taken only within a relative 1e-9 of the worst.
+    s = table_space(2, [[0.0, 1.0, 1.5], [1.0, 0.0, q], [1.5, q, 0.0]])
+    f = make_map(MapSpec.of("finite-table", images=[1, 2, 2]), s)
+    cert = classify(s, f, pair_samples(s, 1, SEED))
+    assert cert.branch_counts == {"banach": 9 - kannan, "kannan": kannan, "chatterjea": 0}
+
+
 def test_classify_empty_pairs():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("identity"), s)
     with pytest.raises(UsageError):
         classify(s, f, SampleSet.from_entries(s, []))
+    # One pair is enough.
+    assert classify(s, f, SampleSet.from_entries(s, [(1.0, 2.0)])).n_pairs == 1
 
 
 def test_valid_certificate_pairs_satisfy_some_branch():
@@ -212,6 +241,26 @@ def test_contraction_inequalities_forged_delta_fails():
     assert report.violations[0].lhs > 0
 
 
+@pytest.mark.parametrize("delta", [1.0, -1e-300])
+def test_contraction_check_needs_delta_in_zero_one(delta):
+    s = make_absdiff_space(3)
+    f = make_map(MapSpec.of("two-sevenths"), s)
+    with pytest.raises(UsageError):
+        verify_contraction_inequalities(s, f, delta, grid_pairs(s))
+
+
+def test_contraction_check_default_tolerance_is_1e_9():
+    # t=2, f = (0, 2, 2), delta 0.5: the pair (0, 1) has lhs base(0, 2) =
+    # 0.5 + 3.75e-9 against the own-step bound 0.5, a gap of 2.5e-9 times
+    # its scale 1 + 0.5 + 3.75e-9.
+    s = table_space(2, [[0.0, 1.0, 0.5 + 3.75e-9], [1.0, 0.0, 1.0], [0.5 + 3.75e-9, 1.0, 0.0]])
+    f = make_map(MapSpec.of("finite-table", images=[0, 2, 2]), s)
+    pairs = SampleSet.from_entries(s, [(0, 1)])
+    report = verify_contraction_inequalities(s, f, 0.5, pairs)
+    assert [v.law for v in report.violations] == ["contraction-own-step"]
+    assert verify_contraction_inequalities(s, f, 0.5, pairs, 1e-8).passed
+
+
 def test_certificate_serializes_with_infinite_witnesses():
     s = make_absdiff_space(3)
     f = make_map(MapSpec.of("identity"), s)
@@ -229,6 +278,11 @@ def test_delta_with_margin():
     cert = classify(s, f, grid_pairs(s))
     inflated = cert.delta_with_margin(1e-9)
     assert cert.delta < inflated < cert.delta * (1 + 1e-8)
+    # The default margin is 1e-9, and a zero margin is allowed.
+    assert cert.delta_with_margin() == inflated
+    assert cert.delta_with_margin(0.0) == cert.delta
+    with pytest.raises(UsageError):
+        cert.delta_with_margin(-1e-300)
     bad = classify(s, make_map(MapSpec.of("identity"), s), grid_pairs(s))
     with pytest.raises(UsageError):
         bad.delta_with_margin()
