@@ -25,7 +25,9 @@ finite carrier of n points, the product grid of (t+1)-tuples, is swept by
 t-tuple and pivot instead, in blocks of up to ``BLOCK`` t-tuples with all n
 of their pivots: one distance per t-tuple, and the laws that depend on the
 t-tuple alone recorded once for all of its pivots, with the report of the
-entry-by-entry sweep, bit for bit (see :func:`check_axioms`).
+entry-by-entry sweep, bit for bit (see :func:`check_axioms`).  A report's
+``max_gap`` is the largest gap, with a zero written as 0.0, so its sign
+never depends on the order in which a sweep meets the entries.
 All comparisons between distances use an absolute tolerance scaled by the
 magnitudes involved, since distances grow with the arity and the
 coordinate range.
@@ -69,7 +71,6 @@ class Box:
 
     lo: tuple
     hi: tuple
-    scale: float = field(init=False, repr=False, compare=False)
     _lo_slack: tuple = field(init=False, repr=False, compare=False)
     _hi_slack: tuple = field(init=False, repr=False, compare=False)
     finite = False
@@ -84,7 +85,6 @@ class Box:
                 raise UsageError(f"box width of [{a}, {b}] overflows a float")
         scale = max(max(abs(v) for v in self.lo), max(abs(v) for v in self.hi))
         slack = _CONTAIN_SLACK * (1.0 + scale)
-        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_lo_slack", tuple(a - slack for a in self.lo))
         object.__setattr__(self, "_hi_slack", tuple(b + slack for b in self.hi))
 
@@ -427,8 +427,8 @@ class _Recorder:
         law is tested once per value and counted once per entry, and only its
         failing values are expanded into entries.  ``witness(law, i)`` is the
         witness of entry i.  The first violations are kept in scalar order,
-        by entry and then by law, and ``max_gap`` gets the value the scalar
-        running maximum would, down to the sign of a zero.
+        by entry and then by law, and ``max_gap`` is the largest gap, which
+        :meth:`report` writes with a zero as ``0.0``.
         """
         laws = []
         for law, lhs, rhs, tol, where in checks:
@@ -442,32 +442,20 @@ class _Recorder:
         if not size:
             return
         room = self.cap - len(self.violations)
-        found, tops = [], []
+        found, tops = [], [self.max_gap]
         for pos, (law, lhs, rhs, tol, where, gap, bad) in enumerate(laws):
             if where is None:
                 self.checked += size
-                top = np.fmax.reduce(gap, axis=None, initial=-math.inf)
+                tops.append(float(np.fmax.reduce(gap, axis=None, initial=-math.inf)))
             else:
                 self.checked += size // where.size * int(np.count_nonzero(where))
-                top = np.fmax.reduce(gap, axis=None, where=where, initial=-math.inf)
-            tops.append((float(top), gap, where))
+                tops.append(float(np.fmax.reduce(gap, axis=None, where=where, initial=-math.inf)))
             count = int(np.count_nonzero(bad))
             self.total += size // bad.size * count
             if count and room:
                 entries = np.flatnonzero(np.broadcast_to(bad, shape))[:room]
                 found.extend((int(i), pos, law, lhs, rhs, gap, tol) for i in entries)
-        top = max((law_top for law_top, _, _ in tops), default=-math.inf)
-        if top > self.max_gap:
-            if top == 0.0:
-                # Tied gaps differ only in the sign of zero: the first one wins.
-                firsts = []
-                for pos, (law_top, gap, where) in enumerate(tops):
-                    if law_top == 0.0:
-                        zero = gap == 0.0 if where is None else where & (gap == 0.0)
-                        firsts.append((_entry(int(np.argmax(zero)), zero.shape, shape), pos))
-                i, pos = min(firsts)
-                top = _item(tops[pos][1], i, shape)
-            self.max_gap = top
+        self.max_gap = max(tops)
         found.sort(key=lambda v: v[:2])
         for i, _, law, lhs, rhs, gap, tol in found[:room]:
             self.violations.append(Violation(law, witness(law, i), _item(lhs, i, shape),
@@ -475,22 +463,21 @@ class _Recorder:
                                              _item(tol, i, shape)))
 
     def add_cleared(self, count: int, top: float):
-        """Record ``count`` entries shown to pass without enumerating them.
-
-        ``top`` is their largest gap.  It must not be a zero: which sign of
-        zero the scalar running maximum keeps depends on the entries' order.
-        """
+        """Record ``count`` entries shown to pass without enumerating them;
+        ``top`` is their largest gap."""
         self.checked += count
         if top > self.max_gap:
             self.max_gap = top
 
     def report(self, exhaustive: bool = False, info: dict | None = None) -> CheckReport:
+        """The check's report.  Its ``max_gap`` is the largest gap, 0.0 when no
+        instance was checked; adding 0.0 writes a zero of either sign as 0.0."""
         return CheckReport(
             name=self.name,
             checked=self.checked,
             violations=tuple(self.violations),
             violations_total=self.total,
-            max_gap=self.max_gap if self.checked else 0.0,
+            max_gap=self.max_gap + 0.0 if self.checked else 0.0,
             passed=self.total == 0,
             exhaustive=exhaustive,
             info=info or {},
@@ -500,17 +487,6 @@ class _Recorder:
 def _item(v, i: int, shape: tuple) -> float:
     """Entry i of a float or float array broadcast to ``shape``, as a float."""
     return float(np.broadcast_to(v, shape).flat[i])
-
-
-def _entry(k: int, lshape: tuple, shape: tuple) -> int:
-    """The first entry of ``shape`` that flat index k of an array of shape
-    ``lshape`` covers when broadcast to ``shape``."""
-    i, stride = 0, 1
-    for lsize, size in zip(reversed(lshape), reversed(shape)):
-        k, c = divmod(k, lsize)
-        i += c * stride
-        stride *= size
-    return i
 
 
 def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str, group: int = 1):
@@ -555,23 +531,16 @@ def _axiom_laws(space: AMetricSpace, xs: np.ndarray, rhs: np.ndarray, tol: float
     )
 
 
-def _grid_tuples(pts: np.ndarray, n: int, first: int) -> bool:
-    """Whether ``pts``, entries of indices below ``n``, are the entries of the
-    t-tuples ``first``, ``first + 1``, ... of the product grid: each t-tuple,
-    read as a base-n number with its first point the leading digit, followed
+def _grid_runs(pts: np.ndarray, n: int) -> bool:
+    """Whether ``pts`` are runs of ``n`` entries, each run one t-tuple followed
     by the pivots 0, ..., n - 1."""
     m, w = len(pts) // n, pts.shape[1]
-    heads = pts[::n]
-    code = heads[:, 0]
-    for j in range(1, w - 1):
-        code = code * n + heads[:, j]
     # Within a run, each entry but the last has the next one's t-tuple.
     flat = pts.reshape(-1)
     same = np.empty(len(flat), dtype=bool)
     np.equal(flat[w:], flat[:-w], out=same[:-w])
     tuple_cols = np.tile(np.arange(w) < w - 1, n - 1)
-    return bool(np.array_equal(code, np.arange(first, first + m))
-                and (pts[:, -1].reshape(m, n) == np.arange(n)).all()
+    return bool((pts[:, -1].reshape(m, n) == np.arange(n)).all()
                 and (same.reshape(m, n * w)[:, :(n - 1) * w] == tuple_cols).all())
 
 
@@ -583,11 +552,11 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9) -> 
     tuple (exactly degenerate on finite carriers).
 
     On a finite carrier of n points, a set of n^(t+1) entries may be the
-    product grid of (t+1)-tuples in ``itertools.product`` order, which
-    exhaustive sampling draws: each t-tuple followed by all n pivots.  Its
-    blocks hold up to BLOCK whole t-tuples with all their pivots, and a
-    block whose points are the grid's is swept as an (m tuples, n pivots)
-    grid; the points decide, not the set's ``exhaustive`` flag.  There each
+    product grid of (t+1)-tuples, which exhaustive sampling draws: runs of
+    n entries, each one t-tuple followed by the pivots 0, ..., n - 1.  Its
+    blocks hold up to BLOCK whole runs, and a block made of such runs is
+    swept as an (m tuples, n pivots) grid, whatever order its t-tuples come
+    in; the points decide, not the set's ``exhaustive`` flag.  There each
     tuple's distance, tolerances and identity tests are computed and
     recorded once, for all n of its entries, and the simplex right-hand
     side is added up from one n x n table of rep_many values, in the order
@@ -602,7 +571,7 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9) -> 
     reps = None
     with np.errstate(invalid="ignore", over="ignore"):
         for start, pts in _blocks(carrier, samples, t + 1, "check_axioms", max(n, 1)):
-            if n and _grid_tuples(pts, n, start // n):
+            if n and _grid_runs(pts, n):
                 if reps is None:
                     idx = carrier.array(np.arange(n))
                     reps = space.rep_many(np.repeat(idx, n), np.tile(idx, n)).reshape(n, n)

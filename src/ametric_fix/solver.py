@@ -262,13 +262,13 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9) ->
     val - tail(n) <= scaled_tol(tol, tail(n)).  That test is exact: every
     pair of the row has a gap fl(rep - tail(n)) <= fl(val - tail(n)), and a
     scaled tolerance scaled_tol(tol, rep, tail(n)) >= scaled_tol(tol,
-    tail(n)).  A NaN or +inf gap never clears a row, and neither does a
-    largest gap that is a zero, whose sign the pair order decides.  The other rows, and
+    tail(n)).  A NaN or +inf gap never clears a row.  The other rows, and
     every row of a space without the kernel, are swept pair by pair in
     (n, m) order, BLOCK pairs at a time, so the violations, their count and
     their order are those of the full sweep.  ``checked`` counts all
     n(n-1)/2 pairs, and ``max_gap`` is the largest of the cleared rows' and
-    the swept pairs' gaps.  The first ``core.MAX_WITNESSES`` violations are kept.
+    the swept pairs' gaps, a zero written as 0.0.  The first
+    ``core.MAX_WITNESSES`` violations are kept.
     """
     if not trace.monitored:
         raise UsageError("verify_cauchy needs a trace with envelope monitoring enabled")
@@ -282,7 +282,7 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9) ->
     with np.errstate(invalid="ignore", over="ignore"):
         if space.farthest_later is not None and tol >= 0.0:
             gap = space.rep_many(pts[:-1], pts[space.farthest_later(pts)]) - tails
-            cleared = (gap <= scaled_tols(tol, tails)) & (gap != 0.0)
+            cleared = gap <= scaled_tols(tol, tails)
             rec.add_cleared(int((n_pts - 1 - rows[cleared]).sum()),
                             float(np.max(gap, where=cleared, initial=-math.inf)))
             rows = rows[~cleared]

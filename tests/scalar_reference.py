@@ -7,7 +7,8 @@ expressions over blocks.  They use only the scalar forms of a space, a map
 and a trace (`carrier.canon`, `distance`, `rep_fn`, `f.fn`,
 `trace.bound(n)`, `trace.tail(n)`) and `_Recorder.add`, so the
 differential tests can require the array path to give the same report,
-down to the last bit and the sign of a zero.
+down to the last bit.  Both sides write their reports through
+`_Recorder.report`, which writes a zero max_gap as 0.0.
 """
 
 import math

@@ -14,7 +14,9 @@ import math
 import pytest
 
 from ametric_fix import (
+    AMetricSpace,
     CarrierDomainError,
+    FiniteCarrier,
     MapSpec,
     PicardTrace,
     SelfMap,
@@ -36,6 +38,14 @@ from ametric_fix import core
 SEED = 91
 
 DISCRETE_3 = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+
+
+def scheduled(steps):
+    """A space on the indices 0..len(steps) and the map i -> i + 1, whose
+    Picard run from 0 takes exactly the given steps: rep(i + 1, i) = steps[i]."""
+    space = AMetricSpace(t=3, distance=lambda pts: 0.0, carrier=FiniteCarrier(len(steps) + 1),
+                         rep_fn=lambda x, y: steps[min(x, y)])
+    return space, SelfMap(kind="next", fn=lambda i: i + 1)
 
 
 def paper_trace(t=3, eps=1e-12):
@@ -72,6 +82,8 @@ def test_picard_start_already_fixed():
     assert trace.steps == ()
     assert trace.iterates == (0.0,)
     assert trace.limit == 0.0
+    summary = trace.summary_dict()
+    assert (summary["d0"], summary["final_step"]) == (0.0, 0.0)
 
 
 def test_picard_shift_hits_max_iter():
@@ -82,6 +94,54 @@ def test_picard_shift_hits_max_iter():
     assert trace.limit is None
     assert len(trace.steps) == 50
     assert not trace.monitored
+
+
+def test_stop_rule_bounds():
+    # eps and bound_eps must be positive and max_iter at least 1.
+    for bad in ({"eps": 0.0}, {"bound_eps": 0.0}, {"max_iter": 0}):
+        with pytest.raises(UsageError):
+            StopRule(**bad)
+    s, f = scheduled([2.0, 1.0])
+    trace = picard_run(s, f, 0, 0.5, StopRule(max_iter=1))
+    assert (trace.status, trace.steps) == ("max_iter", (2.0,))
+    summary = trace.summary_dict()
+    assert (summary["d0"], summary["final_step"]) == (2.0, 2.0)
+
+
+def test_picard_default_rule_stops_after_10000_steps():
+    s = make_absdiff_space(3, box=(-1e6, 1e6))
+    f = make_map(MapSpec.of("shift", offset=1.0), s, seed=SEED)
+    trace = picard_run(s, f, 0.0, -1.0, StopRule())
+    assert (trace.status, len(trace.steps)) == ("max_iter", 10_000)
+
+
+def test_picard_step_equal_to_eps_converges():
+    s, f = scheduled([1.0, 0.5, 0.25, 0.125])
+    trace = picard_run(s, f, 0, 0.5, StopRule(eps=0.25, max_iter=4))
+    assert (trace.status, trace.steps, trace.limit) == ("converged", (1.0, 0.5, 0.25), 3)
+
+
+@pytest.mark.parametrize("delta, n_steps", [(0.5, 3), (0.0, 1)])
+def test_picard_tail_bound_equal_to_bound_eps_converges(delta, n_steps):
+    # Steps of 1.0, so d0 = 1 and tail(n) = 2 * delta^n / (1 - delta): at
+    # delta = 0.5 it is 0.5 at n = 3, at delta = 0 it is 0 from n = 1 on.
+    s, f = scheduled([1.0] * 8)
+    trace = picard_run(s, f, 0, delta, StopRule(bound_eps=0.5, max_iter=8))
+    assert (trace.status, len(trace.steps)) == ("converged", n_steps)
+
+
+@pytest.mark.parametrize("growth, status", [
+    (1.0 + 5e-9, "diverged"), (1.0 + 1e-9, "max_iter"), (1.0 + 5e-10, "max_iter")])
+def test_picard_divergence_needs_growth_past_one_plus_1e_9(growth, status):
+    # Each step is the one before times ``growth``: only a factor larger
+    # than 1 + 1e-9 counts as growth.
+    steps = [1.0]
+    for _ in range(19):
+        steps.append(steps[-1] * growth)
+    s, f = scheduled(steps)
+    trace = picard_run(s, f, 0, -1.0, StopRule(max_iter=20))
+    assert trace.status == status
+    assert len(trace.steps) == (11 if status == "diverged" else 20)
 
 
 def test_picard_divergence_detected():
@@ -195,6 +255,16 @@ def test_verify_decay_forged_delta_fails():
     report = verify_decay(forged)
     assert not report.passed
     assert report.violations[0].witness  # witness carries the failing step index
+
+
+@pytest.mark.parametrize("excess, passed", [(1e-9, True), (3e-9, False)])
+def test_verify_decay_default_tolerance_is_1e_9(excess, passed):
+    # d1 = 0.5 + excess against delta * d0 = delta^1 * d0 = 0.5; the scaled
+    # tolerance at the default 1e-9 is about 1.5e-9, at 1e-8 about 1.5e-8.
+    trace = PicardTrace(iterates=(0.0,) * 3, steps=(1.0, 0.5 + excess), delta=0.5, d0=1.0, t=3,
+                        status="max_iter", limit=None)
+    assert verify_decay(trace).passed is passed
+    assert verify_decay(trace, 1e-8).passed
 
 
 def test_verify_decay_needs_monitoring():
@@ -365,6 +435,15 @@ def test_uniqueness_limits_just_past_the_agreement_tolerance_fail(bound_eps, pas
     assert [v.law for v in report.violations] == ([] if passed else ["limit-agreement"])
 
 
+def test_uniqueness_probe_bound_eps_applies_at_delta_zero():
+    # At delta = 0 the agreement tolerance still gains t * bound_eps = 3e-6:
+    # limits 0 and 1e-6 are rep = 2e-6 apart, far past the eps-based terms.
+    s = make_absdiff_space(3)
+    f = make_map(MapSpec.of("identity"), s)
+    runs = [converged(1.0, 0.0, delta=0.0), converged(2.0, 1e-6, delta=0.0)]
+    assert uniqueness_probe(s, f, runs, StopRule(eps=1e-12, bound_eps=1e-6)).passed
+
+
 def test_brute_force_fixed_points():
     s = make_lifted_space(3, DISCRETE_3)
     const = make_map(MapSpec.of("finite-table", images=[1, 1, 1]), s)
@@ -401,6 +480,12 @@ def test_csv_format():
     second = lines[2].split(",")
     assert float(second[3]) == pytest.approx(2 / 7, abs=1e-15)
     assert len(lines) == 1 + len(trace.steps)
+
+
+def test_csv_ratio_cell_is_empty_on_row_zero_and_after_a_zero_step():
+    trace = PicardTrace(iterates=(0.0,) * 5, steps=(1.0, 0.5, 0.0, 0.25), delta=0.5, d0=1.0,
+                        t=3, status="max_iter", limit=None)
+    assert [row.split(",")[3] for row in trace.to_csv().splitlines()[1:]] == ["", "0.5", "0", ""]
 
 
 def test_unmonitored_csv_leaves_envelope_columns_empty():

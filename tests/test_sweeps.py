@@ -4,11 +4,11 @@ The law checks, the decay and Cauchy checks, the Zamfirescu certificate
 and the contraction check run as numpy expressions over blocks of entries
 (the Cauchy check clears whole rows by their maxima first); the reference
 runs the same checks one Python call per entry.
-Every comparison is on the full report JSON, so counts, max_gap (with the
-sign of a zero), the first violations and their order, witnesses and info
-must all agree.  Blocks are also shrunk to a few entries so that block
-boundaries, rows of the Cauchy sweep split across blocks and violations
-in several blocks are exercised.
+Every comparison is on the full report JSON, so counts, max_gap, the first
+violations and their order, witnesses and info must all agree.  Both sides
+write a zero max_gap as 0.0, through ``_Recorder.report``.  Blocks are also
+shrunk to a few entries so that block boundaries, rows of the Cauchy sweep
+split across blocks and violations in several blocks are exercised.
 """
 
 import contextlib
@@ -178,8 +178,8 @@ def test_zero_distance_matches_reference(block, d):
 @pytest.mark.parametrize("negative_first", [True, False])
 def test_signed_zero_max_gap_matches_reference(negative_first):
     # (0, 1, 2) has gap rep(0, 2) - [2 rep(0, 1) + rep(2, 1)] = -0.0 - 0.0 = -0.0
-    # and (2, 1, 1) has gap 0.0 - 0.0 = +0.0; no gap is positive.  The scalar
-    # running maximum keeps whichever zero comes first.
+    # and (2, 1, 1) has gap 0.0 - 0.0 = +0.0; no gap is positive.  Whichever
+    # zero comes first, the report's max_gap is 0.0.
     table = {(0, 2): -0.0, (0, 1): 0.0, (2, 1): 0.0, (1, 2): 0.0, (1, 1): 0.0}
 
     def distance(pts):
@@ -190,8 +190,7 @@ def test_signed_zero_max_gap_matches_reference(negative_first):
     runs = [[(0, 1, 2)] * 100, [(2, 1, 1)] * 100]
     triples = SampleSet.from_entries(space, sum(runs if negative_first else runs[::-1], []))
     report = check_triangle_inequality(space, triples)
-    assert report.max_gap == 0.0
-    assert math.copysign(1.0, report.max_gap) == (-1.0 if negative_first else 1.0)
+    assert repr(report.max_gap) == "0.0"
     assert as_json(report) == as_json(ref.check_triangle_inequality(space, triples))
 
 
@@ -269,7 +268,8 @@ def decay_case(kind):
         # Both laws fail at n = 1, 3, 5 and 7.
         return step_trace((1.0, 0.9, 0.2, 0.5, 0.05, 0.3, 0.01, 0.6))
     if kind == "signed-zeros":
-        # Every gap is a zero; the first, -0.0 - 0.0 at n = 0, is negative.
+        # Every gap is a zero; the first, -0.0 - 0.0 at n = 0, is negative, and
+        # max_gap is still 0.0.
         return step_trace((-0.0, 0.0, -0.0, 0.0), d0=0.0)
     s = make_absdiff_space(3)
     trace = picard_run(s, make_map(MapSpec.of("linear-scale", lam=0.9), s), 0.0, 0.9, StopRule())
@@ -291,7 +291,7 @@ def test_decay_matches_reference(block, kind):
         assert [(v.law, v.witness) for v in report.violations] == [
             (law, (n,)) for n in (1, 3, 5, 7) for law in ("step-ratio", "step-envelope")]
     elif kind == "signed-zeros":
-        assert report.passed and math.copysign(1.0, report.max_gap) == -1.0
+        assert report.passed and repr(report.max_gap) == "0.0"
     elif kind == "no-steps":
         assert report.checked == 0 and report.max_gap == 0.0
     else:
@@ -336,6 +336,17 @@ def assert_cauchy_matches(space, trace, tols=(1e-9, -2.0), witnesses=(1, 3, 100)
                 fast = verify_cauchy(trace, space, tol)
             assert as_json(fast) == as_json(ref.verify_cauchy(trace, space, tol, k))
     return verify_cauchy(trace, space)
+
+
+def counting_rep(space):
+    """``space`` with its rep_many counting the pairs it is given."""
+    pairs = []
+
+    def rep_many(xs, ys):
+        pairs.append(len(xs))
+        return space.rep_many(xs, ys)
+
+    return dataclasses.replace(space, rep_many=rep_many), pairs
 
 
 def separated_violations_trace(kind):
@@ -411,13 +422,28 @@ def test_cauchy_repeated_iterates_match_reference(block, kind):
                                       ([2, 2, 0, 1, 0], 1.0)])
 def test_cauchy_signed_zero_max_gap_matches_reference(block, xs, sign):
     # A zero envelope and table values of 0.0 and -0.0: every gap is a zero,
-    # each row has zeros of both signs or of one, and the scalar running
-    # maximum keeps the first zero of the first row.
+    # each row has zeros of both signs or of one, and ``sign`` is the sign of
+    # the first gap, rep(x_0, x_1) - tail(0).  Either way max_gap is 0.0.
     s = table_space(3, [[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     trace = hand_trace(s, xs, 0.5, d0=0.0)
+    assert math.copysign(1.0, s.rep_fn(xs[0], xs[1]) - trace.tail(0)) == sign
     report = assert_cauchy_matches(s, trace)
-    assert report.passed and report.max_gap == 0.0
-    assert math.copysign(1.0, report.max_gap) == sign
+    assert report.passed and repr(report.max_gap) == "0.0"
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_cauchy_row_whose_largest_gap_is_zero_is_cleared(block, tol):
+    # tail(1) = 2 * 0.5 * d0 / 0.5 = 4.0 and row 1's largest value
+    # rep(1.0, -1.0) is 4.0: its largest gap is exactly 0.0, and the row is
+    # cleared by its maximum, like every other row, even at tol = 0.
+    s = make_absdiff_space(3)
+    trace = hand_trace(s, [0.0, 1.0, -1.0, -0.5, -0.75, -0.625], 0.5)
+    assert trace.tail(1) == s.rep_fn(1.0, -1.0) == 4.0
+    spied, pairs = counting_rep(s)
+    report = verify_cauchy(trace, spied, tol)
+    assert sum(pairs) == len(trace.iterates) - 1
+    assert report.passed and repr(report.max_gap) == "0.0"
+    assert_cauchy_matches(s, trace, tols=(tol,))
 
 
 def test_cauchy_negative_values_match_reference(block):
@@ -457,13 +483,7 @@ def test_space_without_kernel_takes_the_full_sweep(kind):
         trace = picard_run(s, f, 60.0, 0.9, StopRule(eps=1e-9))
     else:
         s, trace = real_trace(kind)
-    pairs = []
-
-    def counted(xs, ys):
-        pairs.append(len(xs))
-        return s.rep_many(xs, ys)
-
-    spied = dataclasses.replace(s, rep_many=counted)
+    spied, pairs = counting_rep(s)
     report = verify_cauchy(trace, spied)
     assert as_json(report) == as_json(ref.verify_cauchy(trace, s))
     n = len(trace.iterates)
@@ -994,10 +1014,10 @@ def test_add_many_per_tuple_and_per_entry_laws_match_the_scalar_loop(seed):
     assert as_json(fast.report()) == as_json(slow.report())
 
 
-def test_add_many_first_zero_gap_wins_across_broadcast_laws():
+def test_add_many_zero_gaps_across_broadcast_laws_report_positive_zero():
     # Entry 2 (row 0) gives the per-entry law a zero; row 1 gives the
-    # per-tuple law a zero of the other sign from entry 3 on.  The scalar
-    # loop keeps the first one.
+    # per-tuple law a zero of the other sign from entry 3 on.  Whichever
+    # zero comes first, max_gap is 0.0.
     for zero in (-0.0, 0.0):
         per_tuple = np.array([[-1.0], [-zero]])
         per_entry = np.array([[-1.0, -1.0, zero], [-zero, -1.0, -1.0]])
@@ -1007,7 +1027,7 @@ def test_add_many_first_zero_gap_wins_across_broadcast_laws():
         fast.add_many(lambda law, i: (i,), checks)
         scalar_add_loop(slow, checks, (2, 3))
         assert as_json(fast.report()) == as_json(slow.report())
-        assert repr(fast.max_gap) == repr(zero)
+        assert repr(fast.report().max_gap) == "0.0"
 
 
 def test_exhaustive_grid_sweep_at_the_size_limit_stays_in_bounded_memory():
@@ -1024,29 +1044,53 @@ def test_exhaustive_grid_sweep_at_the_size_limit_stays_in_bounded_memory():
     assert peak < 4 * 1024 * 1024
 
 
-@pytest.mark.parametrize("order", ["reversed", "pivot-first", "one-swap"])
+@pytest.mark.parametrize("order", ["reversed", "pivot-first", "one-swap", "middle-swap"])
 def test_grid_entries_out_of_order_take_the_entry_sweep(block, order):
-    # Sets flagged exhaustive but not in product order: each block that is not
-    # the grid's slice is swept entry by entry, and the report still matches.
+    # Sets flagged exhaustive but not made of runs of one t-tuple and the
+    # pivots 0..n-1 in order: each block that is not is swept entry by entry,
+    # and the report still matches.
     space, rows = counting_distance(table_space(3, grid_table("broken", 7)))
     entries = list(axiom_samples(space, 1, SEED).entries)
     if order == "reversed":
         entries.reverse()
     elif order == "pivot-first":
         entries = [e[1:] + e[:1] for e in entries]
-    else:
+    elif order == "one-swap":
         entries[-1], entries[-2] = entries[-2], entries[-1]
+    else:  # pivots 2 and 5 of the middle run swapped
+        middle = 7 * (7 ** 3 // 2)
+        entries[middle + 2], entries[middle + 5] = entries[middle + 5], entries[middle + 2]
     samples = SampleSet.from_entries(space, entries, exhaustive=True)
     for max_witnesses in (1, 3, 100):
         rows.clear()
         with witness_cap(max_witnesses):
             report = check_axioms(space, samples)
         assert as_json(report) == as_json(ref.check_axioms(space, samples, max_witnesses=max_witnesses))
-        if order == "one-swap" and block is not None:
+        if order in ("one-swap", "middle-swap") and block is not None:
             # Only the block holding the swap is swept entry by entry.
             assert 7 ** 3 < sum(rows) < len(entries)
         else:
             assert sum(rows) == len(entries)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_grid_runs_in_any_tuple_order_take_the_grid_sweep(block, order):
+    # The grid's runs of one t-tuple and all 7 pivots, not in product order:
+    # still one distance per t-tuple, and the reference's report.
+    space, rows = counting_distance(table_space(3, grid_table("broken", 7)))
+    entries = axiom_samples(space, 1, SEED).entries
+    runs = [entries[i:i + 7] for i in range(0, len(entries), 7)]
+    if order == "reversed":
+        runs.reverse()
+    else:
+        np.random.default_rng(SEED).shuffle(runs)
+    samples = SampleSet.from_entries(space, [e for run in runs for e in run], exhaustive=True)
+    for max_witnesses in (1, 3, 100):
+        rows.clear()
+        with witness_cap(max_witnesses):
+            report = check_axioms(space, samples)
+        assert as_json(report) == as_json(ref.check_axioms(space, samples, max_witnesses=max_witnesses))
+        assert sum(rows) == 7 ** 3
 
 
 def test_set_not_of_grid_size_takes_the_entry_sweep(block):

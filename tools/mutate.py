@@ -17,7 +17,8 @@ is removed at the end.  A mutant is killed when the tests fail or overrun
 the module's own test file, ``tests/test_<module>.py``, unless ``--tests``
 names others (a directory runs every test file under it).  The unmutated
 copy must pass first.  The last lines list the survivors: each one is either
-equivalent to the original or a gap in the tests.
+equivalent to the original or a gap in the tests.  SIGTERM ends the run as
+an exit does: the running pytest is killed and the directory removed.
 
 A full run costs one test run per mutant, so the script is not part of CI.
 """
@@ -28,6 +29,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -132,4 +134,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())
