@@ -20,15 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from contextlib import suppress
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 from .core import _jsonable, check_axioms, check_symmetry, check_triangle_inequality, points_equal
-from .errors import CarrierDomainError, ConstructionError, UsageError
+from .errors import CarrierDomainError, ConstructionError, UsageError, finite_real, integer
 from .sampling import (
     STREAM_HOLDOUT,
     axiom_samples,
@@ -53,61 +52,32 @@ def _fail(anchor: str, key: str, message: str):
     raise UsageError(f"{anchor}: {key}: {message}")
 
 
-def _require_int(value, anchor, key, minimum=None, maximum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(anchor, key, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(anchor, key, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        _fail(anchor, key, f"must be <= {maximum}, got {value}")
-    return value
-
-
-def _require_real(value, anchor, key, *, positive=False, nonnegative=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(anchor, key, f"expected a number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:  # an integer beyond the float range
-        v = math.inf
-    if not math.isfinite(v):
-        _fail(anchor, key, f"must be finite, got {value!r}")
-    if positive and not v > 0:
-        _fail(anchor, key, f"must be > 0, got {value!r}")
-    if nonnegative and v < 0:
-        _fail(anchor, key, f"must be >= 0, got {value!r}")
-    return v
-
-
-def _require_delta(value, anchor, key):
-    delta = _require_real(value, anchor, key)
+def _require_delta(value, what):
+    delta = finite_real(value, what)
     if delta >= 1.0:
-        _fail(anchor, key, f"must be < 1 (negative disables monitoring), got {delta}")
+        raise UsageError(f"{what} must be < 1 (negative disables monitoring), got {value!r}")
     return delta
 
 
-def _require_path(value, anchor, key):
+def _require_path(value, what):
     if not isinstance(value, str) or not value:
-        _fail(anchor, key, f"expected a nonempty string, got {value!r}")
+        raise UsageError(f"{what} must be a nonempty string, got {value!r}")
     return value
 
 
-_COUNT = partial(_require_int, minimum=1)
-_POSITIVE = partial(_require_real, positive=True)
-_NONNEGATIVE = partial(_require_real, nonnegative=True)
-
-# Every config key, section -> key -> (default, check), in the order the
-# keys are checked.  A default of None keeps an absent or null value as
-# None.  Keys mapped to None depend on other keys and are checked by hand in
-# materialize_config.
+# Every config key, section -> key -> (default, check, *bounds), in the order
+# the keys are checked by check(value, what, *bounds): a count is an integer
+# >= 1, and finite_real's bounds are a minimum and whether it is strict.  A
+# default of None keeps an absent or null value as None.  Keys mapped to None
+# depend on other keys and are checked by hand in materialize_config.
 _KEYS = {
     "space": dict.fromkeys(("kind", "t", "d", "box", "base_table")),
-    "sampling": {"seed": None, "n_tuples": (1000, _COUNT), "n_pairs": (1000, _COUNT),
-                 "n_triples": (1000, _COUNT), "n_starts": (5, _COUNT)},
-    "tolerances": {"check_tol": (1e-9, _POSITIVE), "eps": (1e-12, _POSITIVE),
-                   "bound_eps": (None, _POSITIVE), "eq_tol": (1e-12, _NONNEGATIVE),
-                   "safety_margin": (0.0, _NONNEGATIVE)},
-    "solver": {"x0": None, "max_iter": (10_000, _COUNT), "delta": (None, _require_delta)},
+    "sampling": {"seed": None, "n_tuples": (1000, integer, 1), "n_pairs": (1000, integer, 1),
+                 "n_triples": (1000, integer, 1), "n_starts": (5, integer, 1)},
+    "tolerances": {"check_tol": (1e-9, finite_real, 0, True), "eps": (1e-12, finite_real, 0, True),
+                   "bound_eps": (None, finite_real, 0, True), "eq_tol": (1e-12, finite_real, 0),
+                   "safety_margin": (0.0, finite_real, 0)},
+    "solver": {"x0": None, "max_iter": (10_000, integer, 1), "delta": (None, _require_delta)},
     "outputs": {"csv_path": ("trace.csv", _require_path), "json_path": ("report.json", _require_path)},
 }
 
@@ -134,10 +104,10 @@ def _with_defaults(section: str, given: dict, anchor: str) -> dict:
     for key, spec in _KEYS[section].items():
         if spec is None:
             continue
-        default, check = spec
+        default, check, *bounds = spec
         value = given.get(key, default)
         if value is not None or default is not None:
-            value = check(value, anchor, f"{section}.{key}")
+            value = check(value, f"{anchor}: {section}.{key}", *bounds)
         values[key] = value
     return values
 
@@ -163,14 +133,14 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
     kind = space_raw.get("kind")
     if kind not in ("absdiff", "lifted"):
         _fail(anchor, "space.kind", f"expected 'absdiff' or 'lifted', got {kind!r}")
-    t = _require_int(space_raw.get("t"), anchor, "space.t", minimum=2)
+    t = integer(space_raw.get("t"), f"{anchor}: space.t", 2)
     if kind == "absdiff":
-        d = _require_int(space_raw.get("d", 1), anchor, "space.d", minimum=1)
+        d = integer(space_raw.get("d", 1), f"{anchor}: space.d", 1)
         box = space_raw.get("box", [-100.0, 100.0])
         if not (isinstance(box, list) and len(box) == 2):
             _fail(anchor, "space.box", f"expected [lo, hi], got {box!r}")
-        lo = _require_real(box[0], anchor, "space.box[0]")
-        hi = _require_real(box[1], anchor, "space.box[1]")
+        lo = finite_real(box[0], f"{anchor}: space.box[0]")
+        hi = finite_real(box[1], f"{anchor}: space.box[1]")
         if not lo < hi:
             _fail(anchor, "space.box", f"need lo < hi, got [{lo}, {hi}]")
         cfg["space"] = {"kind": "absdiff", "t": t, "d": d, "box": [lo, hi]}
@@ -178,14 +148,13 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
         table = space_raw.get("base_table")
         if not (isinstance(table, list) and table and all(isinstance(r, list) for r in table)):
             _fail(anchor, "space.base_table", "expected a nonempty list of rows")
-        n = len(table)
+        n, rows = len(table), []
         for i, row in enumerate(table):
             if len(row) != n:
                 _fail(anchor, f"space.base_table[{i}]", f"expected {n} entries, got {len(row)}")
-            for j, v in enumerate(row):
-                _require_real(v, anchor, f"space.base_table[{i}][{j}]")
-        cfg["space"] = {"kind": "lifted", "t": t,
-                        "base_table": [[float(v) for v in row] for row in table]}
+            rows.append([finite_real(v, f"{anchor}: space.base_table[{i}][{j}]")
+                         for j, v in enumerate(row)])
+        cfg["space"] = {"kind": "lifted", "t": t, "base_table": rows}
 
     map_raw = raw.get("map")
     if not isinstance(map_raw, dict):
@@ -198,7 +167,7 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
     seed = seed_override if seed_override is not None else sampling_raw.get("seed")
     if seed is None:
         _fail(anchor, "sampling.seed", "required (runs must be reproducible)")
-    seed = _require_int(seed, anchor, "sampling.seed", minimum=0, maximum=(1 << 64) - 1)
+    seed = integer(seed, f"{anchor}: sampling.seed", 0, (1 << 64) - 1)
     cfg["sampling"] = {"seed": seed, **_with_defaults("sampling", sampling_raw, anchor)}
 
     cfg["tolerances"] = _with_defaults("tolerances", raw.get("tolerances") or {}, anchor)
@@ -208,11 +177,11 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
     # a box's is 1.0 in every coordinate.
     x0 = solver_raw.get("x0", 0 if kind == "lifted" else 1.0 if d == 1 else [1.0] * d)
     if isinstance(x0, list):
-        x0 = [_require_real(v, anchor, "solver.x0") for v in x0]
+        x0 = [finite_real(v, f"{anchor}: solver.x0") for v in x0]
     elif kind == "lifted":
-        x0 = _require_int(x0, anchor, "solver.x0", minimum=0)
+        x0 = integer(x0, f"{anchor}: solver.x0", 0)
     else:
-        x0 = _require_real(x0, anchor, "solver.x0")
+        x0 = finite_real(x0, f"{anchor}: solver.x0")
     cfg["solver"] = {"x0": x0, **_with_defaults("solver", solver_raw, anchor)}
 
     cfg["outputs"] = _with_defaults("outputs", raw.get("outputs") or {}, anchor)
@@ -253,8 +222,7 @@ def _delta_for_solving(cfg: dict, cert) -> float:
     """solver.delta if given, else the certificate's delta, widened by the safety margin."""
     if cfg["solver"]["delta"] is not None:
         return cfg["solver"]["delta"]
-    margin = cfg["tolerances"]["safety_margin"]
-    return cert.delta if margin == 0.0 else cert.delta_with_margin(margin)
+    return cert.delta_with_margin(cfg["tolerances"]["safety_margin"])
 
 
 def _write(cfg: dict, out_dir: str, key: str, text: str) -> None:

@@ -43,7 +43,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import CarrierDomainError, UsageError
+from .errors import CarrierDomainError, UsageError, finite_real, integer
 from .sampling import SampleSet
 
 Point = Union[int, float, tuple]
@@ -76,10 +76,12 @@ class Box:
     finite = False
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", tuple(finite_real(a, "lo") for a in self.lo))
+        object.__setattr__(self, "hi", tuple(finite_real(b, "hi") for b in self.hi))
         if len(self.lo) != len(self.hi) or not self.lo:
             raise UsageError("box bounds must be nonempty and of equal dimension")
         for a, b in zip(self.lo, self.hi):
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            if not a < b:
                 raise UsageError(f"invalid box bounds [{a}, {b}]")
             if not math.isfinite(b - a):
                 raise UsageError(f"box width of [{a}, {b}] overflows a float")
@@ -91,11 +93,9 @@ class Box:
     @staticmethod
     def of(lo, hi, d: int = 1) -> "Box":
         """Build a box from scalar or per-coordinate bounds."""
-        if d < 1:
-            raise UsageError(f"dimension must be >= 1, got {d}")
-        lo_t = tuple(float(v) for v in lo) if isinstance(lo, (tuple, list)) else (float(lo),) * d
-        hi_t = tuple(float(v) for v in hi) if isinstance(hi, (tuple, list)) else (float(hi),) * d
-        return Box(lo_t, hi_t)
+        d = integer(d, "d", 1)
+        lo, hi = (tuple(v) if isinstance(v, (tuple, list)) else (v,) * d for v in (lo, hi))
+        return Box(lo, hi)
 
     @property
     def d(self) -> int:
@@ -192,8 +192,7 @@ class FiniteCarrier:
     finite = True
 
     def __post_init__(self):
-        if self.size < 1:
-            raise UsageError(f"finite carrier needs at least one point, got {self.size}")
+        object.__setattr__(self, "size", integer(self.size, "size", 1))
 
     def canon(self, p) -> int:
         if isinstance(p, bool) or not isinstance(p, int):
@@ -278,10 +277,8 @@ class AMetricSpace:
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.t, bool) or not isinstance(self.t, int) or self.t < 2:
-            raise UsageError(f"arity must be an integer >= 2, got {self.t!r}")
-        if not (math.isfinite(self.eq_tol) and self.eq_tol >= 0):
-            raise UsageError(f"eq_tol must be a nonnegative real, got {self.eq_tol!r}")
+        object.__setattr__(self, "t", integer(self.t, "t", 2))
+        object.__setattr__(self, "eq_tol", finite_real(self.eq_tol, "eq_tol", 0))
         if self.rep_fn is None:
             distance, head = self.distance, self.t - 1
             object.__setattr__(self, "rep_fn", lambda x, y: float(distance((x,) * head + (y,))))
@@ -565,6 +562,7 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9) -> 
     report is bit-identical.  Other blocks, and other sets, are swept entry
     by entry.  The report keeps the first ``MAX_WITNESSES`` violations.
     """
+    tol = finite_real(tol, "tol")
     rec = _Recorder("axioms")
     t, carrier = space.t, space.carrier
     n = carrier.size if carrier.finite and len(samples) == carrier.size ** (t + 1) else 0
@@ -592,6 +590,7 @@ def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9) -> 
 
 def check_symmetry(space: AMetricSpace, pairs: SampleSet, tol: float = 1e-9) -> CheckReport:
     """Two-point reduction must not depend on argument order; keeps ``MAX_WITNESSES`` witnesses."""
+    tol = finite_real(tol, "tol")
     rec = _Recorder("symmetry")
     with np.errstate(invalid="ignore", over="ignore"):
         for start, pts in _blocks(space.carrier, pairs, 2, "check_symmetry"):
@@ -612,6 +611,7 @@ def check_triangle_inequality(space: AMetricSpace, triples: SampleSet,
         rep(x, z) <= (t-1) * rep(x, y) + rep(z, y)
         rep(x, z) <= (t-1) * rep(x, y) + rep(y, z)
     """
+    tol = finite_real(tol, "tol")
     rec = _Recorder("triangle")
     tm1, rep = space.t - 1, space.rep_many
     with np.errstate(invalid="ignore", over="ignore"):

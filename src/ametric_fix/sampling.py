@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, integer
 
 # Stream ids keep the per-purpose Philox substreams disjoint.
 STREAM_AXIOMS = 1
@@ -42,11 +42,8 @@ _MASK64 = (1 << 64) - 1
 
 def philox(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream)."""
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise UsageError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed <= _MASK64:
-        raise UsageError(f"seed must fit in 64 bits, got {seed}")
-    key = np.array([seed, stream], dtype=np.uint64)
+    key = np.array([integer(seed, "seed", 0, _MASK64), integer(stream, "stream", 0, _MASK64)],
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -107,6 +104,7 @@ def _draw(carrier, kind: str, n: int, seed: int, stream: int, patterns: list,
     ``itertools.product`` order, or ``n`` random entries and then, for each of
     ``_N_DEGENERATE`` groups of base points, one entry per index pattern."""
     width = len(patterns[0])
+    n = integer(n, f"{kind[:-1]}_samples n", 1)
     if exhaustive:
         # Row-major, so each block a sweep takes is one contiguous slice.
         grid = np.empty((carrier.size,) * width + (width,), dtype=np.intp)
@@ -114,8 +112,6 @@ def _draw(carrier, kind: str, n: int, seed: int, stream: int, patterns: list,
             grid[..., j] = axis
         points = carrier.array(grid.reshape(-1)).reshape(-1, width)
     else:
-        if n < 1:
-            raise UsageError(f"{kind[:-1]}_samples needs n >= 1")
         rng = philox(seed, stream)
         drawn = carrier.sample(rng, n * width)
         base = carrier.sample(rng, (np.max(patterns) + 1) * _N_DEGENERATE)
@@ -150,10 +146,9 @@ def triple_samples(space, n: int, seed: int) -> SampleSet:
 def start_samples(space, n: int, seed: int) -> SampleSet:
     """Starting points for multi-start runs; every point on finite carriers."""
     carrier = space.carrier
+    n = integer(n, "start_samples n", 1)
     if carrier.finite:
         points = carrier.array(np.arange(carrier.size))
-    elif n < 1:
-        raise UsageError("start_samples needs n >= 1")
     else:
         points = carrier.sample(philox(seed, STREAM_STARTS), n)
     points.flags.writeable = False

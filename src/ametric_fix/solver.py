@@ -43,7 +43,7 @@ from .core import (
     scaled_tol,
     scaled_tols,
 )
-from .errors import CarrierDomainError, UsageError
+from .errors import CarrierDomainError, UsageError, finite_real, integer
 from .spaces import SelfMap
 
 CSV_COLUMNS = ("n", "step", "bound", "ratio", "tail_bound")
@@ -60,14 +60,14 @@ _GROWTH_FACTOR = 1.0 + 1e-9
 
 def tail_bound(delta: float, t: int, d0: float, n: int) -> float:
     """Upper bound on rep(x_n, fixed point): (t-1) * delta^n * d0 / (1 - delta)."""
-    if not (0.0 <= delta < 1.0):
-        raise UsageError(f"need 0 <= delta < 1, got {delta!r}")
-    if isinstance(t, bool) or not isinstance(t, int) or t < 2:
-        raise UsageError(f"arity must be an integer >= 2, got {t!r}")
-    if not (isinstance(d0, (int, float)) and math.isfinite(d0) and d0 >= 0):
-        raise UsageError(f"d0 must be a nonnegative real, got {d0!r}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise UsageError(f"iteration index must be a nonnegative integer, got {n!r}")
+    delta = finite_real(delta, "delta", 0)
+    if delta >= 1.0:
+        raise UsageError(f"delta must be < 1, got {delta!r}")
+    return _tail(delta, integer(t, "t", 2), finite_real(d0, "d0", 0), integer(n, "n", 0))
+
+
+def _tail(delta: float, t: int, d0: float, n: int) -> float:
+    """:func:`tail_bound` on values it has checked."""
     return (t - 1) * delta ** n * d0 / (1.0 - delta)
 
 
@@ -86,12 +86,11 @@ class StopRule:
     bound_eps: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.eps, (int, float)) and self.eps > 0):
-            raise UsageError(f"eps must be positive, got {self.eps!r}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise UsageError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if self.bound_eps is not None and not self.bound_eps > 0:
-            raise UsageError(f"bound_eps must be positive when set, got {self.bound_eps!r}")
+        object.__setattr__(self, "eps", finite_real(self.eps, "eps", 0, strict=True))
+        object.__setattr__(self, "max_iter", integer(self.max_iter, "max_iter", 1))
+        if self.bound_eps is not None:
+            object.__setattr__(self, "bound_eps",
+                               finite_real(self.bound_eps, "bound_eps", 0, strict=True))
 
 
 @dataclass
@@ -181,11 +180,13 @@ def picard_run(space: AMetricSpace, f: SelfMap, x0: Point, delta: float,
                rule: StopRule) -> PicardTrace:
     """Iterate x_{n+1} = f(x_n), recording steps and envelope data.
 
-    ``delta`` in [0, 1) enables envelope monitoring; any negative value
-    disables it (for maps without a certificate).  An iterate leaving the
-    carrier raises :class:`CarrierDomainError` with the escaping index.  A
-    step whose rep is not finite ends the run, unrecorded, as ``"overflow"``.
+    ``delta`` must be finite: in [0, 1) it enables envelope monitoring; any
+    negative value disables it (for maps without a certificate).  An iterate
+    leaving the carrier raises :class:`CarrierDomainError` with the escaping
+    index.  A step whose rep is not finite ends the run, unrecorded, as
+    ``"overflow"``.
     """
+    delta = finite_real(delta, "delta")
     if delta >= 1.0:
         raise UsageError(f"need delta < 1 (or negative to disable monitoring), got {delta!r}")
     canon, rep = space.carrier.canon, space.rep_fn
@@ -216,7 +217,7 @@ def picard_run(space: AMetricSpace, f: SelfMap, x0: Point, delta: float,
         steps.append(step)
         x = nxt
         if step <= rule.eps or (bounded and
-                                tail_bound(delta, space.t, d0, len(steps)) <= rule.bound_eps):
+                                _tail(delta, space.t, d0, len(steps)) <= rule.bound_eps):
             status, limit = "converged", x
             break
         if growth_run >= _GROWTH_WINDOW:
@@ -234,6 +235,7 @@ def verify_decay(trace: PicardTrace, tol: float = 1e-9) -> CheckReport:
     recorded step, in one array pass over the steps and the envelope table.
     The report keeps the first ``core.MAX_WITNESSES`` violations.
     """
+    tol = finite_real(tol, "tol")
     if not trace.monitored:
         raise UsageError("verify_decay needs a trace with envelope monitoring enabled")
     steps = np.array(trace.steps, dtype=float)
@@ -270,6 +272,7 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9) ->
     the swept pairs' gaps, a zero written as 0.0.  The first
     ``core.MAX_WITNESSES`` violations are kept.
     """
+    tol = finite_real(tol, "tol")
     if not trace.monitored:
         raise UsageError("verify_cauchy needs a trace with envelope monitoring enabled")
     n_pts = len(trace.iterates)

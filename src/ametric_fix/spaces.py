@@ -18,14 +18,13 @@ seeded sample otherwise).
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import AMetricSpace, Box, Carrier, FiniteCarrier, Point, check_axioms
-from .errors import CarrierDomainError, ConstructionError, UsageError
+from .errors import CarrierDomainError, ConstructionError, UsageError, finite_real, integer
 from .sampling import STREAM_GATE, STREAM_MAP_CHECK, axiom_samples, philox
 
 # Axiom tuples the law gate of make_lifted_space samples.
@@ -66,6 +65,7 @@ def pair_lift(t: int, base: Callable[[Point, Point], float], carrier: Carrier, *
                 total += base(p, q)
         return total
 
+    t = integer(t, "t", 2)
     tm1 = t - 1
     same = tm1 * (tm1 - 1) // 2
     if zero_diagonal:
@@ -333,20 +333,6 @@ def _param(spec: MapSpec, name: str):
     return spec.params[name]
 
 
-def _finite_real(value, what: str) -> float:
-    try:
-        if isinstance(value, (str, bool)):  # float() would read either as a number
-            raise TypeError
-        v = float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{what} must be a real number, got {value!r}") from None
-    except OverflowError:  # an integer beyond the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise UsageError(f"{what} must be finite, got {value!r}")
-    return v
-
-
 def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
     """The map's scalar form and its array form (see :class:`SelfMap`)."""
     kind = spec.kind
@@ -357,10 +343,9 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
             raise UsageError("finite-table maps need a finite carrier")
         images = _param(spec, "images")
         size = carrier.size
-        if (not isinstance(images, (list, tuple)) or len(images) != size
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in images)):
+        if not isinstance(images, (list, tuple)) or len(images) != size:
             raise UsageError(f"finite-table images must be {size} integer indices")
-        table = tuple(images)
+        table = tuple(integer(v, "image", maximum=None) for v in images)
         # An image outside the carrier (which make_map rejects) is stored as
         # `size`: outside too, and within the array's integer type.
         lookup = np.array([v if 0 <= v < size else size for v in table], dtype=np.intp)
@@ -370,27 +355,25 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
     if kind == "two-sevenths":
         return _by_coordinate(carrier, _two_sevenths, _two_sevenths_many)
     if kind == "linear-scale":
-        lam = _finite_real(_param(spec, "lam"), "lam")
+        lam = finite_real(_param(spec, "lam"), "lam")
         return _by_coordinate(carrier, lambda x: lam * x)
     if kind == "affine":
-        alpha = _finite_real(_param(spec, "alpha"), "alpha")
-        beta = _finite_real(_param(spec, "beta"), "beta")
+        alpha = finite_real(_param(spec, "alpha"), "alpha")
+        beta = finite_real(_param(spec, "beta"), "beta")
         return _by_coordinate(carrier, lambda x: alpha * x + beta)
     if kind == "constant":
         value = _param(spec, "value")
         if finite:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise UsageError("a constant map on a finite carrier needs an integer index")
-            pt = value
+            pt = integer(value, "value")
         elif isinstance(value, (list, tuple)):
-            pt = tuple(_finite_real(v, "value") for v in value)
+            pt = tuple(finite_real(v, "value") for v in value)
         else:
-            pt = _finite_real(value, "value")
+            pt = finite_real(value, "value")
         return (lambda p: pt), (lambda pts: [pt] * len(pts))
     if kind == "identity":
         return (lambda p: p), (lambda pts: pts)
     if kind == "shift":
-        offset = _finite_real(_param(spec, "offset"), "offset")
+        offset = finite_real(_param(spec, "offset"), "offset")
         return _by_coordinate(carrier, lambda x: x + offset)
     if kind == "piecewise":
         if carrier.d != 1:
@@ -398,7 +381,7 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
         breaks = _param(spec, "breakpoints")
         if not isinstance(breaks, (list, tuple)):
             raise UsageError(f"breakpoints must be a list, got {breaks!r}")
-        breaks = [_finite_real(v, "breakpoint") for v in breaks]
+        breaks = [finite_real(v, "breakpoint") for v in breaks]
         pieces = _param(spec, "pieces")
         if not isinstance(pieces, (list, tuple)):
             raise UsageError(f"pieces must be a list, got {pieces!r}")
@@ -409,7 +392,7 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
         for piece in pieces:
             if not (isinstance(piece, (list, tuple)) and len(piece) == 2):
                 raise UsageError(f"a piece must be [slope, intercept], got {piece!r}")
-        coeffs = [(_finite_real(p[0], "slope"), _finite_real(p[1], "intercept")) for p in pieces]
+        coeffs = [(finite_real(p[0], "slope"), finite_real(p[1], "intercept")) for p in pieces]
         cuts = np.array(breaks, dtype=float)
         slopes, intercepts = (np.array(v) for v in zip(*coeffs))
 

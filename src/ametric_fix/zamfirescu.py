@@ -45,7 +45,7 @@ from .core import (
     _Recorder,
     scaled_tols,
 )
-from .errors import UsageError
+from .errors import UsageError, finite_real, integer
 from .sampling import SampleSet
 from .spaces import SelfMap
 
@@ -120,8 +120,8 @@ def branch_constants(space: AMetricSpace, f: SelfMap, x: Point, y: Point) -> Bra
 
 def compute_delta(a: float, b: float, c: float, t: int) -> float:
     """Contraction factor from admissible branch constants; always in [0, 1)."""
-    if isinstance(t, bool) or not isinstance(t, int) or t < 2:
-        raise UsageError(f"arity must be an integer >= 2, got {t!r}")
+    t = integer(t, "t", 2)
+    a, b, c = (finite_real(v, name) for v, name in ((a, "a"), (b, "b"), (c, "c")))
     cap = 1.0 / t
     if not (0.0 <= a < 1.0):
         raise UsageError(f"need 0 <= a < 1, got {a!r}")
@@ -159,9 +159,7 @@ class ZamfirescuCertificate:
         """Contraction factor with constants inflated to absorb rounding."""
         if not self.valid:
             raise UsageError("cannot derive a contraction factor from an invalid certificate")
-        if margin < 0:
-            raise UsageError(f"margin must be nonnegative, got {margin!r}")
-        scale = 1.0 + margin
+        scale = 1.0 + finite_real(margin, "margin", 0)
         return compute_delta(self.a * scale, self.b * scale, self.c * scale, self.t)
 
     def to_dict(self) -> dict:
@@ -233,6 +231,7 @@ def verify_contraction_inequalities(space: AMetricSpace, f: SelfMap, delta: floa
         rep(fx, fy) <= delta * rep(x, y) + t * delta * rep(fy, x)
     The first ``core.MAX_WITNESSES`` violations are kept.
     """
+    delta, tol = finite_real(delta, "delta"), finite_real(tol, "tol")
     if not (0.0 <= delta < 1.0):
         raise UsageError(f"need 0 <= delta < 1, got {delta!r}")
     if len(pairs) == 0:

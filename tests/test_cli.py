@@ -601,13 +601,13 @@ def _piecewise(breakpoints, pieces):
     (_paper_with(sampling=5), "cfg.json: sampling: expected an object, got 5"),
     (_paper_with(outputs=7), "cfg.json: outputs: expected an object, got 7"),
     (_paper_with(space=[[1]]), "cfg.json: space: expected an object, got [[1]]"),
-    (_paper_with(tolerances={"eps": None}), "cfg.json: tolerances.eps: expected a number, got None"),
+    (_paper_with(tolerances={"eps": None}), "cfg.json: tolerances.eps must be a real number, got None"),
     (_piecewise([0.0], [[1], [0.5, 0]]), "a piece must be [slope, intercept], got [1]"),
     (_piecewise([0.0], [5, [0.5, 0]]), "a piece must be [slope, intercept], got 5"),
     (_piecewise(5, [[0.5, 0]]), "breakpoints must be a list, got 5"),
     (_piecewise([0.0], None), "pieces must be a list, got None"),
     (_paper_with(space={"kind": "absdiff", "t": 3, "box": [-10 ** 400, 100]}),
-     "space.box[0]: must be finite"),
+     "space.box[0] must be finite"),
     (_paper_with(map={"kind": "affine", "alpha": 10 ** 400, "beta": 0}), "alpha must be finite"),
     (_paper_with(map={"kind": "linear-scale", "lam": 0.5, "lamda": 0.99}),
      "map kind 'linear-scale' has no parameter 'lamda'"),
@@ -637,6 +637,31 @@ def test_malformed_config_exits_two(doc, message, tmp_path, capsys):
     assert message in err
     assert out == ""
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_paper_with(sampling={"seed": 0, "n_pairs": True}),
+     "cfg.json: sampling.n_pairs must be an integer, got True"),
+    (_paper_with(map={"kind": "affine", "alpha": 1e400, "beta": 0}), "alpha must be finite, got inf"),
+    (_paper_with(sampling={"seed": 0, "n_starts": 2.5}),
+     "cfg.json: sampling.n_starts must be an integer, got 2.5"),
+    (_paper_with(tolerances={"check_tol": 0}), "cfg.json: tolerances.check_tol must be > 0, got 0"),
+    (_paper_with(tolerances={"safety_margin": -1e-3}),
+     "cfg.json: tolerances.safety_margin must be >= 0, got -0.001"),
+    (_paper_with(solver={"delta": 1}),
+     "cfg.json: solver.delta must be < 1 (negative disables monitoring), got 1"),
+    (_paper_with(outputs={"json_path": ""}),
+     "cfg.json: outputs.json_path must be a nonempty string, got ''"),
+    (_paper_with(sampling={"seed": 2 ** 64}),
+     "cfg.json: sampling.seed must be <= 18446744073709551615, got 18446744073709551616"),
+], ids=["n-pairs-bool", "alpha-1e400", "n-starts-float", "check-tol-zero", "margin-negative",
+        "delta-one", "json-path-empty", "seed-65-bits"])
+def test_config_values_are_checked_with_one_wording(doc, message, tmp_path, capsys):
+    # `<what> must be <rule>, got <value>`, with the config path and key as <what>.
+    path = write_cfg(tmp_path, doc)
+    code, out, err = run(["verify", "--config", path, "--out-dir", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(message + "\n")
 
 
 def test_verify_two_sevenths_on_a_box_up_to_1e308(tmp_path, capsys):

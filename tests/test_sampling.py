@@ -23,6 +23,7 @@ from ametric_fix import (
     table_space,
     triple_samples,
 )
+from ametric_fix import sampling
 from ametric_fix.sampling import SampleSet
 
 SEED = 2024
@@ -147,3 +148,60 @@ def test_given_entries_are_validated_when_the_set_is_made():
     for entries in ([(0.0, 0.5), (0.5,)], [(0.0, 0.5), [0.5, 0.0]], [0.5]):
         with pytest.raises(UsageError, match="entries must be tuples of equally many points"):
             SampleSet.from_entries(space, entries)
+
+
+def test_an_empty_set_has_no_width():
+    assert SampleSet.from_entries(make_absdiff_space(3), []).points.shape == (0, 0)
+
+
+def test_stream_ids_are_distinct():
+    streams = [v for k, v in vars(sampling).items() if k.startswith("STREAM_")]
+    assert len(streams) == len(set(streams)) == 7
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_seeds_and_streams_take_64_bits(seed):
+    space = make_absdiff_space(3)
+    assert len(pair_samples(space, 2, seed, stream=seed)) == 2 + 8
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(UsageError, match=f"seed must be .*, got {bad}$"):
+            pair_samples(space, 2, bad)
+        with pytest.raises(UsageError, match=f"stream must be .*, got {bad}$"):
+            pair_samples(space, 2, seed, stream=bad)
+
+
+@pytest.mark.parametrize("draw, degenerate", [
+    (axiom_samples, 8 * 3), (pair_samples, 8), (triple_samples, 8 * 4), (start_samples, 0)])
+def test_a_sample_count_is_at_least_one(draw, degenerate):
+    space = make_absdiff_space(3)
+    assert len(draw(space, 1, SEED)) == 1 + degenerate
+    with pytest.raises(UsageError, match=f"^{draw.__name__} n must be >= 1, got 0$"):
+        draw(space, 0, SEED)
+
+
+def test_degenerate_entries_follow_their_patterns():
+    # After the n random entries, each of the 8 groups of base points x, y(, z)
+    # gives one entry per pattern, in pattern order.
+    space, n = make_absdiff_space(3), 5
+    axioms = axiom_samples(space, n, SEED).entries[n:]
+    assert len(axioms) == 8 * 3
+    for g in range(8):
+        group = axioms[3 * g:3 * g + 3]
+        x, y, z = group[0][0], group[1][-1], group[2][-1]
+        assert len({x, y, z}) == 3
+        assert group == ((x, x, x, x), (x, x, x, y), (x, y, y, z))
+    triples = triple_samples(space, n, SEED).entries[n:]
+    assert len(triples) == 8 * 4
+    for g in range(8):
+        group = triples[4 * g:4 * g + 4]
+        x, y = group[0][0], group[1][-1]
+        assert x != y
+        assert group == ((x, x, x), (x, x, y), (x, y, y), (x, y, x))
+
+
+@pytest.mark.parametrize("size, exhaustive", [(12, True), (13, False)])
+def test_triples_are_enumerated_up_to_12_points(size, exhaustive):
+    space = table_space(3, [[abs(a - b) for b in range(size)] for a in range(size)])
+    triples = triple_samples(space, 5, SEED)
+    assert triples.exhaustive is exhaustive
+    assert len(triples) == (size ** 3 if exhaustive else 5 + 8 * 4)

@@ -33,6 +33,7 @@ from ametric_fix import (
     verify_contraction_inequalities,
 )
 from ametric_fix.sampling import STREAM_HOLDOUT
+from ametric_fix.spaces import default_catalog
 from ametric_fix.zamfirescu import BRANCH_CHATTERJEA
 
 SEED = 424242
@@ -286,6 +287,18 @@ def test_delta_with_margin():
     bad = classify(s, make_map(MapSpec.of("identity"), s), grid_pairs(s))
     with pytest.raises(UsageError):
         bad.delta_with_margin()
+
+
+@pytest.mark.parametrize("t", [2, 3, 8])
+def test_zero_margin_gives_the_certificate_delta_bit_for_bit(t):
+    # delta_with_margin scales each constant by 1.0 + 0.0 == 1.0, and x * 1.0 == x,
+    # so the CLI's default safety_margin of 0.0 needs no branch of its own.
+    s = make_absdiff_space(t, box=(-1e6, 1e6))
+    for _, spec, contractive in default_catalog():
+        cert = classify(s, make_map(spec, s, seed=SEED), pair_samples(s, 200, SEED))
+        assert cert.valid is contractive
+        if cert.valid:
+            assert cert.delta_with_margin(0.0).hex() == cert.delta.hex()
 
 
 def test_escaping_images_are_rejected():
