@@ -73,6 +73,10 @@ class Box:
     hi: tuple
     _lo_slack: tuple = field(init=False, repr=False, compare=False)
     _hi_slack: tuple = field(init=False, repr=False, compare=False)
+    # The range in which canon returns a float as it is: the slack bounds
+    # at d = 1, an empty range above, where a float is not a point.
+    _float_lo: float = field(init=False, repr=False, compare=False)
+    _float_hi: float = field(init=False, repr=False, compare=False)
     finite = False
 
     def __post_init__(self):
@@ -89,6 +93,9 @@ class Box:
         slack = _CONTAIN_SLACK * (1.0 + scale)
         object.__setattr__(self, "_lo_slack", tuple(a - slack for a in self.lo))
         object.__setattr__(self, "_hi_slack", tuple(b + slack for b in self.hi))
+        scalar = len(self.lo) == 1
+        object.__setattr__(self, "_float_lo", self._lo_slack[0] if scalar else math.inf)
+        object.__setattr__(self, "_float_hi", self._hi_slack[0] if scalar else -math.inf)
 
     @staticmethod
     def of(lo, hi, d: int = 1) -> "Box":
@@ -102,7 +109,14 @@ class Box:
         return len(self.lo)
 
     def canon(self, p) -> Point:
-        """Validate membership and return the canonical point value."""
+        """Validate membership and return the canonical point value.
+
+        A canonical point inside the box, a float at d = 1 or a tuple of d
+        floats above, is returned as it is.  Any other value is converted
+        and checked, and a value that fails raises.
+        """
+        if type(p) is float and self._float_lo <= p <= self._float_hi:
+            return p
         if len(self.lo) == 1:
             if isinstance(p, (tuple, list)):
                 if len(p) != 1:
@@ -112,6 +126,12 @@ class Box:
             if not (self._lo_slack[0] <= x <= self._hi_slack[0]):
                 raise CarrierDomainError(f"point {p!r} outside carrier box", point=p)
             return x
+        if type(p) is tuple and len(p) == len(self.lo):
+            for c, a, b in zip(p, self._lo_slack, self._hi_slack):
+                if type(c) is not float or not a <= c <= b:
+                    break
+            else:
+                return p
         if not isinstance(p, (tuple, list)) or len(p) != len(self.lo):
             raise UsageError(f"expected a point of dimension {self.d}, got {p!r}")
         x = tuple(float(c) for c in p)
@@ -195,6 +215,8 @@ class FiniteCarrier:
         object.__setattr__(self, "size", integer(self.size, "size", 1))
 
     def canon(self, p) -> int:
+        if type(p) is int and 0 <= p < self.size:
+            return p
         if isinstance(p, bool) or not isinstance(p, int):
             raise UsageError(f"finite-carrier points are integer indices, got {p!r}")
         if not 0 <= p < self.size:

@@ -20,6 +20,18 @@ tolerance of a pair is at least that of tail(n) alone.  So a row whose
 largest gap is within the tolerance of tail(n) alone has no violation, and
 only the other rows have their pairs enumerated.
 
+A Picard run costs its arithmetic.  Iterate n + 1 is ``canon(f.fn(x_n))``
+and step n is rep(x_{n+1}, x_n): one call of the map's scalar form, one
+``carrier.canon`` (which returns a canonical point inside the carrier as
+it is), one ``rep_fn`` and two appends per step, with every other lookup
+bound once per run.  After each recorded step the run stops as converged
+when the step is at most ``eps`` or, with monitoring, tail(n) is at most
+``bound_eps``; then as diverged after ``_GROWTH_WINDOW`` growing steps in a
+row; then at ``max_iter`` steps.  A step that is not finite ends the run
+unrecorded, and an iterate outside the carrier raises with its index.  The
+first step is taken before the loop: it sets d0, or ends the run at once
+when x0 is already fixed.
+
 The module also provides multi-start uniqueness probing and an exhaustive
 fixed-point oracle for finite carriers.
 """
@@ -176,6 +188,11 @@ class PicardTrace:
         })
 
 
+def _escaped(err: CarrierDomainError, n: int) -> CarrierDomainError:
+    """The error for iterate ``n`` leaving the carrier, from the carrier's own."""
+    return CarrierDomainError(f"iterate {n} escaped the carrier: {err}", point=err.point, index=n)
+
+
 def picard_run(space: AMetricSpace, f: SelfMap, x0: Point, delta: float,
                rule: StopRule) -> PicardTrace:
     """Iterate x_{n+1} = f(x_n), recording steps and envelope data.
@@ -184,48 +201,58 @@ def picard_run(space: AMetricSpace, f: SelfMap, x0: Point, delta: float,
     negative value disables it (for maps without a certificate).  An iterate
     leaving the carrier raises :class:`CarrierDomainError` with the escaping
     index.  A step whose rep is not finite ends the run, unrecorded, as
-    ``"overflow"``.
+    ``"overflow"``.  The module docstring gives the loop's contract.
     """
     delta = finite_real(delta, "delta")
     if delta >= 1.0:
         raise UsageError(f"need delta < 1 (or negative to disable monitoring), got {delta!r}")
-    canon, rep = space.carrier.canon, space.rep_fn
+    canon, rep, fn, t = space.carrier.canon, space.rep_fn, f.fn, space.t
+    eps, max_iter, bound_eps = rule.eps, rule.max_iter, rule.bound_eps
+    bounded = delta >= 0.0 and bound_eps is not None
+    isfinite = math.isfinite
     x = canon(x0)
     iterates, steps = [x], []
-    d0, growth_run = 0.0, 0
-    status, limit = "max_iter", None
-    bounded = delta >= 0.0 and rule.bound_eps is not None
-    while len(steps) < rule.max_iter:
-        try:
-            nxt = canon(f(x))
-        except CarrierDomainError as err:
-            n = len(iterates)
-            raise CarrierDomainError(f"iterate {n} escaped the carrier: {err}",
-                                     point=err.point, index=n) from None
-        step = rep(nxt, x)
-        if not math.isfinite(step):
-            status = "overflow"
-            break
-        if not steps:
-            # x0 is already fixed: the trace keeps x0 alone and no steps.
-            if step == 0.0:
+    keep_iterate, keep_step = iterates.append, steps.append
+    d0, status, limit = 0.0, "max_iter", None
+    n = 1  # the index of the next iterate: once kept, the number of steps
+    try:
+        nxt = canon(fn(x))
+    except CarrierDomainError as err:
+        raise _escaped(err, n) from None
+    step = rep(nxt, x)
+    if not isfinite(step):
+        status = "overflow"
+    elif step == 0.0:
+        # x0 is already fixed: the trace keeps x0 alone and no steps.
+        status, limit = "converged", x
+    else:
+        d0, growth_run = step, 0
+        while True:
+            keep_iterate(nxt)
+            keep_step(step)
+            x = nxt
+            if step <= eps or (bounded and _tail(delta, t, d0, n) <= bound_eps):
                 status, limit = "converged", x
                 break
-            d0 = step
-        growth_run = growth_run + 1 if steps and step > steps[-1] * _GROWTH_FACTOR else 0
-        iterates.append(nxt)
-        steps.append(step)
-        x = nxt
-        if step <= rule.eps or (bounded and
-                                _tail(delta, space.t, d0, len(steps)) <= rule.bound_eps):
-            status, limit = "converged", x
-            break
-        if growth_run >= _GROWTH_WINDOW:
-            status = "diverged"
-            break
+            if growth_run >= _GROWTH_WINDOW:
+                status = "diverged"
+                break
+            if n == max_iter:
+                break
+            n += 1
+            grown = step * _GROWTH_FACTOR
+            try:
+                nxt = canon(fn(x))
+            except CarrierDomainError as err:
+                raise _escaped(err, n) from None
+            step = rep(nxt, x)
+            if not isfinite(step):
+                status = "overflow"
+                break
+            growth_run = growth_run + 1 if step > grown else 0
 
     return PicardTrace(iterates=tuple(iterates), steps=tuple(steps), delta=delta,
-                       d0=d0, t=space.t, status=status, limit=limit)
+                       d0=d0, t=t, status=status, limit=limit)
 
 
 def verify_decay(trace: PicardTrace, tol: float = 1e-9) -> CheckReport:

@@ -136,12 +136,21 @@ def _l1_1d_farthest(xs: np.ndarray) -> np.ndarray:
     return np.where(_l1_1d_many(head, xs[hi]) >= _l1_1d_many(head, xs[lo]), hi, lo)
 
 
+def _box_bounds(box) -> tuple:
+    """The (lo, hi) of a ``box`` argument, which must be a pair."""
+    try:
+        lo, hi = box
+    except (TypeError, ValueError):
+        raise UsageError(f"box must be a pair (lo, hi), got {box!r}") from None
+    return lo, hi
+
+
 def make_absdiff_space(t: int, d: int = 1, box=(-100.0, 100.0), eq_tol: float = 1e-12) -> AMetricSpace:
     """Pairwise absolute-difference space: sum of |x_i - x_j| over i < j.
 
     The lift of the l1 gap, which is |x - y| at d = 1.
     """
-    carrier = Box.of(box[0], box[1], d)
+    carrier = Box.of(*_box_bounds(box), d)
     if carrier.d == 1:
         base, base_many, farthest = _l1_1d, _l1_1d_many, _l1_1d_farthest
     else:
@@ -187,7 +196,7 @@ def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
     if callable(base):
         if box is None:
             raise UsageError("a callable base needs an explicit carrier box")
-        space = pair_lift(t, lambda x, y: float(base(x, y)), Box.of(box[0], box[1], 1),
+        space = pair_lift(t, lambda x, y: float(base(x, y)), Box.of(*_box_bounds(box), 1),
                           zero_diagonal=False, eq_tol=eq_tol)
     else:
         arr = _validate_table(base)

@@ -9,12 +9,18 @@ and a trace (`carrier.canon`, `distance`, `rep_fn`, `f.fn`,
 differential tests can require the array path to give the same report,
 down to the last bit.  Both sides write their reports through
 `_Recorder.report`, which writes a zero max_gap as 0.0.
+
+`canon` is the carriers' `canon` before it returned canonical points as
+they are, and `picard_run` the Picard loop before its per-step lookups
+left the loop; the tests require the same values, types, traces and
+errors of both.
 """
 
 import math
 
 from ametric_fix.core import _Recorder, scaled_tol
-from ametric_fix.errors import UsageError
+from ametric_fix.errors import CarrierDomainError, UsageError, finite_real
+from ametric_fix.solver import _GROWTH_FACTOR, _GROWTH_WINDOW, PicardTrace, _tail
 from ametric_fix.zamfirescu import (
     _ASSIGN_RTOL,
     BRANCH_BANACH,
@@ -231,3 +237,71 @@ def verify_contraction_inequalities(space, f, delta, pairs, tol=1e-9, max_witnes
         rec.add("contraction-own-step", (x, y), lhs, rhs_1, scaled_tol(tol, lhs, rhs_1))
         rec.add("contraction-cross-step", (x, y), lhs, rhs_2, scaled_tol(tol, lhs, rhs_2))
     return rec.report(exhaustive=pairs.exhaustive)
+
+
+def canon(carrier, p):
+    """``carrier.canon(p)``, every point converted and checked."""
+    if carrier.finite:
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise UsageError(f"finite-carrier points are integer indices, got {p!r}")
+        if not 0 <= p < carrier.size:
+            raise CarrierDomainError(f"index {p} outside carrier of size {carrier.size}", point=p)
+        return p
+    if len(carrier.lo) == 1:
+        if isinstance(p, (tuple, list)):
+            if len(p) != 1:
+                raise UsageError(f"expected a scalar point, got {p!r}")
+            p = p[0]
+        x = float(p)
+        if not (carrier._lo_slack[0] <= x <= carrier._hi_slack[0]):
+            raise CarrierDomainError(f"point {p!r} outside carrier box", point=p)
+        return x
+    if not isinstance(p, (tuple, list)) or len(p) != len(carrier.lo):
+        raise UsageError(f"expected a point of dimension {carrier.d}, got {p!r}")
+    x = tuple(float(c) for c in p)
+    for c, a, b in zip(x, carrier._lo_slack, carrier._hi_slack):
+        if not (a <= c <= b):
+            raise CarrierDomainError(f"point {p!r} outside carrier box", point=p)
+    return x
+
+
+def picard_run(space, f, x0, delta, rule):
+    delta = finite_real(delta, "delta")
+    if delta >= 1.0:
+        raise UsageError(f"need delta < 1 (or negative to disable monitoring), got {delta!r}")
+    canon, rep = space.carrier.canon, space.rep_fn
+    x = canon(x0)
+    iterates, steps = [x], []
+    d0, growth_run = 0.0, 0
+    status, limit = "max_iter", None
+    bounded = delta >= 0.0 and rule.bound_eps is not None
+    while len(steps) < rule.max_iter:
+        try:
+            nxt = canon(f(x))
+        except CarrierDomainError as err:
+            n = len(iterates)
+            raise CarrierDomainError(f"iterate {n} escaped the carrier: {err}",
+                                     point=err.point, index=n) from None
+        step = rep(nxt, x)
+        if not math.isfinite(step):
+            status = "overflow"
+            break
+        if not steps:
+            if step == 0.0:
+                status, limit = "converged", x
+                break
+            d0 = step
+        growth_run = growth_run + 1 if steps and step > steps[-1] * _GROWTH_FACTOR else 0
+        iterates.append(nxt)
+        steps.append(step)
+        x = nxt
+        if step <= rule.eps or (bounded and
+                                _tail(delta, space.t, d0, len(steps)) <= rule.bound_eps):
+            status, limit = "converged", x
+            break
+        if growth_run >= _GROWTH_WINDOW:
+            status = "diverged"
+            break
+
+    return PicardTrace(iterates=tuple(iterates), steps=tuple(steps), delta=delta,
+                       d0=d0, t=space.t, status=status, limit=limit)

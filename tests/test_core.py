@@ -241,6 +241,22 @@ def test_triangle_sweep(t):
     assert report.checked == 2 * len(triple_samples(s, 1000, SEED))
 
 
+def test_symmetry_and_triangle_default_tolerance_is_1e_9():
+    # rep(1, 0) = 1 + 3e-9 against rep(0, 1) = 1: a gap past 1e-9 * (2 + 3e-9)
+    # and within 1e-8 times it.
+    lopsided = table_space(2, [[0.0, 1.0], [1.0 + 3e-9, 0.0]])
+    pairs = SampleSet.from_entries(lopsided, [(0, 1)])
+    assert [v.law for v in check_symmetry(lopsided, pairs).violations] == ["symmetry"]
+    assert check_symmetry(lopsided, pairs, 1e-8).passed
+    # rep(0, 2) = 2 + 1e-8 against rep(0, 1) + rep(2, 1) = 2: a gap past
+    # 1e-9 * (3 + 1e-8) and within 1e-8 times it.
+    long_edge = table_space(2, [[0.0, 1.0, 2.0 + 1e-8], [1.0, 0.0, 1.0], [2.0 + 1e-8, 1.0, 0.0]])
+    triples = SampleSet.from_entries(long_edge, [(0, 1, 2)])
+    report = check_triangle_inequality(long_edge, triples)
+    assert [v.law for v in report.violations] == ["triangle-a", "triangle-b"]
+    assert check_triangle_inequality(long_edge, triples, 1e-8).passed
+
+
 @pytest.mark.parametrize("x, inside", [(1.0 + 1e-12, True), (1.0 + 1e-10, False),
                                        (-1.0 - 1e-12, True), (-1.0 - 1e-10, False),
                                        (1.0 + 3e-12, False), (-1.0 - 3e-12, False)])

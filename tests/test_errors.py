@@ -7,12 +7,15 @@ Covers:
       TypeError: each now raises UsageError
     - NaN and infinite tolerances, step targets and contraction factors,
       which used to pass a check or stop a run silently
+    - a ``box`` that is not a pair (lo, hi)
     - a property: every public entry point, given a value of any kind in
-      any of its count or real slots, returns or raises UsageError
+      any of its count or real slots, or as its box, returns or raises
+      UsageError
 """
 
 import contextlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -32,6 +35,7 @@ from ametric_fix import (
     check_triangle_inequality,
     compute_delta,
     make_absdiff_space,
+    make_lifted_space,
     make_map,
     pair_samples,
     picard_run,
@@ -125,6 +129,21 @@ def test_ill_typed_values_raise_usage_error(probe):
         probe()
 
 
+def _truncated(x, y):
+    """min(|x - y|, 1): a metric whose lift passes the law gate on any box."""
+    return min(abs(x - y), 1.0)
+
+
+@pytest.mark.parametrize("box", [(0,), 5, None, (1.0, 2.0, 3.0)])
+def test_a_box_that_is_not_a_pair_raises_usage_error(box):
+    message = rf"^box must be a pair \(lo, hi\), got {re.escape(repr(box))}$"
+    with pytest.raises(UsageError, match=message):
+        make_absdiff_space(3, box=box)
+    if box is not None:  # a callable base without a box has its own message
+        with pytest.raises(UsageError, match=message):
+            make_lifted_space(3, _truncated, box=box)
+
+
 @pytest.mark.parametrize("field, value", [
     ("eps", math.inf), ("eps", math.nan), ("eps", True), ("eps", "1e-12"),
     ("bound_eps", math.inf), ("bound_eps", math.nan), ("bound_eps", True), ("bound_eps", "1e-6"),
@@ -206,6 +225,8 @@ SLOTS = {
     "make_absdiff_space d": lambda v: make_absdiff_space(3, v),
     "make_absdiff_space box": lambda v: make_absdiff_space(3, box=(v, 5.0)),
     "make_absdiff_space eq_tol": lambda v: make_absdiff_space(3, eq_tol=v),
+    "make_absdiff_space box pair": lambda v: make_absdiff_space(3, box=v),
+    "make_lifted_space box pair": lambda v: make_lifted_space(3, _truncated, box=v),
     "table_space t": lambda v: table_space(v, [[0.0, 1.0], [1.0, 0.0]]),
     "tail_bound delta": lambda v: tail_bound(v, 3, 1.0, 2),
     "tail_bound t": lambda v: tail_bound(0.5, v, 1.0, 2),
