@@ -36,7 +36,7 @@ from .sampling import (
     triple_samples,
 )
 from .solver import StopRule, brute_force_fixed_points, picard_run, verify_cauchy, verify_decay, uniqueness_probe
-from .spaces import MapSpec, make_absdiff_space, make_lifted_space, make_map, table_space
+from .spaces import MapSpec, make_absdiff_space, make_lifted_space, make_map, read_table, table_space
 from .zamfirescu import classify, verify_contraction_inequalities
 
 LOG = logging.getLogger("ametric_fix")
@@ -145,15 +145,7 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
             _fail(anchor, "space.box", f"need lo < hi, got [{lo}, {hi}]")
         cfg["space"] = {"kind": "absdiff", "t": t, "d": d, "box": [lo, hi]}
     else:
-        table = space_raw.get("base_table")
-        if not (isinstance(table, list) and table and all(isinstance(r, list) for r in table)):
-            _fail(anchor, "space.base_table", "expected a nonempty list of rows")
-        n, rows = len(table), []
-        for i, row in enumerate(table):
-            if len(row) != n:
-                _fail(anchor, f"space.base_table[{i}]", f"expected {n} entries, got {len(row)}")
-            rows.append([finite_real(v, f"{anchor}: space.base_table[{i}][{j}]")
-                         for j, v in enumerate(row)])
+        rows = read_table(space_raw.get("base_table"), f"{anchor}: space.base_table").tolist()
         cfg["space"] = {"kind": "lifted", "t": t, "base_table": rows}
 
     map_raw = raw.get("map")

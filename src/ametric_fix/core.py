@@ -43,7 +43,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import CarrierDomainError, UsageError, finite_real, integer
+from .errors import CarrierDomainError, UsageError, finite_real, integer, real
 from .sampling import SampleSet
 
 Point = Union[int, float, tuple]
@@ -60,9 +60,9 @@ BLOCK = 4096
 MAX_WITNESSES = 100
 
 
-def _only(values, cls) -> bool:
-    """True when every value is exactly of type ``cls`` (bool is not int)."""
-    return set(map(type, values)) <= {cls}
+def _only(values, *types) -> bool:
+    """True when every value is exactly of one of ``types`` (bool is not int)."""
+    return set(map(type, values)) <= set(types)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,8 @@ class Box:
 
         A canonical point inside the box, a float at d = 1 or a tuple of d
         floats above, is returned as it is.  Any other value is converted
-        and checked, and a value that fails raises.
+        by :func:`errors.real`'s rule (a bool or a string is no number) and
+        checked, and a value that fails raises.
         """
         if type(p) is float and self._float_lo <= p <= self._float_hi:
             return p
@@ -122,7 +123,7 @@ class Box:
                 if len(p) != 1:
                     raise UsageError(f"expected a scalar point, got {p!r}")
                 p = p[0]
-            x = float(p)
+            x = real(p, "point")
             if not (self._lo_slack[0] <= x <= self._hi_slack[0]):
                 raise CarrierDomainError(f"point {p!r} outside carrier box", point=p)
             return x
@@ -134,7 +135,7 @@ class Box:
                 return p
         if not isinstance(p, (tuple, list)) or len(p) != len(self.lo):
             raise UsageError(f"expected a point of dimension {self.d}, got {p!r}")
-        x = tuple(float(c) for c in p)
+        x = tuple(real(c, "point coordinate") for c in p)
         for c, a, b in zip(x, self._lo_slack, self._hi_slack):
             if not (a <= c <= b):
                 raise CarrierDomainError(f"point {p!r} outside carrier box", point=p)

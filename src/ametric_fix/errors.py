@@ -2,8 +2,9 @@
 enter it from outside.
 
 Every public function and constructor checks its counts and reals with
-:func:`integer` and :func:`finite_real`, which raise :class:`UsageError`
-with one wording: ``<what> must be <rule>, got <value!r>``.
+:func:`integer` and :func:`finite_real`, and a carrier converts its points
+with :func:`real`; each raises :class:`UsageError` with one wording:
+``<what> must be <rule>, got <value!r>``.
 """
 
 from __future__ import annotations
@@ -58,18 +59,25 @@ def integer(value, what: str, minimum: int | None = None,
     return v
 
 
-def finite_real(value, what: str, minimum: float | None = None, strict: bool = False) -> float:
-    """``value`` as a finite float, but not a bool or a string, at least
-    ``minimum`` (above it when ``strict``).  An integer beyond the float range
-    is not finite."""
+def real(value, what: str) -> float:
+    """``value`` as a float, but not a bool or a string.  NaN and ±inf pass,
+    and an integer beyond the float range is ±inf: what to do with a value
+    that is not finite is the caller's rule."""
     try:
         if isinstance(value, (bool, np.bool_, str, bytes, bytearray)):  # float() would take each
             raise TypeError
-        v = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise UsageError(f"{what} must be a real number, got {value!r}") from None
     except OverflowError:
-        v = math.inf
+        return math.inf if value > 0 else -math.inf
+
+
+def finite_real(value, what: str, minimum: float | None = None, strict: bool = False) -> float:
+    """``value`` as a finite float by :func:`real`'s rule, at least ``minimum``
+    (above it when ``strict``).  An integer beyond the float range is not
+    finite."""
+    v = real(value, what)
     if not math.isfinite(v):
         raise UsageError(f"{what} must be finite, got {value!r}")
     if minimum is not None and (v <= minimum if strict else v < minimum):

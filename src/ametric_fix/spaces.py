@@ -18,12 +18,14 @@ seeded sample otherwise).
 from __future__ import annotations
 
 import bisect
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AMetricSpace, Box, Carrier, FiniteCarrier, Point, check_axioms
+from .core import AMetricSpace, Box, Carrier, FiniteCarrier, Point, _only, check_axioms
 from .errors import CarrierDomainError, ConstructionError, UsageError, finite_real, integer
 from .sampling import STREAM_GATE, STREAM_MAP_CHECK, axiom_samples, philox
 
@@ -159,13 +161,38 @@ def make_absdiff_space(t: int, d: int = 1, box=(-100.0, 100.0), eq_tol: float = 
                      base_farthest=farthest, eq_tol=eq_tol)
 
 
-def _validate_table(table) -> np.ndarray:
-    arr = np.asarray(table, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise UsageError(f"base table must be square and nonempty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise UsageError("base table entries must be finite")
-    return arr
+def read_table(table, what: str = "base table") -> np.ndarray:
+    """A square, nonempty table of finite reals as a float array.
+
+    Rows are lists or tuples of equal length, or a 2-d array's rows, and
+    each entry is a real by :func:`finite_real`'s rule.  Plain ints and
+    floats are read in one numpy pass; otherwise entry by entry, so an error
+    names the first bad row or entry in row order, prefixed by ``what``.
+    """
+    rows = table.tolist() if isinstance(table, np.ndarray) else table
+    if not (isinstance(rows, (list, tuple)) and rows
+            and all(isinstance(row, (list, tuple)) for row in rows)):
+        raise UsageError(f"{what}: expected a nonempty list of rows")
+    n = len(rows)
+    if all(len(row) == n for row in rows) and _only(chain.from_iterable(rows), int, float):
+        with suppress(OverflowError):  # an int beyond the float range
+            arr = np.array(rows, dtype=float)
+            if np.isfinite(arr).all():
+                return arr
+    checked = []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise UsageError(f"{what}[{i}]: expected {n} entries, got {len(row)}")
+        checked.append([finite_real(v, f"{what}[{i}][{j}]") for j, v in enumerate(row)])
+    return np.array(checked, dtype=float)
+
+
+def _lift_table(t: int, arr: np.ndarray, eq_tol: float) -> AMetricSpace:
+    """The sum-over-pairs space of a table read by :func:`read_table`."""
+    rows, flat, size = arr.tolist(), arr.ravel(), len(arr)
+    return pair_lift(t, lambda i, j: rows[i][j], FiniteCarrier(size),
+                     zero_diagonal=not np.diagonal(arr).any(),
+                     base_many=lambda i, j: flat.take(i * size + j), eq_tol=eq_tol)
 
 
 def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
@@ -174,13 +201,7 @@ def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
     No structural or law checks are performed: this is the entry point for
     running diagnostics against deliberately broken tables.
     """
-    rows = _validate_table(table).tolist()
-    size = len(rows)
-    flat = np.array(rows).ravel()
-    zero_diagonal = not any(row[i] for i, row in enumerate(rows))
-    return pair_lift(t, lambda i, j: rows[i][j], FiniteCarrier(size),
-                     zero_diagonal=zero_diagonal, base_many=lambda i, j: flat.take(i * size + j),
-                     eq_tol=eq_tol)
+    return _lift_table(t, read_table(table), eq_tol)
 
 
 def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
@@ -199,7 +220,7 @@ def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
         space = pair_lift(t, lambda x, y: float(base(x, y)), Box.of(*_box_bounds(box), 1),
                           zero_diagonal=False, eq_tol=eq_tol)
     else:
-        arr = _validate_table(base)
+        arr = read_table(base)
         neg = np.argwhere(arr < 0)
         if len(neg):
             i, j = (int(v) for v in neg[0])
@@ -212,7 +233,7 @@ def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
         if len(diag):
             i = int(diag[0][0])
             raise ConstructionError(f"base table diagonal entry {i} is nonzero", witness=(i, i))
-        space = table_space(t, arr, eq_tol=eq_tol)
+        space = _lift_table(t, arr, eq_tol)
 
     gate = check_axioms(space, axiom_samples(space, _N_GATE, seed, stream=STREAM_GATE))
     if not gate.passed:

@@ -11,15 +11,21 @@ down to the last bit.  Both sides write their reports through
 `_Recorder.report`, which writes a zero max_gap as 0.0.
 
 `canon` is the carriers' `canon` before it returned canonical points as
-they are, and `picard_run` the Picard loop before its per-step lookups
-left the loop; the tests require the same values, types, traces and
-errors of both.
+they are, converting every value by `errors.real`'s rule, and `picard_run`
+the Picard loop before its per-step lookups left the loop; the tests
+require the same values, types, traces and errors of both.
+
+`read_table` is the CLI's entry-by-entry check of `space.base_table`
+before one reader served the CLI and the library, widened to the rows the
+library takes (tuples, and a 2-d array through `tolist()`).
 """
 
 import math
 
+import numpy as np
+
 from ametric_fix.core import _Recorder, scaled_tol
-from ametric_fix.errors import CarrierDomainError, UsageError, finite_real
+from ametric_fix.errors import CarrierDomainError, UsageError, finite_real, real
 from ametric_fix.solver import _GROWTH_FACTOR, _GROWTH_WINDOW, PicardTrace, _tail
 from ametric_fix.zamfirescu import (
     _ASSIGN_RTOL,
@@ -252,13 +258,13 @@ def canon(carrier, p):
             if len(p) != 1:
                 raise UsageError(f"expected a scalar point, got {p!r}")
             p = p[0]
-        x = float(p)
+        x = real(p, "point")
         if not (carrier._lo_slack[0] <= x <= carrier._hi_slack[0]):
             raise CarrierDomainError(f"point {p!r} outside carrier box", point=p)
         return x
     if not isinstance(p, (tuple, list)) or len(p) != len(carrier.lo):
         raise UsageError(f"expected a point of dimension {carrier.d}, got {p!r}")
-    x = tuple(float(c) for c in p)
+    x = tuple(real(c, "point coordinate") for c in p)
     for c, a, b in zip(x, carrier._lo_slack, carrier._hi_slack):
         if not (a <= c <= b):
             raise CarrierDomainError(f"point {p!r} outside carrier box", point=p)
@@ -305,3 +311,18 @@ def picard_run(space, f, x0, delta, rule):
 
     return PicardTrace(iterates=tuple(iterates), steps=tuple(steps), delta=delta,
                        d0=d0, t=space.t, status=status, limit=limit)
+
+
+def read_table(table, what="base table"):
+    """The rows' shape, then row by row its length and each entry through
+    ``finite_real``, as a float array."""
+    rows = table.tolist() if isinstance(table, np.ndarray) else table
+    if not (isinstance(rows, (list, tuple)) and rows
+            and all(isinstance(r, (list, tuple)) for r in rows)):
+        raise UsageError(f"{what}: expected a nonempty list of rows")
+    n, checked = len(rows), []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise UsageError(f"{what}[{i}]: expected {n} entries, got {len(row)}")
+        checked.append([finite_real(v, f"{what}[{i}][{j}]") for j, v in enumerate(row)])
+    return np.array(checked, dtype=float)

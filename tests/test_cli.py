@@ -6,6 +6,7 @@ non-convergence, 2 usage/config error — and nothing else.
 
 import json
 import logging
+import math
 import time
 from pathlib import Path
 
@@ -636,6 +637,35 @@ def test_malformed_config_exits_two(doc, message, tmp_path, capsys):
     assert code == 2
     assert message in err
     assert out == ""
+    assert not (tmp_path / "report.json").exists()
+
+
+_BIG = 10 ** 400
+
+
+@pytest.mark.parametrize("table, message", [
+    (5, "space.base_table: expected a nonempty list of rows"),
+    ([], "space.base_table: expected a nonempty list of rows"),
+    ([[0, 1], 5], "space.base_table: expected a nonempty list of rows"),
+    ([[0, 1], [1]], "space.base_table[1]: expected 2 entries, got 1"),
+    ([[0, True], [True, 0]], "space.base_table[0][1] must be a real number, got True"),
+    ([[0, "1"], ["1", 0]], "space.base_table[0][1] must be a real number, got '1'"),
+    ([[0, None], [None, 0]], "space.base_table[0][1] must be a real number, got None"),
+    ([[0, math.nan], [math.nan, 0]], "space.base_table[0][1] must be finite, got nan"),
+    ([[0, 1], [1, math.inf]], "space.base_table[1][1] must be finite, got inf"),
+    ([[0, _BIG], [_BIG, 0]], f"space.base_table[0][1] must be finite, got {_BIG!r}"),
+    ([[0, [1]], [[1], 0]], "space.base_table[0][1] must be a real number, got [1]"),
+], ids=["not-a-list", "empty", "row-not-a-list", "ragged", "bool", "string", "null", "nan",
+        "1e400", "400-digits", "nested"])
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_malformed_base_table_exits_two_with_one_line(command, table, message, tmp_path, capsys):
+    # NaN and inf are written as JSON's NaN and Infinity, 1e400 parses as inf.
+    text = json.dumps({"space": {"kind": "lifted", "t": 3, "base_table": table},
+                       "map": {"kind": "identity"}, "sampling": {"seed": 0}})
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace("Infinity", "1e400"))
+    code, out, err = run([command, "--config", str(path), "--out-dir", str(tmp_path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
     assert not (tmp_path / "report.json").exists()
 
 

@@ -1,16 +1,17 @@
 """The checks of values that enter the package from outside.
 
 Covers:
-    - ``errors.integer`` and ``errors.finite_real``: what they take, what
-      they refuse, and their one message wording
+    - ``errors.integer``, ``errors.finite_real`` and ``errors.real``: what
+      they take, what they refuse, and their one message wording
     - values the public constructors once took or failed on with a raw
       TypeError: each now raises UsageError
     - NaN and infinite tolerances, step targets and contraction factors,
       which used to pass a check or stop a run silently
     - a ``box`` that is not a pair (lo, hi)
+    - a base table that is ragged or not square
     - a property: every public entry point, given a value of any kind in
-      any of its count or real slots, or as its box, returns or raises
-      UsageError
+      any of its count or real slots, as its box, or as an entry of a base
+      table, returns or raises UsageError
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from ametric_fix import (
     AMetricSpace,
     Box,
+    ConstructionError,
     FiniteCarrier,
     MapSpec,
     StopRule,
@@ -47,7 +49,7 @@ from ametric_fix import (
     verify_contraction_inequalities,
     verify_decay,
 )
-from ametric_fix.errors import finite_real, integer
+from ametric_fix.errors import finite_real, integer, real
 
 BROKEN_3 = [[0, 5, 1], [5, 0, 1], [1, 1, 0]]  # 5 > 1 + 1: the simplex law fails
 
@@ -103,6 +105,16 @@ def test_finite_real_refuses(value, message):
     assert str(err.value) == message
 
 
+def test_real_passes_non_finite_values_and_refuses_what_finite_real_refuses():
+    for value, want in ((math.nan, math.nan), (-math.inf, -math.inf), (10 ** 400, math.inf),
+                        (-10 ** 400, -math.inf), (np.float64(0.25), 0.25), (3, 3.0)):
+        got = real(value, "x")
+        assert type(got) is float and (got == want or math.isnan(got) and math.isnan(want))
+    for value in (True, np.False_, "1.5", b"1.5", bytearray(b"2"), None, [1.0]):
+        with pytest.raises(UsageError, match=r"^x must be a real number, got "):
+            real(value, "x")
+
+
 def test_finite_real_bounds():
     assert finite_real(0, "eq_tol", 0) == 0.0
     with pytest.raises(UsageError, match=r"^eq_tol must be >= 0, got -1e-300$"):
@@ -142,6 +154,25 @@ def test_a_box_that_is_not_a_pair_raises_usage_error(box):
     if box is not None:  # a callable base without a box has its own message
         with pytest.raises(UsageError, match=message):
             make_lifted_space(3, _truncated, box=box)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1]], "base table[1]: expected 2 entries, got 1"),
+    ([[0, 1], [1, 0, 1]], "base table[1]: expected 2 entries, got 3"),
+    ([[0, 1, 2], [1, 0, 1]], "base table[0]: expected 2 entries, got 3"),
+    ([[0, 1]], "base table[0]: expected 1 entries, got 2"),
+    (np.zeros((2, 3)), "base table[0]: expected 2 entries, got 3"),
+    (np.zeros((2, 2, 2)), "base table[0][0] must be a real number, got [0.0, 0.0]"),
+    ([], "base table: expected a nonempty list of rows"),
+    ([0.0, 1.0], "base table: expected a nonempty list of rows"),
+], ids=["short-row", "long-row", "two-by-three", "one-by-two", "array-2x3", "array-3d", "empty",
+        "flat"])
+def test_a_ragged_or_non_square_table_raises_usage_error(table, message):
+    # numpy once raised its own ValueError on the ragged rows.
+    for build in (table_space, make_lifted_space):
+        with pytest.raises(UsageError) as err:
+            build(3, table)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("field, value", [
@@ -210,6 +241,14 @@ _PAIRS = pair_samples(_LINE, 3, 0)
 _TRACE = picard_run(_LINE, _HALF, 64.0, 0.5, StopRule(eps=1e-3))
 _SAMPLERS = (axiom_samples, pair_samples, triple_samples, start_samples)
 
+
+def _lifted_entry(v):
+    """make_lifted_space on a 2x2 table with ``v`` off the diagonal; a real
+    that breaks the metric laws fails the gate, as it should."""
+    with contextlib.suppress(ConstructionError):
+        make_lifted_space(3, [[0.0, v], [v, 0.0]])
+
+
 SLOTS = {
     "StopRule.eps": lambda v: StopRule(eps=v),
     "StopRule.max_iter": lambda v: StopRule(max_iter=v),
@@ -228,6 +267,8 @@ SLOTS = {
     "make_absdiff_space box pair": lambda v: make_absdiff_space(3, box=v),
     "make_lifted_space box pair": lambda v: make_lifted_space(3, _truncated, box=v),
     "table_space t": lambda v: table_space(v, [[0.0, 1.0], [1.0, 0.0]]),
+    "table_space base_table entry": lambda v: table_space(3, [[0.0, v], [v, 0.0]]),
+    "make_lifted_space base_table entry": _lifted_entry,
     "tail_bound delta": lambda v: tail_bound(v, 3, 1.0, 2),
     "tail_bound t": lambda v: tail_bound(0.5, v, 1.0, 2),
     "tail_bound d0": lambda v: tail_bound(0.5, 3, v, 2),

@@ -13,6 +13,7 @@ Covers:
     - maps whose images are not canonical, which take canon's slow path
     - canon at the edges of its fast path: value, type, exception class
       and message as before, and no conversion for a canonical point
+    - canon refuses a bool or a string as a number, with UsageError
 """
 
 import math
@@ -195,7 +196,7 @@ TABLE = make_lifted_space(3, LINE7)
     (LINE, lambda x: [x / 2.0, x], 90.0),                         # lists of the wrong length
     (LINE, lambda x: -0.0 if abs(x) < 1.0 else x / 2.0, 8.0),    # -0.0
     (LINE, lambda x: -(x * 0.5), -0.0),
-    (LINE, lambda x: True if x > 1.0 else x / 2.0, 90.0),         # a bool is a number here
+    (LINE, lambda x: True if x > 1.0 else x / 2.0, 90.0),         # a bool is no number
     (CUBE, lambda p: [c / 2.0 for c in p], (7.0, -3.0, 1.5)),     # lists
     (CUBE, lambda p: tuple(int(c) // 2 for c in p), (70.0, -3.0, 15.0)),    # tuples of ints
     (CUBE, lambda p: tuple(np.float64(c) / 2.0 for c in p), (7.0, -3.0, 1.5)),
@@ -265,6 +266,35 @@ def cube_points(box):
 def test_box_canon_matches_the_reference_at_d3(box):
     for p in cube_points(box):
         assert canon_outcome(box.canon, p) == canon_outcome(lambda q: ref.canon(box, q), p), p
+
+
+@pytest.mark.parametrize("p, message", [
+    ("0.5", "point must be a real number, got '0.5'"),
+    (b"1", "point must be a real number, got b'1'"),
+    (bytearray(b"2"), "point must be a real number, got bytearray(b'2')"),
+    (True, "point must be a real number, got True"),
+    (np.True_, "point must be a real number, got np.True_"),
+    (None, "point must be a real number, got None"),
+])
+def test_box_canon_refuses_bools_and_strings(p, message):
+    # float() takes each of these; canon once returned 0.5, 1.0, 2.0, 1.0 and 1.0.
+    with pytest.raises(UsageError) as err:
+        Box.of(-1.0, 1.0).canon(p)
+    assert str(err.value) == message
+    with pytest.raises(UsageError) as err:
+        Box.of(-1.0, 1.0, 3).canon((0.5, p, 0.5))
+    assert str(err.value) == message.replace("point", "point coordinate", 1)
+
+
+def test_box_canon_keeps_non_finite_values_and_huge_ints_as_escapes():
+    # NaN, ±inf and integers beyond the float range lie outside every box:
+    # a Picard run that meets one escapes, as before.
+    line, cube = Box.of(-1.0, 1.0), Box.of(-1.0, 1.0, 3)
+    for p in (math.nan, math.inf, -math.inf, np.float64(math.nan), 10 ** 400, -10 ** 400):
+        with pytest.raises(CarrierDomainError, match="outside carrier box"):
+            line.canon(p)
+        with pytest.raises(CarrierDomainError, match="outside carrier box"):
+            cube.canon((0.5, p, 0.5))
 
 
 class Index(int):

@@ -8,6 +8,10 @@ Covers:
     - map construction, range checking, and the declarative spec round-trip
     - each map kind's array form against its scalar form, bit for bit
     - positive homogeneity of linear maps on the absdiff space
+    - ``read_table`` against the entry-by-entry reference: the same array
+      bit for bit, or the same error and message
+    - the table a lifted space is built from: the array read once, its
+      diagonal, and what the lift does with it
 """
 
 import math
@@ -15,10 +19,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import scalar_reference as ref
 
 from ametric_fix import (
+    AMetricSpace,
     Box,
     ConstructionError,
+    FiniteCarrier,
     MapSpec,
     UsageError,
     check_axioms,
@@ -30,9 +39,9 @@ from ametric_fix import (
     rep_distance,
     table_space,
 )
-from ametric_fix.sampling import STREAM_MAP_CHECK, SampleSet, philox
+from ametric_fix.sampling import STREAM_GATE, STREAM_MAP_CHECK, SampleSet, philox
 from ametric_fix import spaces
-from ametric_fix.spaces import default_catalog, pair_lift
+from ametric_fix.spaces import default_catalog, pair_lift, read_table
 
 SEED = 77
 
@@ -70,16 +79,23 @@ def test_lifted_discrete_metric():
     assert evaluate(s, (0, 1, 2)) == 3.0
 
 
+# A negative or asymmetric entry comes in pairs (i, j) and (j, i): the
+# first in row order is named.
+
 def test_lifted_negative_entry_rejected():
     table = [[0.0, -1.0], [-1.0, 0.0]]
     with pytest.raises(ConstructionError) as err:
         make_lifted_space(3, table)
-    assert err.value.witness is not None
+    assert (str(err.value), err.value.witness) == ("base table entry (0,1) is negative", (0, 1))
 
 
 def test_lifted_asymmetric_rejected():
-    with pytest.raises(ConstructionError):
-        make_lifted_space(3, [[0.0, 1.0], [2.0, 0.0]])
+    for table, first in (([[0.0, 1.0], [2.0, 0.0]], (0, 1)),
+                         ([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], (0, 2))):
+        with pytest.raises(ConstructionError) as err:
+            make_lifted_space(3, table)
+        assert str(err.value) == f"base table is asymmetric at ({first[0]},{first[1]})"
+        assert err.value.witness == first
 
 
 def test_lifted_nonzero_diagonal_rejected():
@@ -97,6 +113,23 @@ def test_lifted_gate_catches_law_violation():
     with pytest.raises(ConstructionError) as err:
         make_lifted_space(3, table)
     assert err.value.witness.law == "simplex"
+    # The first of the gate's violations.
+    space = table_space(3, table)
+    gate = check_axioms(space, axiom_samples(space, spaces._N_GATE, 0, stream=STREAM_GATE))
+    assert gate.violations_total > 1 and err.value.witness == gate.violations[0]
+
+
+def test_lifted_gate_samples_a_box_at_seed_zero_by_default():
+    def square(x, y):  # not a metric: its lift breaks the simplex law
+        return (x - y) ** 2
+
+    space = pair_lift(3, square, Box.of(-10.0, 10.0), zero_diagonal=False)
+    gates = [check_axioms(space, axiom_samples(space, spaces._N_GATE, seed, stream=STREAM_GATE))
+             for seed in (0, 1)]
+    assert gates[0].violations[0] != gates[1].violations[0]
+    with pytest.raises(ConstructionError) as err:
+        make_lifted_space(3, square, box=(-10.0, 10.0))
+    assert err.value.witness == gates[0].violations[0]
 
 
 def test_lifted_metric_base_passes_gate():
@@ -160,8 +193,19 @@ def test_piecewise_validation():
     with pytest.raises(UsageError):
         make_map(MapSpec.of("piecewise", breakpoints=[1.0, 0.0],
                             pieces=[[0.1, 0], [0.1, 0], [0.1, 0]]), s)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^breakpoints must be strictly increasing$"):
+        make_map(MapSpec.of("piecewise", breakpoints=[0.5, 0.5],
+                            pieces=[[0.1, 0], [0.1, 0], [0.1, 0]]), s)
+    with pytest.raises(UsageError, match="^need 2 pieces for 1 breakpoints$"):
         make_map(MapSpec.of("piecewise", breakpoints=[0.0], pieces=[[0.1, 0]]), s)
+
+
+def test_constructors_default_to_the_spaces_eq_tol():
+    default = AMetricSpace(t=2, distance=sum, carrier=FiniteCarrier(2)).eq_tol
+    table = [[0.0, 1.0], [1.0, 0.0]]
+    for s in (pair_lift(3, spaces._l1_1d, Box.of(0.0, 1.0), zero_diagonal=True),
+              make_absdiff_space(3), table_space(3, table), make_lifted_space(3, table)):
+        assert s.eq_tol == default == 1e-12
 
 
 def test_finite_table_map():
@@ -352,3 +396,111 @@ def test_make_map_rejects_table_images_outside_the_carrier(images, first):
     with pytest.raises(ConstructionError) as err:
         make_map(MapSpec.of("finite-table", images=images), s)
     assert err.value.witness == first
+
+
+# read_table against the reference loop: one numpy pass on a table of plain
+# ints and floats, the loop otherwise, with one result either way.
+
+# Plain entries, which take the numpy pass, including ints that round when
+# converted and one beyond the float range.
+PLAIN_ENTRIES = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0, 2 ** 53 + 1, 2 ** 64 + 1, -(2 ** 63) - 1, 3 * 2 ** 1022 + 1,
+                     2 ** 1024 - 1]),
+)
+ODD_ENTRIES = st.sampled_from([
+    True, False, np.True_, np.False_, np.float64(0.25), np.float64(-0.0), np.float64(math.nan),
+    np.int64(-3), "1", "abc", b"1", None, [1.0], [[0.0]], (), math.nan, math.inf, -math.inf,
+    10 ** 400, -10 ** 400,
+])
+SHAPES = ("lists", "tuples", "ragged", "empty", "row-not-a-list", "not-a-list",
+          "float-array", "int-array", "bool-array")
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 4))
+    entries = PLAIN_ENTRIES if draw(st.booleans()) else st.one_of(PLAIN_ENTRIES, ODD_ENTRIES)
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "tuples":
+        return tuple(map(tuple, rows))
+    if shape == "ragged":
+        i = draw(st.integers(0, n - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [0.0]
+        return rows
+    if shape == "empty":
+        return draw(st.sampled_from([[], (), np.zeros((0, 0)), [[]]]))
+    if shape == "row-not-a-list":
+        rows[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, "ab", None, np.zeros(n)]))
+        return rows
+    if shape == "not-a-list":
+        return draw(st.sampled_from([None, 5, 1.5, "ab", np.zeros(n), np.float64(1.0)]))
+    floats = st.floats(allow_nan=shape == "float-array", allow_infinity=shape == "float-array")
+    kind = {"float-array": floats, "int-array": st.integers(-2 ** 63, 2 ** 63 - 1),
+            "bool-array": st.booleans()}.get(shape)
+    if kind is not None:
+        return np.array(draw(st.lists(kind, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return rows
+
+
+def read_outcome(read, table):
+    try:
+        arr = read(table, "cfg.json: space.base_table")
+    except Exception as err:  # the class is part of the comparison
+        return "raise", type(err), str(err)
+    return "value", arr.dtype, arr.shape, arr.tobytes()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(tables())
+def test_read_table_matches_the_reference(table):
+    assert read_outcome(read_table, table) == read_outcome(ref.read_table, table)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1]], "base table[1]: expected 2 entries, got 1"),
+    ([[0, 1, 2], [1, 0, 2]], "base table[0]: expected 2 entries, got 3"),
+    ([[0, True], [True, 0]], "base table[0][1] must be a real number, got True"),
+    ([[0, "1"], [1, 0]], "base table[0][1] must be a real number, got '1'"),
+    ([[0, 1], [1, 0], [1, 0]], "base table[0]: expected 3 entries, got 2"),
+    ([[0, 1], [1, 10 ** 400]], f"base table[1][1] must be finite, got {10 ** 400!r}"),
+    (np.array([[0.0, np.nan], [np.nan, 0.0]]), "base table[0][1] must be finite, got nan"),
+    (np.array([[False]]), "base table[0][0] must be a real number, got False"),
+    (np.zeros(3), "base table: expected a nonempty list of rows"),
+    ([], "base table: expected a nonempty list of rows"),
+])
+def test_read_table_names_the_first_bad_row_or_entry(table, message):
+    with pytest.raises(UsageError) as err:
+        read_table(table)
+    assert str(err.value) == message
+
+
+def test_read_table_takes_tuples_and_arrays_and_returns_a_new_float_array():
+    want = np.array([[0.0, 1.5], [1.5, 0.0]])
+    for table in ([[0, 1.5], [1.5, 0]], ((0, 1.5), (1.5, 0)), want, [(0.0, 1.5), [1.5, -0.0]],
+                  [[np.int64(0), np.float64(1.5)], [1.5, 0]]):
+        got = read_table(table)
+        assert got.dtype == float and np.array_equal(got, want) and got is not table
+    assert read_table(np.array([[0, 2], [2, 0]])).tolist() == [[0.0, 2.0], [2.0, 0.0]]
+
+
+def test_lifted_spaces_read_their_table_once(monkeypatch):
+    reads = []
+    monkeypatch.setattr(spaces, "read_table", lambda *a: reads.append(a) or read_table(*a))
+    make_lifted_space(3, [[0, 1], [1, 0]])
+    assert len(reads) == 1
+    table_space(3, [[0, 1], [1, 0]])
+    assert len(reads) == 2
+
+
+@pytest.mark.parametrize("diagonal, zero", [((0.0, -0.0, 0), True), ((0.0, 0.0, 0.5), False),
+                                             ((-1e-300, 0.0, 0.0), False)])
+def test_table_space_drops_the_diagonal_term_only_on_a_zero_diagonal(diagonal, zero):
+    # rep(x, y) = (t-1) base(x, y) + C(t-1, 2) base(x, x): at t = 4 the second
+    # term is 3 base(x, x), there unless every diagonal entry is zero (-0.0 too).
+    table = [[diagonal[i] if i == j else 1.0 for j in range(3)] for i in range(3)]
+    s = table_space(4, table)
+    for x in range(3):
+        assert s.rep_fn(x, (x + 1) % 3) == 3.0 + (0.0 if zero else 3 * diagonal[x])
