@@ -1,11 +1,13 @@
 """Command-line front end: JSON experiment configs in, reports out.
 
-Four subcommands mirror the pipeline stages:
+Four subcommands, each the pipeline stopped after its own stage:
 
     ametric-fix axioms   --config cfg.json   # space law checks
-    ametric-fix classify --config cfg.json   # branch-contraction certificate
-    ametric-fix solve    --config cfg.json   # Picard run with envelopes
-    ametric-fix verify   --config cfg.json   # everything, one verdict
+    ametric-fix classify --config cfg.json   # ... + branch-contraction certificate
+    ametric-fix solve    --config cfg.json   # ... + Picard run (its CSV carries the envelopes)
+    ametric-fix verify   --config cfg.json   # ... + envelope, uniqueness and oracle checks
+
+Each writes verify's report cut to the keys of the stages it ran.
 
 Exit codes: 0 all checks passed, 1 a mathematical violation or
 non-convergence, 2 a usage or configuration error.  Outputs are byte-stable
@@ -22,8 +24,8 @@ import json
 import logging
 import os
 import sys
-from contextlib import suppress
 from functools import cache
+from itertools import accumulate
 from pathlib import Path
 
 from .core import _jsonable, check_axioms, check_symmetry, check_triangle_inequality, points_equal
@@ -36,7 +38,7 @@ from .sampling import (
     triple_samples,
 )
 from .solver import StopRule, brute_force_fixed_points, picard_run, verify_cauchy, verify_decay, uniqueness_probe
-from .spaces import MapSpec, make_absdiff_space, make_lifted_space, make_map, read_table, table_space
+from .spaces import MapSpec, make_absdiff_space, make_map, read_table, table_space
 from .zamfirescu import classify, verify_contraction_inequalities
 
 LOG = logging.getLogger("ametric_fix")
@@ -46,6 +48,24 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
+
+# The subcommands in pipeline order, each with the stages it runs: each one is
+# the pipeline stopped after its own stage.
+COMMANDS = {
+    "axioms": "space law checks",
+    "classify": "law checks, then the branch-contraction certificate",
+    "solve": "law checks, certificate, then the Picard run",
+    "verify": "the whole pipeline, envelopes, uniqueness and oracle included: one verdict",
+}
+
+# Subcommand -> the report keys it writes: those its own stage adds and those
+# of every stage before it, so each report is verify's cut at its stop.
+_REPORT_KEYS = dict(zip(COMMANDS, map(frozenset, accumulate((
+    ("checks",),
+    ("skipped", "failures", "certificate", "contraction", "error", "witness", "point"),
+    ("delta_used", "trace"),
+    ("decay", "cauchy", "uniqueness", "oracle"),
+)))))
 
 
 def _fail(anchor: str, key: str, message: str):
@@ -180,14 +200,14 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
     return cfg
 
 
-def build_space(cfg: dict, gated: bool):
+def build_space(cfg: dict, gated: bool = False):
+    """The config's space, without a law gate: every subcommand runs the law
+    checks as its first stage.  ``gated`` is ignored; it is kept because the
+    benchmark's set-up probe passes it."""
     sp = cfg["space"]
     eq_tol = cfg["tolerances"]["eq_tol"]
     if sp["kind"] == "absdiff":
         return make_absdiff_space(sp["t"], sp["d"], (sp["box"][0], sp["box"][1]), eq_tol)
-    if gated:
-        return make_lifted_space(sp["t"], sp["base_table"], eq_tol=eq_tol,
-                                 seed=cfg["sampling"]["seed"])
     return table_space(sp["t"], sp["base_table"], eq_tol=eq_tol)
 
 
@@ -210,13 +230,6 @@ def _stop_rule(cfg: dict) -> StopRule:
                     bound_eps=cfg["tolerances"]["bound_eps"])
 
 
-def _delta_for_solving(cfg: dict, cert) -> float:
-    """solver.delta if given, else the certificate's delta, widened by the safety margin."""
-    if cfg["solver"]["delta"] is not None:
-        return cfg["solver"]["delta"]
-    return cert.delta_with_margin(cfg["tolerances"]["safety_margin"])
-
-
 def _write(cfg: dict, out_dir: str, key: str, text: str) -> None:
     """Write the file named by outputs.<key> (under out_dir unless absolute) and
     print its path; a path that cannot be written is a configuration error."""
@@ -230,15 +243,6 @@ def _write(cfg: dict, out_dir: str, key: str, text: str) -> None:
     print(str(path))
 
 
-def _finish(cfg: dict, out_dir: str, command: str, passed: bool, **fields) -> int:
-    """Write the command's JSON report (report objects as their ``to_dict``), print its
-    path, and return 0 if it passed, else 1."""
-    report = _jsonable({"command": command, "config": cfg, **fields,
-                        "verdict": "pass" if passed else "fail"})
-    _write(cfg, out_dir, "json_path", json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
-    return EXIT_PASS if passed else EXIT_VIOLATION
-
-
 def _error_fields(err) -> dict:
     """A failure's report fields: its message, and its witness or escaping point."""
     if isinstance(err, CarrierDomainError):
@@ -248,88 +252,20 @@ def _error_fields(err) -> dict:
     return {"error": str(err), "witness": err.witness}
 
 
-def _pairs(cfg: dict, space):
-    """The config's pair set, which the symmetry check and the certificate share."""
-    return pair_samples(space, cfg["sampling"]["n_pairs"], cfg["sampling"]["seed"])
+def run(cfg: dict, out_dir: str, command: str) -> int:
+    """Run the pipeline up to and including ``command``'s stage, write its
+    report, and return 0 if every stage it ran passed, else 1.
 
-
-def _run_law_checks(cfg: dict, space, pairs) -> dict:
-    seed = cfg["sampling"]["seed"]
-    tol = cfg["tolerances"]["check_tol"]
-    LOG.info("running law checks (seed=%d)", seed)
-    axioms = check_axioms(space, axiom_samples(space, cfg["sampling"]["n_tuples"], seed), tol)
-    symmetry = check_symmetry(space, pairs, tol)
-    triangle = check_triangle_inequality(
-        space, triple_samples(space, cfg["sampling"]["n_triples"], seed), tol)
-    return {"axioms": axioms, "symmetry": symmetry, "triangle": triangle}
-
-
-def _run_classification(cfg: dict, space, f, pairs):
-    # make_map checks images only on a sample, so one can still leave the
-    # carrier here: the same defect, raised as the same ConstructionError.
-    seed = cfg["sampling"]["seed"]
-    tol = cfg["tolerances"]["check_tol"]
-    try:
-        cert = classify(space, f, pairs)
-        contraction = None
-        if cert.valid:
-            holdout = pair_samples(space, cfg["sampling"]["n_pairs"], seed, stream=STREAM_HOLDOUT)
-            contraction = verify_contraction_inequalities(space, f, cert.delta, holdout, tol)
-    except CarrierDomainError as err:
-        raise ConstructionError(f"map {cfg['map']['kind']!r} has an image outside the carrier: "
-                                f"{err}", witness=err.point) from None
-    return cert, contraction
-
-
-def cmd_axioms(cfg: dict, out_dir: str) -> int:
-    space = build_space(cfg, gated=False)
-    with suppress(ConstructionError):  # a malformed map parameter still exits 2
-        build_map(cfg, space)
-    checks = _run_law_checks(cfg, space, _pairs(cfg, space))
-    return _finish(cfg, out_dir, "axioms", all(c.passed for c in checks.values()),
-                   checks=checks)
-
-
-def cmd_classify(cfg: dict, out_dir: str) -> int:
-    try:
-        space = build_space(cfg, gated=True)
-        cert, contraction = _run_classification(cfg, space, build_map(cfg, space),
-                                                _pairs(cfg, space))
-    except ConstructionError as err:
-        return _finish(cfg, out_dir, "classify", False, **_error_fields(err))
-    return _finish(cfg, out_dir, "classify",
-                   cert.valid and (contraction is None or contraction.passed),
-                   certificate=cert, contraction=contraction)
-
-
-def cmd_solve(cfg: dict, out_dir: str) -> int:
-    cert = None
-    try:
-        space = build_space(cfg, gated=True)
+    The stages, in order: the law checks (``axioms``), the certificate and its
+    contraction check (``classify``), the Picard run (``solve``), and the
+    envelope, uniqueness and oracle checks (``verify``).  A failed law check,
+    map or certificate ends the run; a failed contraction check or a Picard
+    run that does not converge does not.  ``solve`` with ``solver.delta``
+    skips the certificate and iterates with that delta.
+    """
+    space = build_space(cfg)
+    if command in ("solve", "verify"):  # a bad start exits 2 here, before any sweep
         x0 = _resolve_x0(cfg, space)
-        f = build_map(cfg, space)
-        if cfg["solver"]["delta"] is None:
-            cert, _ = _run_classification(cfg, space, f, _pairs(cfg, space))
-    except ConstructionError as err:
-        return _finish(cfg, out_dir, "solve", False, **_error_fields(err))
-    if cert is not None and not cert.valid:
-        return _finish(cfg, out_dir, "solve", False, error="map is not certified contractive",
-                       certificate=cert)
-
-    delta = _delta_for_solving(cfg, cert)
-    try:
-        trace = picard_run(space, f, x0, delta, _stop_rule(cfg))
-    except CarrierDomainError as err:
-        return _finish(cfg, out_dir, "solve", False, witness=err.index, **_error_fields(err))
-    _write(cfg, out_dir, "csv_path", trace.to_csv())
-    return _finish(cfg, out_dir, "solve", trace.status == "converged",
-                   certificate=cert, delta_used=delta, trace=trace.summary_dict())
-
-
-def cmd_verify(cfg: dict, out_dir: str) -> int:
-    """Full pipeline: laws, certificate, solve, envelopes, uniqueness, oracle."""
-    space = build_space(cfg, gated=False)
-    x0 = _resolve_x0(cfg, space)
     try:  # a malformed map parameter exits 2 here, before any sweep
         f, map_error = build_map(cfg, space), None
     except ConstructionError as err:  # an escaping image: reported if the laws hold
@@ -344,32 +280,63 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
             failures.append(name)
 
     def finish(failure=None, err=None) -> int:
+        """Write the report (report objects as their ``to_dict``), cut to the
+        command's keys, print its path, and return the exit code."""
         if failure is not None:
             failures.append(failure)
         if err is not None:
             report.update(_error_fields(err))
-        return _finish(cfg, out_dir, "verify", not failures, failures=sorted(failures), **report)
+        report["failures"] = sorted(failures)
+        keys = _REPORT_KEYS[command]
+        doc = _jsonable({"command": command, "config": cfg,
+                         **{k: v for k, v in report.items() if k in keys},
+                         "verdict": "fail" if failures else "pass"})
+        _write(cfg, out_dir, "json_path", json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        return EXIT_VIOLATION if failures else EXIT_PASS
 
-    pairs = _pairs(cfg, space)
-    for name, check in _run_law_checks(cfg, space, pairs).items():
-        record(name, check, report["checks"])
+    seed, tol = cfg["sampling"]["seed"], cfg["tolerances"]["check_tol"]
+    pairs = pair_samples(space, cfg["sampling"]["n_pairs"], seed)  # shared with the certificate
+    LOG.info("running law checks (seed=%d)", seed)
+    checks = report["checks"]
+    record("axioms", check_axioms(space, axiom_samples(space, cfg["sampling"]["n_tuples"], seed), tol),
+           checks)
+    record("symmetry", check_symmetry(space, pairs, tol), checks)
+    record("triangle", check_triangle_inequality(
+        space, triple_samples(space, cfg["sampling"]["n_triples"], seed), tol), checks)
     if failures:
         report["skipped"]["classification"] = "space law checks failed"
+        return finish()
+    if command == "axioms":
         return finish()
 
     if map_error is not None:
         return finish("map-construction", map_error)
-    try:
-        cert, contraction = _run_classification(cfg, space, f, pairs)
-    except ConstructionError as err:
-        return finish("map-construction", err)
-    report["certificate"] = cert
-    if not cert.valid:
-        report["skipped"]["solve"] = "no valid certificate"
-        return finish("classification")
-    record("contraction", contraction)
+    delta = cfg["solver"]["delta"]
+    if command == "solve" and delta is not None:
+        report["skipped"]["classification"] = "solver.delta is given"
+    else:
+        try:
+            cert = classify(space, f, pairs)
+            if cert.valid:
+                holdout = pair_samples(space, cfg["sampling"]["n_pairs"], seed, stream=STREAM_HOLDOUT)
+                contraction = verify_contraction_inequalities(space, f, cert.delta, holdout, tol)
+        except CarrierDomainError as err:
+            # make_map checks images only on a sample, so one can still leave
+            # the carrier here: the same defect, reported as make_map reports it.
+            report.update(error=f"map {cfg['map']['kind']!r} has an image outside the carrier: "
+                                f"{err}", witness=err.point)
+            return finish("map-construction")
+        report["certificate"] = cert
+        if not cert.valid:
+            report["skipped"]["solve"] = "no valid certificate"
+            return finish("classification")
+        record("contraction", contraction)
+        if command == "classify":
+            return finish()
+        if delta is None:
+            delta = cert.delta_with_margin(cfg["tolerances"]["safety_margin"])
 
-    delta, rule = _delta_for_solving(cfg, cert), _stop_rule(cfg)
+    rule = _stop_rule(cfg)
     try:
         trace = picard_run(space, f, x0, delta, rule)
     except CarrierDomainError as err:
@@ -379,8 +346,9 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     _write(cfg, out_dir, "csv_path", trace.to_csv())
     if trace.status != "converged":
         failures.append("solve")
+    if command == "solve":
+        return finish()
 
-    tol = cfg["tolerances"]["check_tol"]
     if not trace.monitored:
         report["skipped"]["decay"] = report["skipped"]["cauchy"] = "envelope monitoring disabled"
     else:
@@ -392,7 +360,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 
     # The main trace is the run from x0's start: one prepended on a continuous
     # carrier, and on a finite one, whose starts are its indices in order, start x0.
-    starts = list(start_samples(space, cfg["sampling"]["n_starts"], cfg["sampling"]["seed"]))
+    starts = list(start_samples(space, cfg["sampling"]["n_starts"], seed))
     if not space.carrier.finite:
         starts = [x0] + starts
     x0_slot = x0 if space.carrier.finite else 0
@@ -413,14 +381,6 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     return finish()
 
 
-_COMMANDS = {
-    "axioms": cmd_axioms,
-    "classify": cmd_classify,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-}
-
-
 def _setup_logging():
     level = _LOG_LEVELS.get(os.environ.get("AMETRIC_FIX_LOG", "quiet"), logging.WARNING)
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
@@ -435,8 +395,8 @@ def _parser() -> argparse.ArgumentParser:
                     "spaces and solve for their fixed points.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
+    for name, stages in COMMANDS.items():
+        p = sub.add_parser(name, help=stages)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out-dir", default=".", help="directory for reports (default: .)")
         p.add_argument("--seed", type=int, default=None, help="override sampling.seed")
@@ -451,7 +411,7 @@ def main(argv=None) -> int:
         return EXIT_PASS if not err.code else EXIT_USAGE
     try:
         cfg = materialize_config(load_config(args.config), args.config, args.seed)
-        return _COMMANDS[args.command](cfg, args.out_dir)
+        return run(cfg, args.out_dir, args.command)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

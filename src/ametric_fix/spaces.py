@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import AMetricSpace, Box, Carrier, FiniteCarrier, Point, _only, check_axioms
-from .errors import CarrierDomainError, ConstructionError, UsageError, finite_real, integer
+from .errors import CarrierDomainError, ConstructionError, UsageError, finite_real, integer, real
 from .sampling import STREAM_GATE, STREAM_MAP_CHECK, axiom_samples, philox
 
 # Axiom tuples the law gate of make_lifted_space samples.
@@ -210,15 +210,18 @@ def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
 
     ``base`` is either a square table (finite carrier, indices as points) or
     a callable two-argument metric, in which case ``box`` describes the
-    carrier.  Structural defects of a table (negative entry, asymmetry,
+    carrier and each value is read by :func:`~.errors.real` (a bool or a
+    string raises :class:`UsageError`).  Structural defects of a table (negative entry, asymmetry,
     nonzero diagonal) and any law violation found by the gating sweep raise
-    :class:`ConstructionError` carrying the witness.
+    :class:`ConstructionError` carrying the witness.  The gate is a library
+    entry point only: the CLI builds its table with :func:`table_space` and
+    runs the full law checks as its first stage.
     """
     if callable(base):
         if box is None:
             raise UsageError("a callable base needs an explicit carrier box")
-        space = pair_lift(t, lambda x, y: float(base(x, y)), Box.of(*_box_bounds(box), 1),
-                          zero_diagonal=False, eq_tol=eq_tol)
+        space = pair_lift(t, lambda x, y: real(base(x, y), "a callable base's value"),
+                          Box.of(*_box_bounds(box), 1), zero_diagonal=False, eq_tol=eq_tol)
     else:
         arr = read_table(base)
         neg = np.argwhere(arr < 0)

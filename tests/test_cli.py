@@ -14,6 +14,7 @@ import pytest
 
 from ametric_fix import cli
 from ametric_fix.cli import main, materialize_config
+from ametric_fix.errors import UsageError
 
 PAPER_CFG = {
     "space": {"kind": "absdiff", "t": 3, "d": 1, "box": [-100.0, 100.0]},
@@ -484,10 +485,8 @@ def test_escaping_iterate_names_its_point(command, slope, point, tmp_path, capsy
     report = load_report(tmp_path)
     assert report["error"] == f"iterate 1 escaped the carrier: point {point} outside carrier box"
     assert report["point"] == point
-    if command == "solve":
-        assert report["witness"] == 1
-    else:
-        assert report["failures"] == ["solve"]
+    assert report["failures"] == ["solve"]
+    assert "witness" not in report  # the iterate's index is in the message
 
 
 @pytest.mark.parametrize("command", ["axioms", "classify", "solve", "verify"])
@@ -762,3 +761,138 @@ def test_unwritable_output_exits_two_naming_its_key(command, outputs, out_dir, k
     assert code == 2
     assert err.startswith(f"error: outputs.{key}: cannot write ")
     assert "Traceback" not in err
+
+
+# Each subcommand is verify's pipeline stopped after its own stage, and writes
+# verify's report cut to the keys of the stages it ran.  A failure and a skip
+# notice belong to the stage that records them.
+STOPS = ("axioms", "classify", "solve", "verify")
+STAGE_KEYS = {"axioms": {"checks"},
+              "classify": {"skipped", "failures", "certificate", "contraction", "error", "witness",
+                           "point"},
+              "solve": {"delta_used", "trace"}}
+FAILURE_STAGE = {"axioms": "axioms", "symmetry": "axioms", "triangle": "axioms",
+                 "map-construction": "classify", "classification": "classify",
+                 "contraction": "classify", "solve": "solve"}
+SKIP_STAGE = {"classification": "axioms", "solve": "classify"}
+
+
+def _stage_up_to(stage, stop):
+    return STOPS.index(stage) <= STOPS.index(stop)
+
+
+def _verify_cut_at(report, stop):
+    """verify's report as `stop` writes it, and whether a stage up to `stop` failed."""
+    keys = set().union(*(STAGE_KEYS[s] for s in STOPS[:STOPS.index(stop) + 1]))
+    cut = {k: v for k, v in report.items() if k in keys}
+    failed = [f for f in report["failures"] if _stage_up_to(FAILURE_STAGE.get(f, "verify"), stop)]
+    if "failures" in cut:
+        cut["failures"] = failed
+        cut["skipped"] = {k: v for k, v in report["skipped"].items()
+                          if _stage_up_to(SKIP_STAGE.get(k, "verify"), stop)}
+    cut.update(command=stop, config=report["config"], verdict="fail" if failed else "pass")
+    return cut, bool(failed)
+
+
+def _golden_config(case):
+    return json.loads((GOLDEN / case / "config.json").read_text())
+
+
+PIPELINE_CFGS = {
+    "paper": PAPER_CFG,
+    "d2-box": D2_CFG,
+    "finite-exhaustive": _golden_config("verify-finite-exhaustive"),
+    "law-breaking-table": _golden_config("verify-law-breaking"),
+    "escaping-image": ESCAPE_CFG,
+    "max-iter": _paper_with(solver={"x0": 7.0, "max_iter": 3}),
+    "explicit-delta": _paper_with(solver={"x0": 7.0, "delta": 0.5}),
+}
+
+
+def _run_all(doc, tmp_path, capsys):
+    """Each command's exit code, report and trace CSV (or None) on `doc`."""
+    cfg = write_cfg(tmp_path, doc)
+    results = {}
+    for command in STOPS:
+        out = tmp_path / command
+        code, _, err = run([command, "--config", cfg, "--out-dir", str(out)], capsys)
+        assert err == ""
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        results[command] = code, json.loads(files["report.json"]), files.get("trace.csv")
+    return results
+
+
+@pytest.mark.parametrize("name", PIPELINE_CFGS)
+def test_each_subcommand_is_verify_stopped_after_its_stage(name, tmp_path, capsys):
+    results = _run_all(PIPELINE_CFGS[name], tmp_path, capsys)
+    _, full, full_csv = results["verify"]
+    for stop in STOPS[:-1]:
+        code, report, csv = results[stop]
+        expected, failed = _verify_cut_at(full, stop)
+        if stop == "solve" and full["config"]["solver"]["delta"] is not None:
+            # solve iterates with solver.delta without a certificate; verify,
+            # whose certificate is valid here, iterates with the same delta.
+            expected.update(certificate=None, contraction=None,
+                            skipped={"classification": "solver.delta is given"})
+        assert code == (1 if failed else 0), stop
+        assert report == expected, stop
+        if stop == "solve":
+            assert csv == full_csv
+
+
+@pytest.mark.parametrize("images, code", [([0, 1, 2], 0), ([1, 2, 0], 1)],
+                         ids=["identity-converges", "cycle-does-not"])
+def test_solve_with_explicit_delta_iterates_a_map_that_does_not_certify(images, code, tmp_path,
+                                                                        capsys):
+    # verify fails such a map at its certificate; solve skips the certificate,
+    # so its verdict is the Picard run's.
+    doc = {"space": {"kind": "lifted", "t": 3, "base_table": DISCRETE_TABLE},
+           "map": {"kind": "finite-table", "images": images},
+           "sampling": {"seed": 0}, "solver": {"x0": 0, "delta": 0.5, "max_iter": 20}}
+    results = _run_all(doc, tmp_path, capsys)
+    _, full, _ = results["verify"]
+    assert (results["verify"][0], full["failures"]) == (1, ["classification"])
+    solve_code, report, _ = results["solve"]
+    assert solve_code == code
+    assert report["checks"] == full["checks"]
+    assert (report["certificate"], report["contraction"]) == (None, None)
+    assert report["skipped"] == {"classification": "solver.delta is given"}
+    assert report["delta_used"] == 0.5
+    assert report["failures"] == ([] if code == 0 else ["solve"])
+
+
+
+@pytest.mark.parametrize("section, key", [
+    ("sampling", "n_tuples"), ("sampling", "n_pairs"), ("sampling", "n_triples"),
+    ("sampling", "n_starts"), ("solver", "max_iter"),
+])
+def test_a_count_of_one_is_accepted_and_zero_is_not(section, key):
+    doc = _paper_with()
+    doc[section][key] = 1
+    assert materialize_config(doc, "cfg.json")[section][key] == 1
+    doc[section][key] = 0
+    with pytest.raises(UsageError, match=f"^cfg.json: {section}.{key} must be >= 1, got 0$"):
+        materialize_config(doc, "cfg.json")
+
+
+def test_space_bounds_at_their_limits():
+    doc = _paper_with(space={"kind": "absdiff", "t": 2, "box": [-1.0, 1.0]})
+    assert materialize_config(doc, "cfg.json")["space"]["t"] == 2
+    doc["space"]["t"] = 1
+    with pytest.raises(UsageError, match=r"^cfg.json: space.t must be >= 2, got 1$"):
+        materialize_config(doc, "cfg.json")
+    doc["space"] = {"kind": "absdiff", "t": 3, "box": [5, 5]}
+    with pytest.raises(UsageError, match=r"^cfg.json: space.box: need lo < hi, got \[5.0, 5.0\]$"):
+        materialize_config(doc, "cfg.json")
+
+
+@pytest.mark.parametrize("max_iter, cauchy_pairs", [(1, None), (2, 3)])
+def test_cauchy_check_needs_three_iterates(max_iter, cauchy_pairs, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, _paper_with(solver={"x0": 7.0, "max_iter": max_iter}))
+    assert run(["verify", "--config", cfg, "--out-dir", str(tmp_path)], capsys)[0] == 1
+    report = load_report(tmp_path)
+    assert report["trace"]["iterations"] == max_iter
+    if cauchy_pairs is None:
+        assert (report["cauchy"], report["skipped"]) == (None, {"cauchy": "fewer than 3 iterates"})
+    else:
+        assert (report["cauchy"]["checked"], report["skipped"]) == (cauchy_pairs, {})

@@ -73,6 +73,23 @@ def test_lifted_callable_matches_absdiff():
         assert evaluate(lifted, tup) == evaluate(closed, tup)
 
 
+@pytest.mark.parametrize("base, got", [
+    (lambda x, y: x != y, "True"),
+    (lambda x, y: str(min(abs(x - y), 1.0)), "'"),
+], ids=["bool", "string"])
+def test_lifted_callable_base_values_are_read_as_reals(base, got):
+    # float() would read True and "1.0" as 1.0; the gate's first evaluation refuses them.
+    with pytest.raises(UsageError, match=f"^a callable base's value must be a real number, got {got}"):
+        make_lifted_space(3, base, box=(0.0, 5.0))
+
+
+@pytest.mark.parametrize("base", [lambda x, y: int(x != y), lambda x, y: np.float64(abs(x - y))],
+                         ids=["int", "numpy-float"])
+def test_lifted_callable_base_may_return_any_real(base):
+    s = make_lifted_space(3, base, box=(0.0, 5.0))
+    assert evaluate(s, (0.0, 2.0, 2.0)) == 2.0 * base(0.0, 2.0)
+
+
 def test_lifted_discrete_metric():
     table = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
     s = make_lifted_space(3, table)
