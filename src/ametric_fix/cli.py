@@ -100,6 +100,8 @@ _KEYS = {
     "solver": {"x0": None, "max_iter": (10_000, integer, 1), "delta": (None, _require_delta)},
     "outputs": {"csv_path": ("trace.csv", _require_path), "json_path": ("report.json", _require_path)},
 }
+# The space keys each kind takes besides "kind".
+_SPACE_KEYS = {"absdiff": ("t", "d", "box"), "lifted": ("t", "base_table")}
 
 
 def load_config(path: str) -> dict:
@@ -153,6 +155,9 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
     kind = space_raw.get("kind")
     if kind not in ("absdiff", "lifted"):
         _fail(anchor, "space.kind", f"expected 'absdiff' or 'lifted', got {kind!r}")
+    for key in space_raw:
+        if key != "kind" and key not in _SPACE_KEYS[kind]:
+            _fail(anchor, f"space.{key}", f"not a key of space kind {kind!r}")
     t = integer(space_raw.get("t"), f"{anchor}: space.t", 2)
     if kind == "absdiff":
         d = integer(space_raw.get("d", 1), f"{anchor}: space.d", 1)
@@ -230,11 +235,10 @@ def _stop_rule(cfg: dict) -> StopRule:
                     bound_eps=cfg["tolerances"]["bound_eps"])
 
 
-def _write(cfg: dict, out_dir: str, key: str, text: str) -> None:
-    """Write the file named by outputs.<key> (under out_dir unless absolute) and
-    print its path; a path that cannot be written is a configuration error."""
-    path = Path(cfg["outputs"][key])
-    path = path if path.is_absolute() else Path(out_dir) / path
+def _write(paths: dict, key: str, text: str) -> None:
+    """Write the file outputs.<key> names, ``paths[key]``, and print its path;
+    a path that cannot be written is a configuration error."""
+    path = paths[key]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
@@ -263,6 +267,11 @@ def run(cfg: dict, out_dir: str, command: str) -> int:
     run that does not converge does not.  ``solve`` with ``solver.delta``
     skips the certificate and iterates with that delta.
     """
+    # Under out_dir unless absolute: joining an absolute path drops out_dir.
+    paths = {key: Path(out_dir, name) for key, name in cfg["outputs"].items()}
+    if os.path.abspath(paths["csv_path"]) == os.path.abspath(paths["json_path"]):
+        raise UsageError(f"outputs.csv_path and outputs.json_path name one file, "
+                         f"{str(paths['json_path'])!r}")
     space = build_space(cfg)
     if command in ("solve", "verify"):  # a bad start exits 2 here, before any sweep
         x0 = _resolve_x0(cfg, space)
@@ -291,7 +300,7 @@ def run(cfg: dict, out_dir: str, command: str) -> int:
         doc = _jsonable({"command": command, "config": cfg,
                          **{k: v for k, v in report.items() if k in keys},
                          "verdict": "fail" if failures else "pass"})
-        _write(cfg, out_dir, "json_path", json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        _write(paths, "json_path", json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
         return EXIT_VIOLATION if failures else EXIT_PASS
 
     seed, tol = cfg["sampling"]["seed"], cfg["tolerances"]["check_tol"]
@@ -343,7 +352,7 @@ def run(cfg: dict, out_dir: str, command: str) -> int:
         return finish("solve", err)
     report["delta_used"] = delta
     report["trace"] = trace.summary_dict()
-    _write(cfg, out_dir, "csv_path", trace.to_csv())
+    _write(paths, "csv_path", trace.to_csv())
     if trace.status != "converged":
         failures.append("solve")
     if command == "solve":

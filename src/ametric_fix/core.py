@@ -18,9 +18,9 @@ Points are plain Python values owned by the carrier: a float for a
 index for finite carriers.  The sweeps hold them as numpy arrays instead:
 shape (n,) for a 1-dimensional box, (n, d) above, integer indices on finite
 carriers.  Only the carrier classes branch on either format; other code
-validates, converts, compares, spreads, draws and maps points through their
-methods.  The law checks work on blocks of at most ``BLOCK`` entries, so
-their memory does not grow with the sample set.  The exhaustive set of a
+validates, compares, spreads, draws and maps points through their methods,
+and ``sampling._python`` alone turns an array back into Python points.
+The law checks work on blocks of at most ``BLOCK`` entries, so their memory does not grow with the sample set.  The exhaustive set of a
 finite carrier of n points, the product grid of (t+1)-tuples, is swept by
 t-tuple and pivot instead, in blocks of up to ``BLOCK`` t-tuples with all n
 of their pivots: one distance per t-tuple, and the laws that depend on the
@@ -44,7 +44,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import CarrierDomainError, UsageError, finite_real, integer, real
-from .sampling import SampleSet
+from .sampling import SampleSet, _python
 
 Point = Union[int, float, tuple]
 
@@ -165,14 +165,8 @@ class Box:
         if arr is not None:
             if np.all((arr >= self._lo_slack) & (arr <= self._hi_slack)):
                 return arr
-            pts = self.points(arr)
+            pts = _python(arr.tolist())
         return np.array([self.canon(p) for p in pts], dtype=float).reshape((len(pts),) + width)
-
-    def points(self, arr: np.ndarray) -> list:
-        """The canonical Python points of an array made by :meth:`array`."""
-        if len(self.lo) == 1:
-            return arr.tolist()
-        return list(zip(*arr.T.tolist()))
 
     def equal(self, a, b, tol: float):
         """Coordinate-wise equality within ``tol``, of two canonical points or
@@ -194,10 +188,6 @@ class Box:
         rows = rng.uniform(self.lo, self.hi, size=(n, len(self.lo)))
         return rows[:, 0] if len(self.lo) == 1 else rows
 
-    def coords(self, p: Point) -> tuple:
-        """The coordinates of a canonical point, as a tuple."""
-        return (p,) if len(self.lo) == 1 else p
-
     def componentwise(self, g: Callable[[float], float]) -> Callable[[Point], Point]:
         """Lift a map of one coordinate to a map of points, applied to each coordinate."""
         if len(self.lo) == 1:
@@ -216,10 +206,11 @@ class FiniteCarrier:
         object.__setattr__(self, "size", integer(self.size, "size", 1))
 
     def canon(self, p) -> int:
+        """The index ``p`` as a Python int, by :func:`errors.integer`'s rule;
+        an index outside the carrier, however large, is an escape."""
         if type(p) is int and 0 <= p < self.size:
             return p
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise UsageError(f"finite-carrier points are integer indices, got {p!r}")
+        p = integer(p, "point", maximum=None)
         if not 0 <= p < self.size:
             raise CarrierDomainError(f"index {p} outside carrier of size {self.size}", point=p)
         return p
@@ -237,10 +228,6 @@ class FiniteCarrier:
                 return np.array(pts, dtype=np.intp)
         return np.array([self.canon(p) for p in pts], dtype=np.intp)
 
-    def points(self, arr: np.ndarray) -> list:
-        """The indices of an array made by :meth:`array`, as Python ints."""
-        return arr.tolist()
-
     def equal(self, a, b, tol: float):
         """Index equality, of two points or elementwise over arrays; ``tol`` is ignored."""
         return np.equal(a, b)
@@ -253,10 +240,6 @@ class FiniteCarrier:
     def sample(self, rng, n: int) -> np.ndarray:
         """``n`` indices drawn uniformly by ``rng``, as :meth:`array` returns them."""
         return rng.integers(0, self.size, size=n).astype(np.intp, copy=False)
-
-    def coords(self, p: int) -> tuple:
-        """The index as a one-coordinate tuple."""
-        return (p,)
 
 
 Carrier = Union[Box, FiniteCarrier]
@@ -306,22 +289,21 @@ class AMetricSpace:
             distance, head = self.distance, self.t - 1
             object.__setattr__(self, "rep_fn", lambda x, y: float(distance((x,) * head + (y,))))
         if self.rep_many is None:
-            object.__setattr__(self, "rep_many", _looped(self.carrier, self.rep_fn))
+            object.__setattr__(self, "rep_many", _looped(self.rep_fn))
         if self.distance_many is None:
-            by_row = _looped(self.carrier, lambda *pts: self.distance(pts))
+            by_row = _looped(lambda *pts: self.distance(pts))
             object.__setattr__(self, "distance_many", lambda pts: by_row(*np.moveaxis(pts, 1, 0)))
 
 
-def _looped(carrier: Carrier, fn: Callable[..., float]) -> Callable[..., np.ndarray]:
+def _looped(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
     """Array form of ``fn(p1, ..., pk)``: one Python call per row of k point arrays.
 
     ``fn`` receives the canonical Python points of each row, the values the
     scalar code would pass it, and its results are stored as float64.
     """
-    points = carrier.points
-
     def many(*arrays: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(fn, *map(points, arrays)), dtype=float, count=len(arrays[0]))
+        points = (_python(a.tolist()) for a in arrays)
+        return np.fromiter(map(fn, *points), dtype=float, count=len(arrays[0]))
 
     return many
 

@@ -68,7 +68,7 @@ class SampleSet:
 
     @property
     def entries(self) -> tuple:
-        return tuple(map(_python, self.points.tolist()))
+        return _python(self.points.tolist())
 
     def entry(self, i: int):
         """Entry ``i`` as Python points, without building the others."""
@@ -90,8 +90,10 @@ class SampleSet:
 
 
 def _python(value):
-    """An entry or point from ``ndarray.tolist``, its lists made tuples."""
-    return tuple(map(_python, value)) if isinstance(value, list) else value
+    """Entries or points from ``ndarray.tolist`` of a point array, its lists made tuples."""
+    if not isinstance(value, list):
+        return value
+    return tuple(map(_python, value)) if value and isinstance(value[0], list) else tuple(value)
 
 
 def _exhaustive_ok(carrier, width: int) -> bool:

@@ -56,6 +56,7 @@ from .core import (
     scaled_tols,
 )
 from .errors import CarrierDomainError, UsageError, finite_real, integer
+from .sampling import _python
 from .spaces import SelfMap
 
 CSV_COLUMNS = ("n", "step", "bound", "ratio", "tail_bound")
@@ -347,29 +348,32 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Sequence[PicardTra
     a, b are rep(a, b) <= (t-1) rep(a, p) + rep(b, p) <= t * bound_eps apart,
     and the step after a limit, below its envelope delta^n * d0, is within
     bound_eps.  Both terms are added to the respective tolerances.  The
-    report keeps the first ``core.MAX_WITNESSES`` violations.
+    limits are read through ``carrier.array``, so a hand-built trace's bad
+    limit raises ``canon``'s error.  The report keeps the first
+    ``core.MAX_WITNESSES`` violations.
     """
     if len(traces) < 2 or len({trace.delta for trace in traces}) > 1:
         raise UsageError("uniqueness_probe needs at least 2 runs, all with one delta")
     delta = traces[0].delta
     rec = _Recorder("uniqueness")
-    limits = []
+    starts, ends = [], []
     for trace in traces:
         x0 = trace.iterates[0]
         if trace.status != "converged":
             rec.add(f"non-convergence[{trace.status}]", (x0,), math.inf, 0.0, 0.0)
             continue
-        limits.append((x0, trace.limit))
+        starts.append(x0)
+        ends.append(trace.limit)
 
-    coords = space.carrier.coords
-    magnitudes = [abs(c) for _, p in limits for c in coords(p)]
+    # Validated as verify_cauchy validates iterates; the array sizes agree_tol.
+    pts = space.carrier.array(ends)
+    limits = list(zip(starts, _python(pts.tolist())))
     spread_cap = 1.0 - max(delta, 0.0)
     bound_eps = rule.bound_eps if delta >= 0.0 and rule.bound_eps is not None else 0.0
     agree_tol = max(
-        scaled_tol(space.eq_tol, *magnitudes),
+        scaled_tol(space.eq_tol, *pts.ravel().tolist()),
         _RESIDUAL_FACTOR * (space.t - 1) * rule.eps / spread_cap,
     ) + space.t * bound_eps
-    # Limits are canonical: picard_run validates every iterate.
     rep = space.rep_fn
     for i, (sa, pa) in enumerate(limits):
         for sb, pb in limits[i + 1:]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import AMetricSpace, Box, Carrier, FiniteCarrier, Point, _only, check_axioms
 from .errors import CarrierDomainError, ConstructionError, UsageError, finite_real, integer, real
-from .sampling import STREAM_GATE, STREAM_MAP_CHECK, axiom_samples, philox
+from .sampling import STREAM_GATE, STREAM_MAP_CHECK, _python, axiom_samples, philox
 
 # Axiom tuples the law gate of make_lifted_space samples.
 _N_GATE = 300
@@ -327,7 +327,7 @@ def _looped_map(fn: Callable[[Point], Point]) -> Callable[[np.ndarray], list]:
     for ``carrier.array`` to validate.
     """
     def many(pts: np.ndarray) -> list:
-        return [fn(tuple(p) if isinstance(p, list) else p) for p in pts.tolist()]
+        return list(map(fn, _python(pts.tolist())))
 
     return many
 
@@ -458,7 +458,7 @@ def make_map(spec: MapSpec, space: AMetricSpace, *, seed: int = 0) -> SelfMap:
     try:
         carrier.array(many(probes))
     except CarrierDomainError:
-        for p in carrier.points(probes):
+        for p in _python(probes.tolist()):
             try:
                 carrier.canon(fn(p))
             except CarrierDomainError:

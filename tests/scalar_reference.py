@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ametric_fix.core import _Recorder, scaled_tol
-from ametric_fix.errors import CarrierDomainError, UsageError, finite_real, real
+from ametric_fix.errors import CarrierDomainError, UsageError, finite_real, integer, real
 from ametric_fix.solver import _GROWTH_FACTOR, _GROWTH_WINDOW, PicardTrace, _tail
 from ametric_fix.zamfirescu import (
     _ASSIGN_RTOL,
@@ -248,8 +248,7 @@ def verify_contraction_inequalities(space, f, delta, pairs, tol=1e-9, max_witnes
 def canon(carrier, p):
     """``carrier.canon(p)``, every point converted and checked."""
     if carrier.finite:
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise UsageError(f"finite-carrier points are integer indices, got {p!r}")
+        p = integer(p, "point", maximum=None)
         if not 0 <= p < carrier.size:
             raise CarrierDomainError(f"index {p} outside carrier of size {carrier.size}", point=p)
         return p

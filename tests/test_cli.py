@@ -624,11 +624,16 @@ def _piecewise(breakpoints, pieces):
     (_piecewise(["0"], [[0.5, 0], [0.25, 0]]), "breakpoint must be a real number, got '0'"),
     (_piecewise([0.0], [[True, 0], [0.25, 0]]), "slope must be a real number, got True"),
     (_piecewise([0.0], [[0.5, "1"], [0.25, 0]]), "intercept must be a real number, got '1'"),
+    # A key of the other space kind was once accepted and dropped.
+    (_paper_with(space={"kind": "absdiff", "t": 3, "base_table": [[0, 1], [1, 0]]}),
+     "cfg.json: space.base_table: not a key of space kind 'absdiff'"),
+    (_paper_with(space={"kind": "lifted", "t": 3, "base_table": DISCRETE_TABLE, "d": 5,
+                        "box": [0, 1]}), "cfg.json: space.d: not a key of space kind 'lifted'"),
 ], ids=["tolerances-5", "solver-5", "sampling-5", "outputs-7", "space-list", "eps-null",
         "piece-short", "piece-int", "breakpoints-int", "pieces-null", "box-overflow",
         "param-overflow", "unknown-map-parameter", "not-utf8", "lam-string", "lam-bool",
         "alpha-string", "beta-bool", "offset-bool", "value-string", "value-list-bool",
-        "breakpoint-string", "slope-bool", "intercept-string"])
+        "breakpoint-string", "slope-bool", "intercept-string", "absdiff-base-table", "lifted-d-box"])
 def test_malformed_config_exits_two(doc, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
@@ -691,6 +696,28 @@ def test_config_values_are_checked_with_one_wording(doc, message, tmp_path, caps
     code, out, err = run(["verify", "--config", path, "--out-dir", str(tmp_path)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
+@pytest.mark.parametrize("outputs", [
+    {"csv_path": "out.json", "json_path": "out.json"},
+    {"csv_path": "a/../r.json", "json_path": "r.json"},
+    {"csv_path": "./sub/r.json", "json_path": "sub//r.json"},
+    {"csv_path": "ABS", "json_path": "r.json"},
+], ids=["same", "dotdot", "dot-and-double-slash", "absolute-and-relative"])
+@pytest.mark.parametrize("command", ["axioms", "verify"])
+def test_outputs_naming_one_file_exit_two_before_any_sweep(outputs, command, tmp_path, capsys,
+                                                            caplog, monkeypatch):
+    # Both used to be written, the report over the trace.
+    monkeypatch.setenv("AMETRIC_FIX_LOG", "info")
+    caplog.set_level(logging.INFO, logger="ametric_fix")
+    out_dir = tmp_path / "out"
+    outputs = {k: str(out_dir / "r.json") if v == "ABS" else v for k, v in outputs.items()}
+    path = write_cfg(tmp_path, _paper_with(outputs=outputs))
+    code, out, err = run([command, "--config", path, "--out-dir", str(out_dir)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: outputs.csv_path and outputs.json_path name one file, ")
+    assert "running law checks" not in caplog.text + err
+    assert not out_dir.exists()
 
 
 def test_verify_two_sevenths_on_a_box_up_to_1e308(tmp_path, capsys):

@@ -37,6 +37,7 @@ from ametric_fix import (
     picard_run,
 )
 from ametric_fix import core
+from ametric_fix.sampling import SampleSet
 from test_solver import scheduled
 
 SEED = 13
@@ -305,9 +306,46 @@ class Index(int):
 def test_finite_canon_matches_the_reference(size):
     carrier = FiniteCarrier(size)
     for p in (0, size - 1, size, -1, True, False, np.int64(0), np.int64(size), 0.0, None, "0",
-              Index(0), Index(size - 1), Index(size), Index(-1)):
+              Index(0), Index(size - 1), Index(size), Index(-1), np.int64(size - 1), np.int32(-1),
+              np.uint8(0), np.True_, 2.0, np.float64(0.0), 10 ** 30, -10 ** 30):
         assert (canon_outcome(carrier.canon, p)
                 == canon_outcome(lambda q: ref.canon(carrier, q), p)), p
+
+
+@pytest.mark.parametrize("p", [np.int64(2), np.int32(2), np.uint8(2), Index(2)],
+                         ids=repr)
+def test_finite_canon_reads_numpy_and_subclass_indices_as_ints(p):
+    # The rule of errors.integer, which FiniteCarrier(size) and finite-table
+    # images also follow; numpy indices were once refused.
+    q = FiniteCarrier(7).canon(p)
+    assert type(q) is int and q == 2
+
+
+@pytest.mark.parametrize("p", [True, np.True_, 2.0, np.float64(2.0), "0", None], ids=repr)
+def test_finite_canon_refuses_non_integers_in_one_wording(p):
+    with pytest.raises(UsageError) as err:
+        FiniteCarrier(7).canon(p)
+    assert str(err.value) == f"point must be an integer, got {p!r}"
+
+
+@pytest.mark.parametrize("p", [-1, 7, np.int64(7), np.int64(-1), 10 ** 30, -10 ** 30], ids=repr)
+def test_finite_canon_keeps_indices_outside_as_escapes(p):
+    with pytest.raises(CarrierDomainError, match="outside carrier of size 7") as err:
+        FiniteCarrier(7).canon(p)
+    assert type(err.value.point) is int and err.value.point == p
+
+
+def test_numpy_indices_enter_at_every_finite_boundary():
+    space = make_lifted_space(3, LINE7)
+    f = make_map(MapSpec.of("finite-table", images=[0, 0, 1, 2, 3, 4, 5]), space)
+    rule = StopRule(eps=1e-9, max_iter=400)
+    assert outcome(picard_run, space, f, np.int64(6), 0.5, rule) == outcome(
+        picard_run, space, f, 6, 0.5, rule)
+    assert all(type(p) is int for p in picard_run(space, f, np.int64(6), 0.5, rule).iterates)
+    arr = space.carrier.array([np.int64(1)])
+    assert arr.dtype == np.intp and arr.tolist() == [1]
+    samples = SampleSet.from_entries(space, [(np.int64(0), 1)])
+    assert samples.entries == ((0, 1),) and type(samples.entry(0)[0]) is int
 
 
 def test_canonical_points_inside_skip_the_conversion(monkeypatch):

@@ -11,6 +11,7 @@ Covers:
 
 import math
 
+import numpy as np
 import pytest
 
 from ametric_fix import (
@@ -442,6 +443,26 @@ def test_uniqueness_probe_bound_eps_applies_at_delta_zero():
     f = make_map(MapSpec.of("identity"), s)
     runs = [converged(1.0, 0.0, delta=0.0), converged(2.0, 1e-6, delta=0.0)]
     assert uniqueness_probe(s, f, runs, StopRule(eps=1e-12, bound_eps=1e-6)).passed
+
+
+@pytest.mark.parametrize("limit, error", [(True, UsageError), ("a", UsageError),
+                                          (1e9, CarrierDomainError)])
+def test_uniqueness_probe_checks_the_limits_it_reads(limit, error):
+    # The limits are read as verify_cauchy reads iterates.  They were once
+    # taken as they came: True read as 1, 'a' raised a raw TypeError from
+    # abs(), and 1e9 on the default box was judged as if it were a point.
+    s = make_absdiff_space(3)
+    f = make_map(MapSpec.of("constant", value=0.0), s)
+    with pytest.raises(error):
+        uniqueness_probe(s, f, [converged(1.0, 0.0), converged(2.0, limit)], StopRule())
+
+
+def test_uniqueness_probe_reads_numpy_limits_as_points():
+    s = make_lifted_space(3, DISCRETE_3)
+    f = make_map(MapSpec.of("finite-table", images=[1, 1, 1]), s)
+    runs = [converged(0, np.int64(1)), converged(2, 1)]
+    report = uniqueness_probe(s, f, runs, StopRule())
+    assert report.passed and type(report.info["limit"]) is int and report.info["limit"] == 1
 
 
 def test_brute_force_fixed_points():

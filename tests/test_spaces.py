@@ -39,7 +39,7 @@ from ametric_fix import (
     rep_distance,
     table_space,
 )
-from ametric_fix.sampling import STREAM_GATE, STREAM_MAP_CHECK, SampleSet, philox
+from ametric_fix.sampling import STREAM_GATE, STREAM_MAP_CHECK, SampleSet, _python, philox
 from ametric_fix import spaces
 from ametric_fix.spaces import default_catalog, pair_lift, read_table
 
@@ -353,7 +353,7 @@ def one_d_points():
 
 def assert_many_matches_fn(f, carrier, points):
     arr = carrier.array(points)
-    scalar = np.array([f(p) for p in carrier.points(arr)])
+    scalar = np.array([f(p) for p in _python(arr.tolist())])
     array_form = np.asarray(f.many(arr))
     assert array_form.dtype == scalar.dtype and array_form.shape == scalar.shape
     assert array_form.tobytes() == scalar.tobytes()
@@ -399,7 +399,7 @@ def test_two_sevenths_is_finite_up_to_the_largest_float():
 
 def test_make_map_names_the_first_escaping_probe():
     s = make_absdiff_space(3, box=(-1.0, 1.0))
-    probes = s.carrier.points(s.carrier.sample(philox(SEED, STREAM_MAP_CHECK), spaces._N_CHECK))
+    probes = _python(s.carrier.sample(philox(SEED, STREAM_MAP_CHECK), spaces._N_CHECK).tolist())
     first = next(p for p in probes if p + 0.5 > 1.0 + 1e-12 * 2.0)
     with pytest.raises(ConstructionError) as err:
         make_map(MapSpec.of("shift", offset=0.5), s, seed=SEED)
