@@ -256,9 +256,10 @@ def _error_fields(err) -> dict:
     return {"error": str(err), "witness": err.witness}
 
 
-def run(cfg: dict, out_dir: str, command: str) -> int:
+def run(cfg: dict, out_dir: str, command: str, config_path: str) -> int:
     """Run the pipeline up to and including ``command``'s stage, write its
-    report, and return 0 if every stage it ran passed, else 1.
+    report, and return 0 if every stage it ran passed, else 1.  No output
+    may name ``config_path``, the config file ``cfg`` was read from.
 
     The stages, in order: the law checks (``axioms``), the certificate and its
     contraction check (``classify``), the Picard run (``solve``), and the
@@ -272,6 +273,9 @@ def run(cfg: dict, out_dir: str, command: str) -> int:
     if os.path.abspath(paths["csv_path"]) == os.path.abspath(paths["json_path"]):
         raise UsageError(f"outputs.csv_path and outputs.json_path name one file, "
                          f"{str(paths['json_path'])!r}")
+    for key, path in paths.items():
+        if os.path.abspath(path) == os.path.abspath(config_path):
+            raise UsageError(f"outputs.{key} names the config file {config_path!r}")
     space = build_space(cfg)
     if command in ("solve", "verify"):  # a bad start exits 2 here, before any sweep
         x0 = _resolve_x0(cfg, space)
@@ -420,7 +424,7 @@ def main(argv=None) -> int:
         return EXIT_PASS if not err.code else EXIT_USAGE
     try:
         cfg = materialize_config(load_config(args.config), args.config, args.seed)
-        return run(cfg, args.out_dir, args.command)
+        return run(cfg, args.out_dir, args.command, args.config)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -54,6 +54,8 @@ _CONTAIN_SLACK = 1e-12
 
 # Entries (or pairs) one array sweep handles at a time: the sweeps' working
 # memory is a few arrays of this length, whatever the sample or trace size.
+# A lift's distance_many holds up to t - 1 slots of a block at once, so its
+# working memory is O(t * BLOCK * d).
 BLOCK = 4096
 
 # Violations a check report keeps as witnesses; violations_total counts all.
@@ -77,6 +79,9 @@ class Box:
     # at d = 1, an empty range above, where a float is not a point.
     _float_lo: float = field(init=False, repr=False, compare=False)
     _float_hi: float = field(init=False, repr=False, compare=False)
+    # lo and hi - lo as float arrays, for sample.
+    _lo_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _width_array: np.ndarray = field(init=False, repr=False, compare=False)
     finite = False
 
     def __post_init__(self):
@@ -96,6 +101,8 @@ class Box:
         scalar = len(self.lo) == 1
         object.__setattr__(self, "_float_lo", self._lo_slack[0] if scalar else math.inf)
         object.__setattr__(self, "_float_hi", self._hi_slack[0] if scalar else -math.inf)
+        object.__setattr__(self, "_lo_array", np.array(self.lo))
+        object.__setattr__(self, "_width_array", np.subtract(self.hi, self.lo))
 
     @staticmethod
     def of(lo, hi, d: int = 1) -> "Box":
@@ -172,20 +179,45 @@ class Box:
         """Coordinate-wise equality within ``tol``, of two canonical points or
         elementwise over arrays of them."""
         close = np.abs(np.subtract(a, b)) <= tol
-        return close if len(self.lo) == 1 else np.all(close, axis=-1)
+        if len(self.lo) == 1:
+            return close
+        # One elementwise pass per coordinate: an axis reduction over the
+        # few coordinates would loop once per point.
+        same = close[..., 0]
+        for k in range(1, len(self.lo)):
+            same &= close[..., k]
+        return same[()]  # a numpy bool for two points, as np.all gives
 
     def spread(self, pts: np.ndarray) -> np.ndarray:
         """Largest coordinate-wise gap within each row of an (n, width, ...) point array.
 
         Per coordinate that is max - min, which rounds to the largest of the
         rounded pairwise gaps, so it equals the pairwise maximum exactly.
+        Both extremes and the largest gap are taken by elementwise passes,
+        over the row's points and then over the coordinates, each along the
+        n rows.
         """
-        gaps = pts.max(axis=1) - pts.min(axis=1)
-        return gaps if len(self.lo) == 1 else gaps.max(axis=-1)
+        cols = np.ascontiguousarray(pts.swapaxes(0, 1))  # cols[i]: every row's point i
+        hi, lo = cols[0].copy(), cols[0].copy()
+        for col in cols[1:]:
+            np.maximum(hi, col, out=hi)
+            np.minimum(lo, col, out=lo)
+        gaps = np.subtract(hi, lo, out=hi).reshape(len(pts), -1)  # (n, d); one column at d = 1
+        widest = gaps[:, 0]
+        for k in range(1, gaps.shape[1]):
+            np.maximum(widest, gaps[:, k], out=widest)
+        return widest
 
     def sample(self, rng, n: int) -> np.ndarray:
-        """``n`` points drawn uniformly from the box by ``rng``, as :meth:`array` returns them."""
-        rows = rng.uniform(self.lo, self.hi, size=(n, len(self.lo)))
+        """``n`` points drawn uniformly from the box by ``rng``, as :meth:`array` returns them.
+
+        ``rng.uniform(lo, hi, size=(n, d))`` computes ``lo + (hi - lo) * u`` from
+        the doubles ``rng.random`` draws, in the same order; so does this, with
+        the same points and the same generator state after it.
+        """
+        rows = rng.random((n, len(self.lo)))
+        rows *= self._width_array
+        rows += self._lo_array
         return rows[:, 0] if len(self.lo) == 1 else rows
 
     def componentwise(self, g: Callable[[float], float]) -> Callable[[Point], Point]:

@@ -48,10 +48,14 @@ def pair_lift(t: int, base: Callable[[Point, Point], float], carrier: Carrier, *
     whose second term is dropped when ``zero_diagonal`` declares that
     base(x, x) == 0 for every x.  ``base`` must return floats.
     ``base_many`` is its array form over point arrays (see
-    ``carrier.array``), returning exactly base's values; the lift's
+    ``carrier.array``), returning exactly base's values.  It must broadcast
+    over leading axes: given x of shape (n, ...) and y of shape (k, n, ...),
+    it returns the (k, n) array of base(x[r], y[s, r]).  The lift's
     ``rep_many`` and ``distance_many`` are built from it with the scalar
-    forms' order of operations, so both forms agree bit for bit.  Without
-    it the array forms call the scalar ones row by row.
+    forms' order of operations, so both forms agree bit for bit;
+    ``distance_many`` makes one call per first slot i, against all the
+    slots j > i at once.  Without it the array forms call the scalar ones
+    row by row.
 
     ``base_farthest(pts)`` gives, for each row i of a point array but the
     last, an index j > i where base_many(pts[i], pts[j]) is largest.  For a
@@ -85,10 +89,11 @@ def pair_lift(t: int, base: Callable[[Point, Point], float], carrier: Carrier, *
             return tm1 * base_many(xs, ys) + same * base_many(xs, xs)
 
         def distance_many(pts: np.ndarray) -> np.ndarray:
+            cols = np.ascontiguousarray(pts.swapaxes(0, 1))  # cols[i]: every tuple's point i
             total = np.zeros(len(pts))
-            for i in range(t):
-                for j in range(i + 1, t):
-                    total += base_many(pts[:, i], pts[:, j])
+            for i in range(t - 1):
+                for row in base_many(cols[i], cols[i + 1:]):  # j = i+1, ..., t-1, in turn
+                    total += row
             return total
 
     return AMetricSpace(t=t, distance=distance, carrier=carrier, eq_tol=eq_tol,
@@ -112,10 +117,11 @@ def _l1_1d_many(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _l1_nd_many(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # Coordinate by coordinate, in _l1_nd's order, so the sums round alike.
-    total = np.zeros(len(xs))
-    for k in range(xs.shape[1]):
-        total += np.abs(xs[:, k] - ys[:, k])
+    # Coordinate by coordinate, in _l1_nd's order, so the sums round alike;
+    # 0.0 + |a - b| is |a - b|, so the sum starts at the first coordinate.
+    total = np.abs(xs[..., 0] - ys[..., 0])
+    for k in range(1, xs.shape[-1]):
+        total += np.abs(xs[..., k] - ys[..., k])
     return total
 
 

@@ -18,6 +18,14 @@ require the same values, types, traces and errors of both.
 `read_table` is the CLI's entry-by-entry check of `space.base_table`
 before one reader served the CLI and the library, widened to the rows the
 library takes (tuples, and a 2-d array through `tolist()`).
+
+`box_sample`, `box_equal` and `box_spread` are `Box.sample`, `Box.equal`
+and `Box.spread` before they ran along the long axis of a block:
+`rng.uniform` and reductions over the tuple slots and the coordinates.
+`l1_nd_many` is the l1 base kernel at d > 1 before it broadcast over
+leading axes, and `lift_distance_many` the lift's `distance_many` before it
+made one base call per tuple slot: one base call per pair (i, j), in the
+scalar `distance`'s order.
 """
 
 import math
@@ -325,3 +333,33 @@ def read_table(table, what="base table"):
             raise UsageError(f"{what}[{i}]: expected {n} entries, got {len(row)}")
         checked.append([finite_real(v, f"{what}[{i}][{j}]") for j, v in enumerate(row)])
     return np.array(checked, dtype=float)
+
+
+def box_sample(box, rng, n):
+    rows = rng.uniform(box.lo, box.hi, size=(n, box.d))
+    return rows[:, 0] if box.d == 1 else rows
+
+
+def box_equal(box, a, b, tol):
+    close = np.abs(np.subtract(a, b)) <= tol
+    return close if box.d == 1 else np.all(close, axis=-1)
+
+
+def box_spread(box, pts):
+    gaps = pts.max(axis=1) - pts.min(axis=1)
+    return gaps if box.d == 1 else gaps.max(axis=-1)
+
+
+def l1_nd_many(xs, ys):
+    total = np.zeros(len(xs))
+    for k in range(xs.shape[1]):
+        total += np.abs(xs[:, k] - ys[:, k])
+    return total
+
+
+def lift_distance_many(base_many, t, pts):
+    total = np.zeros(len(pts))
+    for i in range(t):
+        for j in range(i + 1, t):
+            total += base_many(pts[:, i], pts[:, j])
+    return total

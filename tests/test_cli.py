@@ -720,6 +720,31 @@ def test_outputs_naming_one_file_exit_two_before_any_sweep(outputs, command, tmp
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key, command", [("json_path", "axioms"), ("csv_path", "solve"),
+                                          ("json_path", "verify"), ("csv_path", "axioms")])
+@pytest.mark.parametrize("spelling", ["plain", "dotted", "absolute"])
+def test_an_output_naming_the_config_exits_two_and_keeps_the_config(key, command, spelling,
+                                                                   tmp_path, capsys, monkeypatch):
+    # The run used to overwrite its own config with the report or the CSV.
+    monkeypatch.chdir(tmp_path)
+    name = {"plain": "e.json", "dotted": "./sub/../e.json",
+            "absolute": str(tmp_path / "e.json")}[spelling]
+    path = write_cfg(tmp_path, _paper_with(outputs={key: name}), name="e.json")
+    before = Path(path).read_bytes()
+    code, out, err = run([command, "--config", "e.json", "--out-dir", "."], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: outputs.{key} names the config file 'e.json'\n"
+    assert Path(path).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
+
+
+def test_an_output_next_to_the_config_is_written(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_cfg(tmp_path, _paper_with(outputs={"json_path": "e2.json"}), name="e.json")
+    code, out, _ = run(["axioms", "--config", "e.json", "--out-dir", "."], capsys)
+    assert (code, out) == (0, "e2.json\n")
+
+
 def test_verify_two_sevenths_on_a_box_up_to_1e308(tmp_path, capsys):
     # 2x overflows for |x| >= 2**1023, though 2x/7 lies inside the box.
     cfg = write_cfg(tmp_path, {

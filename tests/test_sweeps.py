@@ -98,7 +98,7 @@ def assert_law_checks_match(space, n=200, seed=SEED, tol=1e-9, max_witnesses=100
 
 
 @pytest.mark.parametrize("t", [2, 3, 8])
-@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("d", [1, 2, 4, 7])
 def test_absdiff_matches_reference(block, t, d):
     space = make_absdiff_space(t, d=d)
     assert_law_checks_match(space)
@@ -167,7 +167,7 @@ def test_raw_distance_matches_reference(block, d):
     assert seen == ({float} if d == 1 else {float, tuple})
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 4, 7])
 def test_zero_distance_matches_reference(block, d):
     # Every tuple that is not all-equal fails identity-reverse, whose lhs is
     # the tuple's largest coordinate gap.
