@@ -20,12 +20,14 @@ shape (n,) for a 1-dimensional box, (n, d) above, integer indices on finite
 carriers.  Only the carrier classes branch on either format; other code
 validates, compares, spreads, draws and maps points through their methods,
 and ``sampling._python`` alone turns an array back into Python points.
-The law checks work on blocks of at most ``BLOCK`` entries, so their memory does not grow with the sample set.  The exhaustive set of a
-finite carrier of n points, the product grid of (t+1)-tuples, is swept by
-t-tuple and pivot instead, in blocks of up to ``BLOCK`` t-tuples with all n
-of their pivots: one distance per t-tuple, and the laws that depend on the
-t-tuple alone recorded once for all of its pivots, with the report of the
-entry-by-entry sweep, bit for bit (see :func:`check_axioms`).  A report's
+The law checks work on blocks of at most ``BLOCK`` entries, so their memory
+does not grow with the sample set.  The exhaustive set of a finite carrier
+of n points, every (t+1)-tuple, is a ``sampling.ProductSet`` described by
+its shape, and :func:`check_axioms` sweeps it from that shape, in groups of
+at most ``BLOCK`` t-tuples: one distance per t-tuple, the laws that depend
+on the t-tuple alone recorded once for all n of its pivots, and the simplex
+entries of a tuple cleared together by their smallest right-hand side.
+Its report is the entry-by-entry sweep's, bit for bit.  A report's
 ``max_gap`` is the largest gap, with a zero written as 0.0, so its sign
 never depends on the order in which a sweep meets the entries.
 All comparisons between distances use an absolute tolerance scaled by the
@@ -44,7 +46,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import CarrierDomainError, UsageError, finite_real, integer, real
-from .sampling import SampleSet, _python
+from .sampling import ProductSet, SampleSet, _python
 
 Point = Union[int, float, tuple]
 
@@ -449,7 +451,8 @@ class _Recorder:
             if len(self.violations) < self.cap:
                 self.violations.append(Violation(law, witness, lhs, rhs, gap, tol))
 
-    def add_many(self, witness: Callable[[str, int], tuple], checks: Sequence[tuple]):
+    def add_many(self, witness: Callable[[str, int], tuple], checks: Sequence[tuple],
+                 shape: tuple | None = None):
         """Record one block of entries, as :meth:`add` called entry by entry would.
 
         ``checks`` lists ``(law, lhs, rhs, tol, where)`` in the order the
@@ -459,10 +462,11 @@ class _Recorder:
         entry i is flat index i of that shape: a law given as an (m, 1) array
         of an (m, n) block holds one value for each run of n entries.  Such a
         law is tested once per value and counted once per entry, and only its
-        failing values are expanded into entries.  ``witness(law, i)`` is the
-        witness of entry i.  The first violations are kept in scalar order,
-        by entry and then by law, and ``max_gap`` is the largest gap, which
-        :meth:`report` writes with a zero as ``0.0``.
+        failing values are expanded into entries.  ``shape``, when given, is
+        the block's shape, for a block no law spans.
+        ``witness(law, i)`` is the witness of entry i.  The first violations
+        are kept in scalar order, by entry and then by law, and ``max_gap``
+        is the largest gap, which :meth:`report` writes with a zero as ``0.0``.
         """
         laws = []
         for law, lhs, rhs, tol, where in checks:
@@ -471,7 +475,8 @@ class _Recorder:
             if gap.shape != bad.shape:
                 gap = np.broadcast_to(gap, bad.shape)
             laws.append((law, lhs, rhs, tol, where, gap, bad))
-        shape = np.broadcast(*(bad for *_, bad in laws)).shape
+        if shape is None:
+            shape = np.broadcast(*(bad for *_, bad in laws)).shape
         size = math.prod(shape)
         if not size:
             return
@@ -523,10 +528,9 @@ def _item(v, i: int, shape: tuple) -> float:
     return float(np.broadcast_to(v, shape).flat[i])
 
 
-def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str, group: int = 1):
-    """Blocks of up to BLOCK runs of ``group`` entries, each as ``(start, pts)``:
-    the index of its first entry and its validated points, shape
-    (len(block), width, ...).
+def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str):
+    """Blocks of up to BLOCK entries, each as ``(start, pts)``: the index of
+    its first entry and its validated points, shape (len(block), width, ...).
 
     The set's size and entry width are checked on the call.  ``carrier.array``
     checks the bounds of each block's slice of the set's point array, which
@@ -538,20 +542,17 @@ def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str, group: 
     if points.shape[1:2] != (width,):
         raise UsageError(f"{what} expects entries of {width} points, got {samples.entry(0)!r}")
     flat = points.reshape((-1,) + points.shape[2:])
-    size = BLOCK * group
-    starts = range(0, len(samples), size)
-    arrays = (carrier.array(flat[start * width:(start + size) * width]) for start in starts)
+    starts = range(0, len(samples), BLOCK)
+    arrays = (carrier.array(flat[start * width:(start + BLOCK) * width]) for start in starts)
     return ((start, pts.reshape((-1, width) + pts.shape[1:])) for start, pts in zip(starts, arrays))
 
 
-def _axiom_laws(space: AMetricSpace, xs: np.ndarray, rhs: np.ndarray, tol: float) -> tuple:
-    """The law checks of :func:`check_axioms` on one block, for
-    :meth:`_Recorder.add_many`.  ``xs`` holds the block's m t-tuples and
-    ``rhs``, shape (m, k), the simplex right-hand side of each tuple's k
-    entries.  The laws that depend on the tuple alone are (m, 1) arrays."""
+def _tuple_laws(space: AMetricSpace, xs: np.ndarray, d: np.ndarray, te: np.ndarray) -> tuple:
+    """The laws of :func:`check_axioms` that depend on the t-tuple alone, for
+    :meth:`_Recorder.add_many`: ``xs`` holds one block's m t-tuples, ``d``
+    their distances and ``te`` their tolerances, both (m, 1) arrays, so each
+    law holds for all of a tuple's entries."""
     carrier = space.carrier
-    d = space.distance_many(xs)[:, None]
-    te = scaled_tols(tol, d)
     degenerate = np.all(carrier.equal(xs[:, :1], xs[:, 1:], space.eq_tol), axis=1)[:, None]
     # identity, reverse direction: zero distance away from the diagonal
     near_zero = ~degenerate & (np.abs(d) <= te)
@@ -560,68 +561,118 @@ def _axiom_laws(space: AMetricSpace, xs: np.ndarray, rhs: np.ndarray, tol: float
         ("identity", np.abs(d), 0.0, te, degenerate),
         ("identity-reverse", carrier.spread(xs)[:, None], np.maximum(10.0 * te, space.eq_tol),
          0.0, near_zero),
-        # simplex: d <= sum_i rep(x_i, pivot)
-        ("simplex", d, rhs, scaled_tols(tol, d, rhs), None),
     )
 
 
-def _grid_runs(pts: np.ndarray, n: int) -> bool:
-    """Whether ``pts`` are runs of ``n`` entries, each run one t-tuple followed
-    by the pivots 0, ..., n - 1."""
-    m, w = len(pts) // n, pts.shape[1]
-    # Within a run, each entry but the last has the next one's t-tuple.
-    flat = pts.reshape(-1)
-    same = np.empty(len(flat), dtype=bool)
-    np.equal(flat[w:], flat[:-w], out=same[:-w])
-    tuple_cols = np.tile(np.arange(w) < w - 1, n - 1)
-    return bool((pts[:, -1].reshape(m, n) == np.arange(n)).all()
-                and (same.reshape(m, n * w)[:, :(n - 1) * w] == tuple_cols).all())
+def _simplex_law(d: np.ndarray, rhs: np.ndarray, tol: float) -> tuple:
+    """simplex: d <= sum_i rep(x_i, pivot), for ``rhs`` of shape (m, k): k pivots per tuple."""
+    return ("simplex", d, rhs, scaled_tols(tol, d, rhs), None)
 
 
-def check_axioms(space: AMetricSpace, samples: SampleSet, tol: float = 1e-9) -> CheckReport:
+def _rows(checks: tuple, lo: int, hi: int) -> tuple:
+    """``checks`` cut to the tuples lo, ..., hi - 1: the rows of their arrays."""
+    return tuple((law, *(v[lo:hi] if isinstance(v, np.ndarray) else v for v in values))
+                 for law, *values in checks)
+
+
+def _product_tuples(lo: int, hi: int, n: int, t: int) -> np.ndarray:
+    """The t-tuples lo, ..., hi - 1 of the product of n indices, tuple q being
+    the t digits of q in base n, as an (hi - lo, t) column-major index array."""
+    xs = np.empty((t, hi - lo), dtype=np.intp)
+    q = np.arange(lo, hi)
+    for i in range(t - 1, 0, -1):
+        np.divmod(q, n, out=(q, xs[i]))
+    xs[0] = q
+    return xs.T
+
+
+def _sweep_product(space: AMetricSpace, samples: ProductSet, tol: float, rec: _Recorder):
+    """:func:`check_axioms` on every (t+1)-tuple of the space's n points, from the set's shape.
+
+    Entry q*n + p is t-tuple q with pivot p.  The tuples are taken in groups
+    of whole runs of their last slot, at most BLOCK tuples when n <= BLOCK,
+    and each tuple's distance and per-tuple laws are computed once.  Its
+    simplex right-hand sides are ((0 + R[x_0, p]) + R[x_1, p]) + ... +
+    R[x_(t-1), p], R the n x n table of rep_many values: the entry sweep's
+    additions, with the sums over the first t - 1 slots made once per run.
+    A tuple is cleared when tol >= 0 and fl(d - min_p rhs) <= scaled_tols(tol,
+    d), which a NaN gap never is.  That test is exact, infinities included:
+    fl(d - x) does not grow with x, so every entry's gap is at most that one
+    or NaN, and every entry's tolerance scaled_tols(tol, d, rhs) is at least
+    scaled_tols(tol, d).  A group whose tuples all clear has no simplex
+    violation, so its per-tuple laws go to ``add_many`` over the group's
+    (m, n) shape and its simplex entries to ``add_cleared``.  Any other
+    group is swept entry by entry, whole tuples of up to BLOCK entries at a
+    time, with the same distances.
+    """
+    t, n = space.t, samples.n
+    idx = space.carrier.array(np.arange(n))
+    reps = space.rep_many(np.repeat(idx, n), np.tile(idx, n)).reshape(n, n)  # reps[x, p]
+    by_pivot = np.ascontiguousarray(reps.T)
+    heads = n ** (t - 1)  # runs of the last slot, one per head: the first t - 1 slots
+    runs = max(1, BLOCK // n)  # per group; a block of the entry sweep holds as many tuples
+
+    def witness(law: str, i: int) -> tuple:
+        return samples.entry(i)[:t + 1 if law == "simplex" else t]
+
+    for h0 in range(0, heads, runs):
+        xs = _product_tuples(h0 * n, min(h0 + runs, heads) * n, n, t)
+        m = len(xs)
+        d = space.distance_many(xs)[:, None]
+        te = scaled_tols(tol, d)
+        laws = _tuple_laws(space, xs, d, te)
+        sums = np.zeros((n, m // n))  # sums[p, run]: the head's part of the right-hand side
+        for i in range(t - 1):
+            sums += np.take(by_pivot, xs[::n, i], axis=1)
+        low = np.add(by_pivot[0, :, None], sums[0])  # low[last slot, run]: min over the pivots
+        pivot_rhs = np.empty_like(low)
+        for p in range(1, n):
+            np.fmin(low, np.add(by_pivot[p, :, None], sums[p], out=pivot_rhs), out=low)
+        gap = d - low.T.reshape(-1, 1)
+        first = h0 * n * n  # the group's first entry
+        if tol >= 0.0 and np.all(gap <= te):
+            rec.add_many(lambda law, i: witness(law, first + i), laws, (m, n))
+            rec.add_cleared(m * n, float(gap.max()))
+            continue
+        for lo in range(0, m, runs):
+            hi = min(lo + runs, m)
+            rhs = sums.T[np.arange(lo, hi) // n] + reps[xs[lo:hi, t - 1]]
+            rec.add_many(lambda law, i: witness(law, first + lo * n + i),
+                         _rows(laws, lo, hi) + (_simplex_law(d[lo:hi], rhs, tol),))
+
+
+def check_axioms(space: AMetricSpace, samples: SampleSet | ProductSet,
+                 tol: float = 1e-9) -> CheckReport:
     """Evaluate the three defining laws on every sampled (tuple, pivot) entry.
 
     The identity law is tested in both directions: an all-equal tuple must
     evaluate to ~0, and a ~0 evaluation must come from a near-degenerate
     tuple (exactly degenerate on finite carriers).
 
-    On a finite carrier of n points, a set of n^(t+1) entries may be the
-    product grid of (t+1)-tuples, which exhaustive sampling draws: runs of
-    n entries, each one t-tuple followed by the pivots 0, ..., n - 1.  Its
-    blocks hold up to BLOCK whole runs, and a block made of such runs is
-    swept as an (m tuples, n pivots) grid, whatever order its t-tuples come
-    in; the points decide, not the set's ``exhaustive`` flag.  There each
-    tuple's distance, tolerances and identity tests are computed and
-    recorded once, for all n of its entries, and the simplex right-hand
-    side is added up from one n x n table of rep_many values, in the order
-    the entry-by-entry sweep adds them.  Every entry gets the values that
-    sweep computes for it, and the block is recorded in entry order, so the
-    report is bit-identical.  Other blocks, and other sets, are swept entry
-    by entry.  The report keeps the first ``MAX_WITNESSES`` violations.
+    The set's type decides the sweep.  The :class:`ProductSet` of (t+1)-tuples
+    of a finite carrier's n points is swept from its shape, t-tuple by
+    t-tuple, one distance per t-tuple (see :func:`_sweep_product`).  Every
+    other set is swept entry by entry, in blocks of BLOCK entries.  Both give
+    the entry-by-entry report bit for bit: counts, ``max_gap``, and the
+    first ``MAX_WITNESSES`` violations in entry order.
     """
     tol = finite_real(tol, "tol")
     rec = _Recorder("axioms")
     t, carrier = space.t, space.carrier
-    n = carrier.size if carrier.finite and len(samples) == carrier.size ** (t + 1) else 0
-    reps = None
     with np.errstate(invalid="ignore", over="ignore"):
-        for start, pts in _blocks(carrier, samples, t + 1, "check_axioms", max(n, 1)):
-            if n and _grid_runs(pts, n):
-                if reps is None:
-                    idx = carrier.array(np.arange(n))
-                    reps = space.rep_many(np.repeat(idx, n), np.tile(idx, n)).reshape(n, n)
-                xs = np.asfortranarray(pts[::n, :t])  # column-major: columns are read one by one
-                rhs = np.zeros((len(xs), n))
-                for i in range(t):
-                    rhs += np.take(reps, xs[:, i], axis=0)
-            else:
+        if (isinstance(samples, ProductSet) and samples.width == t + 1 and carrier.finite
+                and samples.n == carrier.size):
+            _sweep_product(space, samples, tol, rec)
+        else:
+            for start, pts in _blocks(carrier, samples, t + 1, "check_axioms"):
                 xs = pts[:, :t]
                 rhs = np.zeros(len(pts))
                 for i in range(t):
                     rhs += space.rep_many(xs[:, i], pts[:, t])
-                rhs = rhs[:, None]
-            rec.add_many(lambda law, i: samples.entry(start + i)[:t + 1 if law == "simplex" else t],
-                         _axiom_laws(space, xs, rhs, tol))
+                d = space.distance_many(xs)[:, None]
+                te = scaled_tols(tol, d)
+                rec.add_many(lambda law, i: samples.entry(start + i)[:t + 1 if law == "simplex" else t],
+                             _tuple_laws(space, xs, d, te) + (_simplex_law(d, rhs[:, None], tol),))
     return rec.report(exhaustive=samples.exhaustive)
 
 

@@ -8,13 +8,19 @@ tuples) are always injected next to the random draws: zero-distance cases
 are measure-zero under random sampling and would otherwise go untested.
 Small finite carriers are enumerated exhaustively instead of sampled.
 
-A set is the carrier's point array of its entries, drawn or validated
-once when the set is made: the sweeps read it directly (see
+A drawn or given set is the carrier's point array of its entries, drawn or
+validated once when the set is made: the sweeps read it directly (see
 ``core._blocks``), and Python points are built from it only when asked for.
+An enumerated set is a :class:`ProductSet`, described by its shape alone:
+its entry i is the digits of i in base n, and its point array is built
+only when read.  ``core.check_axioms`` sweeps it from that shape, without
+the array.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -89,6 +95,50 @@ class SampleSet:
         return SampleSet(points, exhaustive)
 
 
+@dataclass(frozen=True, eq=False)
+class ProductSet:
+    """Every ``width``-tuple of the indices 0..n-1 of a finite carrier, in
+    ``itertools.product`` order: entry i is the ``width`` digits of i in base n.
+
+    It has a :class:`SampleSet`'s reads, computed from its shape.  Only the
+    samplers make one, for a carrier of ``n`` points, so its indices are
+    valid by construction.
+    """
+
+    n: int
+    width: int
+    exhaustive = True
+
+    def __len__(self) -> int:
+        return self.n ** self.width
+
+    def __iter__(self) -> Iterator:
+        return iter(self.entries)
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(itertools.product(range(self.n), repeat=self.width))
+
+    def entry(self, i: int) -> tuple:
+        """Entry ``i`` (negative from the end), without building the others."""
+        i = range(len(self))[i]
+        digits = []
+        for _ in range(self.width):
+            i, digit = divmod(i, self.n)
+            digits.append(digit)
+        return tuple(reversed(digits))
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """The read-only (len, width) index array of the entries, built on the first read."""
+        grid = np.empty((self.n,) * self.width + (self.width,), dtype=np.intp)
+        for j, axis in enumerate(np.indices(grid.shape[:-1], sparse=True)):
+            grid[..., j] = axis
+        points = grid.reshape(len(self), self.width)
+        points.flags.writeable = False
+        return points
+
+
 def _python(value):
     """Entries or points from ``ndarray.tolist`` of a point array, its lists made tuples."""
     if not isinstance(value, list):
@@ -101,31 +151,26 @@ def _exhaustive_ok(carrier, width: int) -> bool:
 
 
 def _draw(carrier, kind: str, n: int, seed: int, stream: int, patterns: list,
-          exhaustive: bool) -> SampleSet:
-    """A set of ``len(patterns[0])``-point entries: every index tuple in
-    ``itertools.product`` order, or ``n`` random entries and then, for each of
+          exhaustive: bool) -> SampleSet | ProductSet:
+    """A set of ``len(patterns[0])``-point entries: every index tuple, as a
+    :class:`ProductSet`, or ``n`` random entries and then, for each of
     ``_N_DEGENERATE`` groups of base points, one entry per index pattern."""
     width = len(patterns[0])
     n = integer(n, f"{kind[:-1]}_samples n", 1)
     if exhaustive:
-        # Row-major, so each block a sweep takes is one contiguous slice.
-        grid = np.empty((carrier.size,) * width + (width,), dtype=np.intp)
-        for j, axis in enumerate(np.indices(grid.shape[:-1], sparse=True)):
-            grid[..., j] = axis
-        points = carrier.array(grid.reshape(-1)).reshape(-1, width)
-    else:
-        rng = philox(seed, stream)
-        drawn = carrier.sample(rng, n * width)
-        base = carrier.sample(rng, (np.max(patterns) + 1) * _N_DEGENERATE)
-        shape = base.shape[1:]
-        groups = base.reshape((_N_DEGENERATE, -1) + shape)
-        points = np.concatenate((drawn.reshape((n, width) + shape),
-                                 groups[:, patterns].reshape((-1, width) + shape)))
+        return ProductSet(carrier.size, width)
+    rng = philox(seed, stream)
+    drawn = carrier.sample(rng, n * width)
+    base = carrier.sample(rng, (np.max(patterns) + 1) * _N_DEGENERATE)
+    shape = base.shape[1:]
+    groups = base.reshape((_N_DEGENERATE, -1) + shape)
+    points = np.concatenate((drawn.reshape((n, width) + shape),
+                             groups[:, patterns].reshape((-1, width) + shape)))
     points.flags.writeable = False
-    return SampleSet(points, exhaustive)
+    return SampleSet(points)
 
 
-def axiom_samples(space, n: int, seed: int, stream: int = STREAM_AXIOMS) -> SampleSet:
+def axiom_samples(space, n: int, seed: int, stream: int = STREAM_AXIOMS) -> SampleSet | ProductSet:
     """Tuples of ``t`` points plus a pivot, for the three defining laws."""
     t = space.t
     # From base points x, y, z: all-equal, all-equal but the pivot, two-equal.
@@ -134,12 +179,12 @@ def axiom_samples(space, n: int, seed: int, stream: int = STREAM_AXIOMS) -> Samp
                  _exhaustive_ok(space.carrier, t + 1))
 
 
-def pair_samples(space, n: int, seed: int, stream: int = STREAM_PAIRS) -> SampleSet:
+def pair_samples(space, n: int, seed: int, stream: int = STREAM_PAIRS) -> SampleSet | ProductSet:
     """Ordered point pairs; exhaustive on finite carriers."""
     return _draw(space.carrier, "pairs", n, seed, stream, [[0, 0]], space.carrier.finite)
 
 
-def triple_samples(space, n: int, seed: int) -> SampleSet:
+def triple_samples(space, n: int, seed: int) -> SampleSet | ProductSet:
     patterns = [[0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0]]
     return _draw(space.carrier, "triples", n, seed, STREAM_TRIPLES, patterns,
                  _exhaustive_ok(space.carrier, 3))

@@ -9,8 +9,9 @@ Each drawn set's point array must hold its entries, bit for bit, in the
 carrier's array format.
 """
 
-from itertools import chain
+from itertools import chain, product
 
+import numpy as np
 import pytest
 
 from ametric_fix import (
@@ -24,7 +25,7 @@ from ametric_fix import (
     triple_samples,
 )
 from ametric_fix import sampling
-from ametric_fix.sampling import SampleSet
+from ametric_fix.sampling import ProductSet, SampleSet
 
 SEED = 2024
 LINE = [0, 1, 3, 4, 7, 9]
@@ -205,3 +206,43 @@ def test_triples_are_enumerated_up_to_12_points(size, exhaustive):
     triples = triple_samples(space, 5, SEED)
     assert triples.exhaustive is exhaustive
     assert len(triples) == (size ** 3 if exhaustive else 5 + 8 * 4)
+
+
+def product_grid(n, width):
+    """Every width-tuple of 0..n-1 in product order, as the intp array the
+    exhaustive draw held before it was described by its shape."""
+    return np.array(list(product(range(n), repeat=width)), dtype=np.intp).reshape(-1, width)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_product_set_reads_the_grid(n, width):
+    grid = product_grid(n, width)
+    made = ProductSet(n, width)
+    assert len(made) == n ** width == len(grid) and made.exhaustive
+    assert "points" not in vars(made)  # built on the first read only
+    points = made.points
+    assert (points.dtype, points.shape) == (grid.dtype, grid.shape)
+    assert points.tobytes() == grid.tobytes() and not points.flags.writeable
+    assert made.points is points
+    entries = tuple(map(tuple, grid.tolist()))
+    assert made.entries == entries and repr(made.entries) == repr(entries)
+    assert list(made) == list(entries)
+    rng = np.random.default_rng(n * width)
+    for i in [0, len(grid) - 1, -1, -len(grid)] + rng.integers(0, len(grid), 20).tolist():
+        assert made.entry(i) == entries[i] and repr(made.entry(i)) == repr(entries[i])
+    assert made.entry(np.int64(len(grid) - 1)) == entries[-1]
+    for i in (len(grid), -len(grid) - 1):
+        with pytest.raises(IndexError):
+            made.entry(i)
+
+
+@pytest.mark.parametrize("sampler, width", [
+    (lambda s: axiom_samples(s, 10, SEED), 4),
+    (lambda s: pair_samples(s, 10, SEED), 2),
+    (lambda s: triple_samples(s, 10, SEED), 3),
+])
+def test_enumerated_sets_are_product_sets(sampler, width):
+    space = table_space(3, [[abs(a - b) for b in LINE] for a in LINE])
+    made = sampler(space)
+    assert type(made) is ProductSet and (made.n, made.width) == (len(LINE), width)

@@ -1044,11 +1044,175 @@ def test_exhaustive_grid_sweep_at_the_size_limit_stays_in_bounded_memory():
     assert peak < 4 * 1024 * 1024
 
 
+def test_exhaustive_draw_and_sweep_at_the_size_limit_stay_under_1_5_mib():
+    # The set is described by its shape, so neither the draw nor the sweep
+    # holds the 248,832 x 5 index grid (9.5 MiB).
+    space = table_space(4, grid_table("line", 12))
+    tracemalloc.start()
+    try:
+        report = check_axioms(space, axiom_samples(space, 1, SEED))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == 2 * 12 ** 5 + 12 ** 2
+    assert peak < 1.5 * 1024 * 1024
+
+
+def test_the_sweep_by_t_tuple_does_not_build_the_point_array():
+    space = table_space(3, grid_table("broken", 7))
+    samples = axiom_samples(space, 1, SEED)
+    check_axioms(space, samples)
+    assert "points" not in vars(samples)
+
+
+def hard_table(kind, n):
+    """n-point tables for the sweep's clearing rule: ``negative`` has negative
+    distances, ``huge`` entries near +-1e308 whose sums overflow to +-inf (and
+    whose gaps are then NaN), ``negzero`` -0.0 on the diagonal and on some
+    edges, in ``tight`` the smallest simplex right-hand side of the tuples
+    (0, n-1) passes only within its tolerance, ``constant`` (1 everywhere)
+    fails the identity law on every all-equal tuple but no simplex entry, and
+    ``huge-constant`` (1e308 everywhere) has simplex right-hand sides of +inf
+    at t = 2, so gaps of -inf, and both sides +inf above, so NaN gaps."""
+    line = grid_table("line", n)
+    for i in range(n):
+        for j in range(n):
+            if kind == "negative" and (i + 2 * j) % 5 == 1:
+                line[i][j] = -1.0 - i
+            elif kind == "huge" and i != j:
+                line[i][j] = (1.0 if (i * j) % 3 else -0.75) * 1e308
+            elif kind == "negzero" and (i == j or abs(i - j) == 3):
+                line[i][j] = -0.0
+    if kind in ("constant", "huge-constant"):
+        return [[1.0 if kind == "constant" else 1e308] * n for _ in range(n)]
+    if kind == "tight" and n > 2:
+        line[0][n - 1] = line[n - 1][0] = line[0][n - 1] * (1 + 2e-10)
+    return line
+
+
+@functools.lru_cache(maxsize=None)
+def hard_reference(kind, n, t, tol):
+    space = table_space(t, hard_table(kind, n))
+    return json.loads(as_json(ref.check_axioms(space, axiom_samples(space, 1, SEED), tol)))
+
+
+def capped(doc, k):
+    """A reference report of 100 witnesses cut to its first k."""
+    return json.dumps(dict(doc, violations=doc["violations"][:k]), sort_keys=True)
+
+
+@pytest.fixture(params=[None, 5, 100], ids=lambda b: f"block-{b or 'default'}")
+def small_block(request, monkeypatch):
+    # At n = 7 and 12, 5 < n makes groups of one run and blocks of one tuple;
+    # 100 < n^2 splits a group's runs (2 runs of 7 tuples, 8 tuples of a
+    # run of 12) between blocks.
+    if request.param is not None:
+        monkeypatch.setattr(core, "BLOCK", request.param)
+    return request.param
+
+
+def assert_sweep_matches_reference(kind, n, t, tols):
+    space, rows = counting_distance(table_space(t, hard_table(kind, n)))
+    samples = axiom_samples(space, 1, SEED)
+    for tol in tols:
+        rows.clear()
+        doc = hard_reference(kind, n, t, tol)
+        for k in (3, 100):
+            with witness_cap(k):
+                assert as_json(check_axioms(space, samples, tol)) == capped(doc, k)
+        assert sum(rows) == 2 * n ** t  # one distance per t-tuple and run
+
+
+HARD = ["negative", "huge", "negzero", "tight", "constant", "huge-constant"]
+
+
+@pytest.mark.parametrize("kind", HARD)
+@pytest.mark.parametrize("n, t", [(n, t) for n in (1, 2, 7, 12) for t in (2, 3, 4) if n * t < 48])
+def test_sweep_by_t_tuple_clears_as_the_reference_checks(small_block, n, t, kind):
+    assert_sweep_matches_reference(kind, n, t, (1e-9, 0.0))
+
+
+@pytest.mark.parametrize("kind", ["negative", "huge", "tight"])
+def test_sweep_by_t_tuple_clears_as_the_reference_checks_at_the_size_limit(kind):
+    # n = 12, t = 4: the scalar reference takes about a second per tolerance.
+    assert_sweep_matches_reference(kind, 12, 4, (1e-9,))
+
+
+def sweep_paths(monkeypatch):
+    """Counts of the product sweep's cleared groups and of its swept blocks."""
+    counts = {"cleared": 0, "swept": 0}
+    add_cleared, simplex_law = core._Recorder.add_cleared, core._simplex_law
+
+    def cleared(self, count, top):
+        counts["cleared"] += 1
+        add_cleared(self, count, top)
+
+    def swept(*args):
+        counts["swept"] += 1
+        return simplex_law(*args)
+
+    monkeypatch.setattr(core._Recorder, "add_cleared", cleared)
+    monkeypatch.setattr(core, "_simplex_law", swept)
+    return counts
+
+
+@pytest.mark.parametrize("tol, cleared", [(1e-9, True), (0.0, False), (-1e-3, False)])
+def test_a_tuple_within_its_tolerance_is_cleared(monkeypatch, tol, cleared):
+    # On the tight line at t = 2, the tuple (0, 6) has the smallest gap
+    # fl(d - min rhs) = 12 * 2e-10 > 0 at pivots between 0 and 6: within the
+    # scaled tolerance at 1e-9, a violation at 0, and a negative tolerance
+    # shrinks as the right-hand side grows, so nothing is cleared there.
+    space = table_space(2, hard_table("tight", 7))
+    samples = axiom_samples(space, 1, SEED)
+    counts = sweep_paths(monkeypatch)
+    report = check_axioms(space, samples, tol)
+    assert as_json(report) == as_json(ref.check_axioms(space, samples, tol))
+    assert report.passed is cleared
+    assert (counts["cleared"], counts["swept"] > 0) == ((1, False) if cleared else (0, True))
+    assert 0.0 < report.max_gap <= 1e-9 * (1 + 12 * (1 + 2e-10))
+
+
+@pytest.mark.parametrize("kind, t, tol, cleared", [
+    # Integer lengths on a line: the simplex gaps are at most 0.
+    ("line", 3, 0.0, True),
+    # Tuple (0, 2) at pivot 1: gap 3 - (1 + 1) = 1 = 0.25 * (1 + 3), its tolerance.
+    ("edge", 2, 0.25, True),
+    ("edge", 2, 0.2499, False),
+    # 1e308 - (1e308 + 1e308) = -inf for every tuple; inf - inf = NaN at t = 3.
+    ("huge-constant", 2, 1e-9, True),
+    ("huge-constant", 3, 1e-9, False),
+])
+def test_clearing_at_its_boundaries(monkeypatch, kind, t, tol, cleared):
+    table = {"line": grid_table("line", 7), "edge": [[0, 1, 3], [1, 0, 1], [3, 1, 0]],
+             "huge-constant": hard_table("huge-constant", 7)}[kind]
+    space = table_space(t, table)
+    samples = axiom_samples(space, 1, SEED)
+    counts = sweep_paths(monkeypatch)
+    report = check_axioms(space, samples, tol)
+    assert as_json(report) == as_json(ref.check_axioms(space, samples, tol))
+    assert (counts["cleared"], counts["swept"] > 0) == ((1, False) if cleared else (0, True))
+
+
+def test_per_tuple_violations_do_not_stop_the_clearing(monkeypatch):
+    # constant: every all-equal tuple fails the identity law on all of its
+    # pivots, while every simplex entry passes, so the group is cleared and
+    # still keeps the reference's witnesses, in entry order.
+    space = table_space(3, hard_table("constant", 7))
+    samples = axiom_samples(space, 1, SEED)
+    counts = sweep_paths(monkeypatch)
+    for k in (1, 8, 100):
+        with witness_cap(k):
+            report = check_axioms(space, samples)
+        assert as_json(report) == capped(hard_reference("constant", 7, 3, 1e-9), k)
+    assert report.violations_total == 7 * 7 and {v.law for v in report.violations} == {"identity"}
+    assert counts == {"cleared": 3, "swept": 0}
+
+
 @pytest.mark.parametrize("order", ["reversed", "pivot-first", "one-swap", "middle-swap"])
 def test_grid_entries_out_of_order_take_the_entry_sweep(block, order):
-    # Sets flagged exhaustive but not made of runs of one t-tuple and the
-    # pivots 0..n-1 in order: each block that is not is swept entry by entry,
-    # and the report still matches.
+    # Sets flagged exhaustive but built by hand, here not in product order:
+    # the set's type decides, so they are swept entry by entry, one distance
+    # per entry, and the report still matches.
     space, rows = counting_distance(table_space(3, grid_table("broken", 7)))
     entries = list(axiom_samples(space, 1, SEED).entries)
     if order == "reversed":
@@ -1066,17 +1230,14 @@ def test_grid_entries_out_of_order_take_the_entry_sweep(block, order):
         with witness_cap(max_witnesses):
             report = check_axioms(space, samples)
         assert as_json(report) == as_json(ref.check_axioms(space, samples, max_witnesses=max_witnesses))
-        if order in ("one-swap", "middle-swap") and block is not None:
-            # Only the block holding the swap is swept entry by entry.
-            assert 7 ** 3 < sum(rows) < len(entries)
-        else:
-            assert sum(rows) == len(entries)
+        assert sum(rows) == len(entries)
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
 def test_grid_runs_in_any_tuple_order_take_the_grid_sweep(block, order):
-    # The grid's runs of one t-tuple and all 7 pivots, not in product order:
-    # still one distance per t-tuple, and the reference's report.
+    # The grid's runs of one t-tuple and all 7 pivots, not in product order,
+    # in a hand-built set: the reference's report, from the entry sweep (one
+    # distance per entry), since only a ProductSet takes the sweep by t-tuple.
     space, rows = counting_distance(table_space(3, grid_table("broken", 7)))
     entries = axiom_samples(space, 1, SEED).entries
     runs = [entries[i:i + 7] for i in range(0, len(entries), 7)]
@@ -1090,7 +1251,7 @@ def test_grid_runs_in_any_tuple_order_take_the_grid_sweep(block, order):
         with witness_cap(max_witnesses):
             report = check_axioms(space, samples)
         assert as_json(report) == as_json(ref.check_axioms(space, samples, max_witnesses=max_witnesses))
-        assert sum(rows) == 7 ** 3
+        assert sum(rows) == len(entries)
 
 
 def test_set_not_of_grid_size_takes_the_entry_sweep(block):
