@@ -28,7 +28,9 @@ from functools import cache
 from itertools import accumulate
 from pathlib import Path
 
-from .core import _jsonable, check_axioms, check_symmetry, check_triangle_inequality, points_equal
+import numpy as np
+
+from .core import check_axioms, check_symmetry, check_triangle_inequality, json_text, points_equal
 from .errors import CarrierDomainError, ConstructionError, UsageError, finite_real, integer
 from .sampling import (
     STREAM_HOLDOUT,
@@ -38,7 +40,7 @@ from .sampling import (
     triple_samples,
 )
 from .solver import StopRule, brute_force_fixed_points, picard_run, verify_cauchy, verify_decay, uniqueness_probe
-from .spaces import MapSpec, make_absdiff_space, make_map, read_table, table_space
+from .spaces import MapSpec, _lift_table, make_absdiff_space, make_map, read_table
 from .zamfirescu import classify, verify_contraction_inequalities
 
 LOG = logging.getLogger("ametric_fix")
@@ -206,14 +208,15 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
 
 
 def build_space(cfg: dict, gated: bool = False):
-    """The config's space, without a law gate: every subcommand runs the law
-    checks as its first stage.  ``gated`` is ignored; it is kept because the
-    benchmark's set-up probe passes it."""
+    """The space of a config :func:`materialize_config` made, without a law
+    gate: every subcommand runs the law checks as its first stage.  A base
+    table was read there, so its rows are lifted as they are.  ``gated`` is
+    ignored; it is kept because the benchmark's set-up probe passes it."""
     sp = cfg["space"]
     eq_tol = cfg["tolerances"]["eq_tol"]
     if sp["kind"] == "absdiff":
         return make_absdiff_space(sp["t"], sp["d"], (sp["box"][0], sp["box"][1]), eq_tol)
-    return table_space(sp["t"], sp["base_table"], eq_tol=eq_tol)
+    return _lift_table(sp["t"], np.array(sp["base_table"], dtype=float), eq_tol)
 
 
 def build_map(cfg: dict, space):
@@ -293,18 +296,17 @@ def run(cfg: dict, out_dir: str, command: str, config_path: str) -> int:
             failures.append(name)
 
     def finish(failure=None, err=None) -> int:
-        """Write the report (report objects as their ``to_dict``), cut to the
-        command's keys, print its path, and return the exit code."""
+        """Write the report, cut to the command's keys, by :func:`json_text`,
+        print its path, and return the exit code."""
         if failure is not None:
             failures.append(failure)
         if err is not None:
             report.update(_error_fields(err))
         report["failures"] = sorted(failures)
         keys = _REPORT_KEYS[command]
-        doc = _jsonable({"command": command, "config": cfg,
-                         **{k: v for k, v in report.items() if k in keys},
-                         "verdict": "fail" if failures else "pass"})
-        _write(paths, "json_path", json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        _write(paths, "json_path", json_text({"command": command, "config": cfg,
+                                              **{k: v for k, v in report.items() if k in keys},
+                                              "verdict": "fail" if failures else "pass"}))
         return EXIT_VIOLATION if failures else EXIT_PASS
 
     seed, tol = cfg["sampling"]["seed"], cfg["tolerances"]["check_tol"]

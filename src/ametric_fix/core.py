@@ -38,6 +38,7 @@ coordinate range.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -49,6 +50,8 @@ from .errors import CarrierDomainError, UsageError, finite_real, integer, real
 from .sampling import ProductSet, SampleSet, _python
 
 Point = Union[int, float, tuple]
+
+_quote = json.encoder.encode_basestring_ascii
 
 # Slack (relative to the box scale) admitted when testing carrier membership,
 # so a boundary iterate is not rejected for one rounding step.
@@ -383,8 +386,19 @@ def scaled_tols(base: float, *values: np.ndarray) -> np.ndarray:
     return base * (1.0 + mag)
 
 
+class Reported:
+    """A report object, written by :func:`json_text` as its :meth:`report_fields`."""
+
+    def report_fields(self) -> dict:
+        return vars(self)
+
+    def to_dict(self) -> dict:
+        """The report as JSON values: :func:`json_text`'s text, read back."""
+        return json.loads(json_text(self))
+
+
 @dataclass(frozen=True)
-class Violation:
+class Violation(Reported):
     """One failed inequality instance: ``lhs <= rhs + tol`` did not hold."""
 
     law: str
@@ -394,12 +408,9 @@ class Violation:
     gap: float
     tol: float
 
-    def to_dict(self) -> dict:
-        return _jsonable(vars(self))
-
 
 @dataclass
-class CheckReport:
+class CheckReport(Reported):
     """Outcome of one empirical check over a sample set."""
 
     name: str
@@ -411,23 +422,58 @@ class CheckReport:
     exhaustive: bool = False
     info: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return _jsonable(vars(self))
+
+def json_text(doc) -> str:
+    """The one JSON rule of every report, written in one pass: the text of
+    ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"`` for a ``doc``
+    of dicts with str keys, lists, tuples (written as lists), strings, ints, floats,
+    bools, None and :class:`Reported` objects (written as their fields), where a
+    non-finite float is written as its quoted repr (``"inf"``, ``"-inf"``, ``"nan"``)."""
+    out: list = []
+    _put(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
-def _jsonable(obj):
-    """``obj`` made JSON-safe, at any depth of dicts, lists and tuples: a tuple
-    (a point, a witness) becomes a list, a non-finite float its repr (``"inf"``,
-    ``"-inf"``, ``"nan"``), an object with ``to_dict`` that dict; all else is kept."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, (tuple, list)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
-    return obj
+def _put(obj, out: list, indent: str) -> None:
+    """Append the text of ``obj`` to ``out``; ``indent`` starts each line after its first."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else _quote(repr(obj)))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, Reported):
+        _put(obj.report_fields(), out, indent)
+    elif not isinstance(obj, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    elif not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        inner = indent + "  "
+        head = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(head + _quote(key) + ": ")
+            _put(value, out, inner)
+            head = "," + inner
+        out.append(indent + "}")
+    else:
+        inner = indent + "  "
+        try:  # floats alone, all finite, go in one join: no finite float's repr has an "n"
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:
+            text = "n"
+        if "n" not in text:
+            out.append("[" + inner + text + indent + "]")
+            return
+        head = "[" + inner
+        for value in obj:
+            out.append(head)
+            _put(value, out, inner)
+            head = "," + inner
+        out.append(indent + "]")
 
 
 class _Recorder:

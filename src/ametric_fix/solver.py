@@ -50,7 +50,6 @@ from .core import (
     AMetricSpace,
     CheckReport,
     Point,
-    _jsonable,
     _Recorder,
     scaled_tol,
     scaled_tols,
@@ -172,12 +171,13 @@ class PicardTrace:
         return "".join(lines)
 
     def summary_dict(self) -> dict:
-        """The report's trace summary.  A run that stopped unconverged before its
-        first step (an ``"overflow"``) has no d0, final step or tail bound."""
+        """The report's trace summary, as raw values (``core.json_text`` writes
+        them).  A run that stopped unconverged before its first step (an
+        ``"overflow"``) has no d0, final step or tail bound."""
         n = len(self.steps)
         stepped = n > 0 or self.status == "converged"
         bound, tail = self.envelope if self.monitored else (None, None)
-        return _jsonable({
+        return {
             "status": self.status,
             "iterations": n,
             "d0": self.d0 if stepped else None,
@@ -186,7 +186,7 @@ class PicardTrace:
             "final_bound": float(bound[n - 1]) if self.monitored and n else None,
             "final_tail_bound": float(tail[n]) if self.monitored and stepped else None,
             "limit": self.limit,
-        })
+        }
 
 
 def _escaped(err: CarrierDomainError, n: int) -> CarrierDomainError:

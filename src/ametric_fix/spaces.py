@@ -220,8 +220,8 @@ def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
     string raises :class:`UsageError`).  Structural defects of a table (negative entry, asymmetry,
     nonzero diagonal) and any law violation found by the gating sweep raise
     :class:`ConstructionError` carrying the witness.  The gate is a library
-    entry point only: the CLI builds its table with :func:`table_space` and
-    runs the full law checks as its first stage.
+    entry point only: the CLI lifts its table ungated and runs the full law
+    checks as its first stage.
     """
     if callable(base):
         if box is None:

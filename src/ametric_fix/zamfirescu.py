@@ -40,8 +40,8 @@ from .core import (
     AMetricSpace,
     CheckReport,
     Point,
+    Reported,
     _blocks,
-    _jsonable,
     _Recorder,
     scaled_tols,
 )
@@ -70,7 +70,7 @@ def _running_max(values: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class BranchConstants:
+class BranchConstants(Reported):
     """Minimal per-branch constants for one ordered pair."""
 
     x: Point
@@ -82,9 +82,6 @@ class BranchConstants:
     def normalized(self, t: int) -> tuple[float, float, float]:
         """Requirements scaled so that each branch cap becomes 1."""
         return (self.a_req, self.b_req * t, self.c_req * t)
-
-    def to_dict(self) -> dict:
-        return _jsonable(vars(self))
 
 
 def _image_blocks(space: AMetricSpace, f: SelfMap, pairs: SampleSet, what: str):
@@ -133,7 +130,7 @@ def compute_delta(a: float, b: float, c: float, t: int) -> float:
 
 
 @dataclass
-class ZamfirescuCertificate:
+class ZamfirescuCertificate(Reported):
     """Evidence that a map satisfies the branch conditions on a pair set."""
 
     t: int
@@ -162,11 +159,11 @@ class ZamfirescuCertificate:
         scale = 1.0 + finite_real(margin, "margin", 0)
         return compute_delta(self.a * scale, self.b * scale, self.c * scale, self.t)
 
-    def to_dict(self) -> dict:
-        """The report: the fields, with ``branch_counts`` for the per-pair ``assignments``."""
-        return _jsonable({"t": self.t, "a": self.a, "b": self.b, "c": self.c, "delta": self.delta,
-                          "valid": self.valid, "exhaustive": self.exhaustive, "n_pairs": self.n_pairs,
-                          "branch_counts": self.branch_counts, "witnesses": self.witnesses})
+    def report_fields(self) -> dict:
+        """The fields, with ``branch_counts`` for the per-pair ``assignments``."""
+        return {"t": self.t, "a": self.a, "b": self.b, "c": self.c, "delta": self.delta,
+                "valid": self.valid, "exhaustive": self.exhaustive, "n_pairs": self.n_pairs,
+                "branch_counts": self.branch_counts, "witnesses": self.witnesses}
 
 
 def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet) -> ZamfirescuCertificate:

@@ -26,13 +26,18 @@ and `Box.spread` before they ran along the long axis of a block:
 leading axes, and `lift_distance_many` the lift's `distance_many` before it
 made one base call per tuple slot: one base call per pair (i, j), in the
 scalar `distance`'s order.
+
+`report_json` is the report rule before `core.json_text` wrote reports in
+one pass: `jsonable`, the walk that made a report JSON-safe (a report
+object as its old `to_dict`), then json's indent-2 encoder.
 """
 
+import json
 import math
 
 import numpy as np
 
-from ametric_fix.core import _Recorder, scaled_tol
+from ametric_fix.core import CheckReport, Violation, _Recorder, scaled_tol
 from ametric_fix.errors import CarrierDomainError, UsageError, finite_real, integer, real
 from ametric_fix.solver import _GROWTH_FACTOR, _GROWTH_WINDOW, PicardTrace, _tail
 from ametric_fix.zamfirescu import (
@@ -363,3 +368,25 @@ def lift_distance_many(base_many, t, pts):
         for j in range(i + 1, t):
             total += base_many(pts[:, i], pts[:, j])
     return total
+
+
+def jsonable(obj):
+    """``obj`` made JSON-safe, at any depth: a tuple becomes a list, a non-finite
+    float its repr, a report object the dict of its old ``to_dict``."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, (tuple, list)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, ZamfirescuCertificate):
+        return jsonable({"t": obj.t, "a": obj.a, "b": obj.b, "c": obj.c, "delta": obj.delta,
+                         "valid": obj.valid, "exhaustive": obj.exhaustive, "n_pairs": obj.n_pairs,
+                         "branch_counts": obj.branch_counts, "witnesses": obj.witnesses})
+    if isinstance(obj, (Violation, CheckReport, BranchConstants)):
+        return jsonable(vars(obj))
+    return obj
+
+
+def report_json(doc):
+    return json.dumps(jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ametric_fix import cli
+from ametric_fix import cli, spaces
 from ametric_fix.cli import main, materialize_config
 from ametric_fix.errors import UsageError
 
@@ -948,3 +948,21 @@ def test_cauchy_check_needs_three_iterates(max_iter, cauchy_pairs, tmp_path, cap
         assert (report["cauchy"], report["skipped"]) == (None, {"cauchy": "fewer than 3 iterates"})
     else:
         assert (report["cauchy"]["checked"], report["skipped"]) == (cauchy_pairs, {})
+
+
+def test_a_run_reads_its_base_table_once(tmp_path, capsys, monkeypatch):
+    # materialize_config reads and checks the table; build_space lifts its rows as they are.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return read_table(*args, **kwargs)
+
+    read_table = spaces.read_table
+    monkeypatch.setattr(spaces, "read_table", counted)
+    monkeypatch.setattr(cli, "read_table", counted)
+    cfg = write_cfg(tmp_path, _golden_config("verify-finite-exhaustive"))
+    code, _, _ = run(["verify", "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 0 and len(calls) == 1
+    assert (tmp_path / "report.json").read_text() == (
+        GOLDEN / "verify-finite-exhaustive" / "report.json").read_text()
