@@ -28,8 +28,6 @@ from functools import cache
 from itertools import accumulate
 from pathlib import Path
 
-import numpy as np
-
 from .core import check_axioms, check_symmetry, check_triangle_inequality, json_text, points_equal
 from .errors import CarrierDomainError, ConstructionError, UsageError, finite_real, integer
 from .sampling import (
@@ -216,7 +214,7 @@ def build_space(cfg: dict, gated: bool = False):
     eq_tol = cfg["tolerances"]["eq_tol"]
     if sp["kind"] == "absdiff":
         return make_absdiff_space(sp["t"], sp["d"], (sp["box"][0], sp["box"][1]), eq_tol)
-    return _lift_table(sp["t"], np.array(sp["base_table"], dtype=float), eq_tol)
+    return _lift_table(sp["t"], sp["base_table"], eq_tol)
 
 
 def build_map(cfg: dict, space):

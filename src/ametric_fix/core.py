@@ -20,14 +20,14 @@ shape (n,) for a 1-dimensional box, (n, d) above, integer indices on finite
 carriers.  Only the carrier classes branch on either format; other code
 validates, compares, spreads, draws and maps points through their methods,
 and ``sampling._python`` alone turns an array back into Python points.
-The law checks work on blocks of at most ``BLOCK`` entries, so their memory
-does not grow with the sample set.  The exhaustive set of a finite carrier
-of n points, every (t+1)-tuple, is a ``sampling.ProductSet`` described by
-its shape, and :func:`check_axioms` sweeps it from that shape, in groups of
-at most ``BLOCK`` t-tuples: one distance per t-tuple, the laws that depend
-on the t-tuple alone recorded once for all n of its pivots, and the simplex
-entries of a tuple cleared together by their smallest right-hand side.
-Its report is the entry-by-entry sweep's, bit for bit.  A report's
+The law checks read a set by its ``block`` method, ``BLOCK`` entries at a
+time, so their memory does not grow with the set.  The exhaustive set of a
+finite carrier of n points, every (t+1)-tuple, is a ``sampling.ProductSet``
+described by its shape, and :func:`check_axioms` sweeps it from that shape,
+in groups of at most ``BLOCK`` t-tuples: one distance per t-tuple, the laws
+that depend on the t-tuple alone recorded once for all n of its pivots, and
+the simplex entries of a tuple cleared together by their smallest right-hand
+side.  Its report is the entry-by-entry sweep's, bit for bit.  A report's
 ``max_gap`` is the largest gap, with a zero written as 0.0, so its sign
 never depends on the order in which a sweep meets the entries.
 All comparisons between distances use an absolute tolerance scaled by the
@@ -574,22 +574,21 @@ def _item(v, i: int, shape: tuple) -> float:
     return float(np.broadcast_to(v, shape).flat[i])
 
 
-def _blocks(carrier: Carrier, samples: SampleSet, width: int, what: str):
+def _blocks(carrier: Carrier, samples: SampleSet | ProductSet, width: int, what: str):
     """Blocks of up to BLOCK entries, each as ``(start, pts)``: the index of
     its first entry and its validated points, shape (len(block), width, ...).
 
-    The set's size and entry width are checked on the call.  ``carrier.array``
-    checks the bounds of each block's slice of the set's point array, which
-    guards a set built by hand rather than drawn or made by ``from_entries``.
+    The set's size and entry width are checked on the call.  A block is read
+    by ``samples.block`` when it is reached, and ``carrier.array`` checks its
+    bounds, which guards a set built by hand, not drawn or made by ``from_entries``.
     """
     if len(samples) == 0:
         raise UsageError(f"{what} needs a nonempty sample set")
-    points = samples.points
-    if points.shape[1:2] != (width,):
+    if samples.block(0, 1).shape[1:2] != (width,):
         raise UsageError(f"{what} expects entries of {width} points, got {samples.entry(0)!r}")
-    flat = points.reshape((-1,) + points.shape[2:])
     starts = range(0, len(samples), BLOCK)
-    arrays = (carrier.array(flat[start * width:(start + BLOCK) * width]) for start in starts)
+    blocks = (samples.block(start, start + BLOCK) for start in starts)
+    arrays = (carrier.array(pts.reshape((-1,) + pts.shape[2:])) for pts in blocks)
     return ((start, pts.reshape((-1, width) + pts.shape[1:])) for start, pts in zip(starts, arrays))
 
 
@@ -621,23 +620,12 @@ def _rows(checks: tuple, lo: int, hi: int) -> tuple:
                  for law, *values in checks)
 
 
-def _product_tuples(lo: int, hi: int, n: int, t: int) -> np.ndarray:
-    """The t-tuples lo, ..., hi - 1 of the product of n indices, tuple q being
-    the t digits of q in base n, as an (hi - lo, t) column-major index array."""
-    xs = np.empty((t, hi - lo), dtype=np.intp)
-    q = np.arange(lo, hi)
-    for i in range(t - 1, 0, -1):
-        np.divmod(q, n, out=(q, xs[i]))
-    xs[0] = q
-    return xs.T
-
-
 def _sweep_product(space: AMetricSpace, samples: ProductSet, tol: float, rec: _Recorder):
     """:func:`check_axioms` on every (t+1)-tuple of the space's n points, from the set's shape.
 
-    Entry q*n + p is t-tuple q with pivot p.  The tuples are taken in groups
-    of whole runs of their last slot, at most BLOCK tuples when n <= BLOCK,
-    and each tuple's distance and per-tuple laws are computed once.  Its
+    Entry q*n + p is t-tuple q of ``ProductSet(n, t)`` with pivot p.  The tuples
+    are read in groups of whole runs of their last slot, at most BLOCK tuples
+    when n <= BLOCK, and each tuple's distance and per-tuple laws are computed once.  Its
     simplex right-hand sides are ((0 + R[x_0, p]) + R[x_1, p]) + ... +
     R[x_(t-1), p], R the n x n table of rep_many values: the entry sweep's
     additions, with the sums over the first t - 1 slots made once per run.
@@ -662,7 +650,7 @@ def _sweep_product(space: AMetricSpace, samples: ProductSet, tol: float, rec: _R
         return samples.entry(i)[:t + 1 if law == "simplex" else t]
 
     for h0 in range(0, heads, runs):
-        xs = _product_tuples(h0 * n, min(h0 + runs, heads) * n, n, t)
+        xs = ProductSet(n, t).block(h0 * n, (h0 + runs) * n)
         m = len(xs)
         d = space.distance_many(xs)[:, None]
         te = scaled_tols(tol, d)

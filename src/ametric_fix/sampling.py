@@ -8,18 +8,17 @@ tuples) are always injected next to the random draws: zero-distance cases
 are measure-zero under random sampling and would otherwise go untested.
 Small finite carriers are enumerated exhaustively instead of sampled.
 
-A drawn or given set is the carrier's point array of its entries, drawn or
-validated once when the set is made: the sweeps read it directly (see
-``core._blocks``), and Python points are built from it only when asked for.
-An enumerated set is a :class:`ProductSet`, described by its shape alone:
-its entry i is the digits of i in base n, and its point array is built
-only when read.  ``core.check_axioms`` sweeps it from that shape, without
-the array.
+The sweeps read every set by ``block(lo, hi)``, the point array of its
+entries lo, ..., min(hi, len) - 1 (see ``core._blocks``).  A drawn or given
+set holds the carrier's point array of its entries, drawn or validated once
+when the set is made, and a block is a slice of it.  An enumerated set is a
+:class:`ProductSet`, described by its shape alone: its entry i is the digits
+of i in base n, made for one block at a time.  Python points are built only
+when asked for.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -80,6 +79,10 @@ class SampleSet:
         """Entry ``i`` as Python points, without building the others."""
         return _python(self.points[i].tolist())
 
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """The point array of entries lo, ..., min(hi, len) - 1."""
+        return self.points[lo:hi]
+
     @staticmethod
     def from_entries(space, entries, exhaustive: bool = False) -> "SampleSet":
         """The set of ``entries``, tuples of equally many points, validated once, here, by
@@ -100,9 +103,9 @@ class ProductSet:
     """Every ``width``-tuple of the indices 0..n-1 of a finite carrier, in
     ``itertools.product`` order: entry i is the ``width`` digits of i in base n.
 
-    It has a :class:`SampleSet`'s reads, computed from its shape.  Only the
-    samplers make one, for a carrier of ``n`` points, so its indices are
-    valid by construction.
+    It has a :class:`SampleSet`'s reads, computed from its shape, and holds
+    no array.  Only the samplers and ``core._sweep_product`` make one, for a
+    carrier of ``n`` points, so its indices are valid by construction.
     """
 
     n: int
@@ -122,21 +125,17 @@ class ProductSet:
     def entry(self, i: int) -> tuple:
         """Entry ``i`` (negative from the end), without building the others."""
         i = range(len(self))[i]
-        digits = []
-        for _ in range(self.width):
-            i, digit = divmod(i, self.n)
-            digits.append(digit)
-        return tuple(reversed(digits))
+        return tuple(self.block(i, i + 1)[0].tolist())
 
-    @functools.cached_property
-    def points(self) -> np.ndarray:
-        """The read-only (len, width) index array of the entries, built on the first read."""
-        grid = np.empty((self.n,) * self.width + (self.width,), dtype=np.intp)
-        for j, axis in enumerate(np.indices(grid.shape[:-1], sparse=True)):
-            grid[..., j] = axis
-        points = grid.reshape(len(self), self.width)
-        points.flags.writeable = False
-        return points
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """The (k, width) index array of entries lo, ..., min(hi, len) - 1, entry q
+        being the ``width`` digits of q in base n, made by ``divmod``; column-major."""
+        q = np.arange(lo, min(hi, len(self)))
+        digits = np.empty((self.width, len(q)), dtype=np.intp)
+        for i in range(self.width - 1, 0, -1):
+            np.divmod(q, self.n, out=(q, digits[i]))
+        digits[0] = q
+        return digits.T
 
 
 def _python(value):

@@ -193,11 +193,12 @@ def read_table(table, what: str = "base table") -> np.ndarray:
     return np.array(checked, dtype=float)
 
 
-def _lift_table(t: int, arr: np.ndarray, eq_tol: float) -> AMetricSpace:
-    """The sum-over-pairs space of a table read by :func:`read_table`."""
-    rows, flat, size = arr.tolist(), arr.ravel(), len(arr)
+def _lift_table(t: int, rows: list, eq_tol: float) -> AMetricSpace:
+    """The sum-over-pairs space of a table's rows, lists of floats read by :func:`read_table`."""
+    size = len(rows)
+    flat = np.array(rows, dtype=float).ravel()
     return pair_lift(t, lambda i, j: rows[i][j], FiniteCarrier(size),
-                     zero_diagonal=not np.diagonal(arr).any(),
+                     zero_diagonal=not flat[::size + 1].any(),
                      base_many=lambda i, j: flat.take(i * size + j), eq_tol=eq_tol)
 
 
@@ -207,7 +208,7 @@ def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
     No structural or law checks are performed: this is the entry point for
     running diagnostics against deliberately broken tables.
     """
-    return _lift_table(t, read_table(table), eq_tol)
+    return _lift_table(t, read_table(table).tolist(), eq_tol)
 
 
 def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
@@ -242,7 +243,7 @@ def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
         if len(diag):
             i = int(diag[0][0])
             raise ConstructionError(f"base table diagonal entry {i} is nonzero", witness=(i, i))
-        space = _lift_table(t, arr, eq_tol)
+        space = _lift_table(t, arr.tolist(), eq_tol)
 
     gate = check_axioms(space, axiom_samples(space, _N_GATE, seed, stream=STREAM_GATE))
     if not gate.passed:

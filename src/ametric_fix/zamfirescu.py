@@ -141,16 +141,8 @@ class ZamfirescuCertificate(Reported):
     valid: bool
     exhaustive: bool
     n_pairs: int
-    assignments: tuple
+    branch_counts: dict
     witnesses: tuple
-
-    @property
-    def branch_counts(self) -> dict:
-        return {
-            "banach": sum(1 for b in self.assignments if b == BRANCH_BANACH),
-            "kannan": sum(1 for b in self.assignments if b == BRANCH_KANNAN),
-            "chatterjea": sum(1 for b in self.assignments if b == BRANCH_CHATTERJEA),
-        }
 
     def delta_with_margin(self, margin: float = 1e-9) -> float:
         """Contraction factor with constants inflated to absorb rounding."""
@@ -159,26 +151,10 @@ class ZamfirescuCertificate(Reported):
         scale = 1.0 + finite_real(margin, "margin", 0)
         return compute_delta(self.a * scale, self.b * scale, self.c * scale, self.t)
 
-    def report_fields(self) -> dict:
-        """The fields, with ``branch_counts`` for the per-pair ``assignments``."""
-        return {"t": self.t, "a": self.a, "b": self.b, "c": self.c, "delta": self.delta,
-                "valid": self.valid, "exhaustive": self.exhaustive, "n_pairs": self.n_pairs,
-                "branch_counts": self.branch_counts, "witnesses": self.witnesses}
 
-
-def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet) -> ZamfirescuCertificate:
-    """Certify (or reject) a self-map over a sampled or exhaustive pair set.
-
-    Valid exactly when every pair's best normalized requirement stays below
-    1. Witnesses are the first ``core.MAX_WITNESSES`` pairs for which no
-    branch is feasible.  The assignment threshold is the worst per-pair
-    minimum, so the reported constants realize the smallest possible
-    maximum normalized constant.
-    """
-    if len(pairs) == 0:
-        raise UsageError("classify needs a nonempty pair set")
-    t = space.t
-    reqs = _requirements(space, f, pairs, "classify")
+def _branches(reqs: tuple, t: int) -> tuple:
+    """Each pair's best normalized requirement, and its branch (``BRANCH_*``) in
+    the canonical assignment, from the pairs' (a_req, b_req, c_req) arrays."""
     with np.errstate(over="ignore"):
         ratios = (reqs[0], reqs[1] * t, reqs[2] * t)
     # Each pair's best branch is its first minimal ratio, as min(range(3),
@@ -200,21 +176,40 @@ def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet) -> ZamfirescuCer
         if valid:
             fits &= ratios[i] < 1.0
         branch = np.where(fits, i + 1, branch)
-    a, b, c = (_running_max(req[branch == i + 1]) for i, req in enumerate(reqs))
+    return ratio, branch
 
+
+def classify(space: AMetricSpace, f: SelfMap, pairs: SampleSet) -> ZamfirescuCertificate:
+    """Certify (or reject) a self-map over a sampled or exhaustive pair set.
+
+    Valid exactly when every pair's best normalized requirement stays below
+    1. Witnesses are the first ``core.MAX_WITNESSES`` pairs for which no
+    branch is feasible.  The assignment threshold is the worst per-pair
+    minimum, so the reported constants realize the smallest possible
+    maximum normalized constant.  The certificate keeps how many pairs each
+    branch took, not the pairs' branches.
+    """
+    if len(pairs) == 0:
+        raise UsageError("classify needs a nonempty pair set")
+    t = space.t
+    reqs = _requirements(space, f, pairs, "classify")
+    ratio, branch = _branches(reqs, t)
+    a, b, c = (_running_max(req[branch == i + 1]) for i, req in enumerate(reqs))
+    counts = np.bincount(branch, minlength=4).tolist()
+    bad = np.flatnonzero(ratio >= 1.0)
     witnesses = tuple(BranchConstants(*pairs.entry(i), *(float(r[i]) for r in reqs))
-                      for i in np.flatnonzero(ratio >= 1.0)[:core.MAX_WITNESSES])
-    delta = compute_delta(a, b, c, t) if valid else None
+                      for i in bad[:core.MAX_WITNESSES])
+    valid = not len(bad)
     return ZamfirescuCertificate(
         t=t,
         a=a,
         b=b,
         c=c,
-        delta=delta,
+        delta=compute_delta(a, b, c, t) if valid else None,
         valid=valid,
         exhaustive=pairs.exhaustive,
         n_pairs=len(pairs),
-        assignments=tuple(branch.tolist()),
+        branch_counts=dict(zip(("banach", "kannan", "chatterjea"), counts[1:], strict=True)),
         witnesses=witnesses,
     )
 

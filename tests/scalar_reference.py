@@ -10,6 +10,9 @@ differential tests can require the array path to give the same report,
 down to the last bit.  Both sides write their reports through
 `_Recorder.report`, which writes a zero max_gap as 0.0.
 
+`branches` is the per-pair branch assignment inside `classify`, which the
+certificate reports only as counts per branch.
+
 `canon` is the carriers' `canon` before it returned canonical points as
 they are, converting every value by `errors.real`'s rule, and `picard_run`
 the Picard loop before its per-step lookups left the loop; the tests
@@ -193,9 +196,9 @@ def _best(bc, t):
     return ratios[branch], branch + 1
 
 
-def classify(space, f, pairs, *, max_witnesses=100):
-    if len(pairs) == 0:
-        raise UsageError("classify needs a nonempty pair set")
+def _assign(space, f, pairs):
+    """Each pair as (branch constants, best ratio, branch), and whether the
+    certificate is valid."""
     canon, rep = space.carrier.canon, space.rep_fn
     per_pair = []
     worst = 0.0
@@ -209,9 +212,7 @@ def classify(space, f, pairs, *, max_witnesses=100):
     valid = worst < 1.0
     threshold = worst * (1.0 + _ASSIGN_RTOL)
 
-    a = b = c = 0.0
-    assignments = []
-    witnesses = []
+    assigned = []
     for bc, ratio in per_pair:
         ratios = bc.normalized(space.t)
         branch = None
@@ -221,20 +222,39 @@ def classify(space, f, pairs, *, max_witnesses=100):
                 break
         if branch is None:
             branch = _best(bc, space.t)[1]
-        assignments.append(branch)
+        assigned.append((bc, ratio, branch))
+    return assigned, valid
+
+
+def branches(space, f, pairs):
+    """Each pair's branch in classify's canonical assignment, in pair order."""
+    return [branch for _, _, branch in _assign(space, f, pairs)[0]]
+
+
+def classify(space, f, pairs, *, max_witnesses=100):
+    if len(pairs) == 0:
+        raise UsageError("classify needs a nonempty pair set")
+    assigned, valid = _assign(space, f, pairs)
+    a = b = c = 0.0
+    counts = {"banach": 0, "kannan": 0, "chatterjea": 0}
+    witnesses = []
+    for bc, ratio, branch in assigned:
         if branch == BRANCH_BANACH:
             a = max(a, bc.a_req)
+            counts["banach"] += 1
         elif branch == BRANCH_KANNAN:
             b = max(b, bc.b_req)
+            counts["kannan"] += 1
         else:
             c = max(c, bc.c_req)
+            counts["chatterjea"] += 1
         if ratio >= 1.0 and len(witnesses) < max_witnesses:
             witnesses.append(bc)
 
     delta = compute_delta(a, b, c, space.t) if valid else None
     return ZamfirescuCertificate(
         t=space.t, a=a, b=b, c=c, delta=delta, valid=valid, exhaustive=pairs.exhaustive,
-        n_pairs=len(pairs), assignments=tuple(assignments), witnesses=tuple(witnesses),
+        n_pairs=len(pairs), branch_counts=counts, witnesses=tuple(witnesses),
     )
 
 

@@ -13,6 +13,7 @@ from itertools import chain, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ametric_fix import (
     CarrierDomainError,
@@ -110,14 +111,18 @@ CARRIERS = {
 @pytest.mark.parametrize("sampler", [axiom_samples, pair_samples, triple_samples])
 @pytest.mark.parametrize("name", sorted(CARRIERS))
 def test_points_are_the_carrier_array_of_the_entries(name, sampler):
-    """A set's point array holds its entries, bit for bit, in the carrier's array format."""
+    """A set's blocks hold its entries, bit for bit, in the carrier's array format;
+    a drawn set's point array is read-only."""
     space = CARRIERS[name]()
     samples = sampler(space, 10, SEED)
     expected = space.carrier.array(chain.from_iterable(samples.entries))
-    assert samples.points.shape[:2] == (len(samples), len(samples.entries[0]))
-    assert samples.points.dtype == expected.dtype
-    assert samples.points.tobytes() == expected.tobytes()
-    assert not samples.points.flags.writeable
+    points = samples.block(0, len(samples))
+    assert points.shape[:2] == (len(samples), len(samples.entries[0]))
+    assert points.dtype == expected.dtype
+    assert points.tobytes() == expected.tobytes()
+    blocks = [samples.block(lo, lo + 7) for lo in range(0, len(samples), 7)]
+    assert np.concatenate(blocks).tobytes() == expected.tobytes()
+    assert type(samples) is ProductSet or not samples.points.flags.writeable
     # Equal values of equal types: repr tells a numpy scalar from a Python one.
     assert all(samples.entry(i) == entry and repr(samples.entry(i)) == repr(entry)
                for i, entry in enumerate(samples.entries))
@@ -220,11 +225,10 @@ def test_product_set_reads_the_grid(n, width):
     grid = product_grid(n, width)
     made = ProductSet(n, width)
     assert len(made) == n ** width == len(grid) and made.exhaustive
-    assert "points" not in vars(made)  # built on the first read only
-    points = made.points
+    points = made.block(0, len(made))
     assert (points.dtype, points.shape) == (grid.dtype, grid.shape)
-    assert points.tobytes() == grid.tobytes() and not points.flags.writeable
-    assert made.points is points
+    assert points.tobytes() == grid.tobytes()
+    assert vars(made) == {"n": n, "width": width}  # a block is made on each read, not kept
     entries = tuple(map(tuple, grid.tolist()))
     assert made.entries == entries and repr(made.entries) == repr(entries)
     assert list(made) == list(entries)
@@ -235,6 +239,20 @@ def test_product_set_reads_the_grid(n, width):
     for i in (len(grid), -len(grid) - 1):
         with pytest.raises(IndexError):
             made.entry(i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 13), width=st.integers(1, 5), data=st.data())
+def test_product_set_blocks_are_product_rows(n, width, data):
+    """block(lo, hi) is rows lo, ..., hi - 1 of itertools.product, clipped at the
+    end of the set: empty from there on."""
+    size = n ** width
+    lo = data.draw(st.integers(0, size + 3), label="lo")
+    hi = data.draw(st.integers(0, size + 3), label="hi")
+    rows = list(product(range(n), repeat=width))[lo:hi]
+    block = ProductSet(n, width).block(lo, hi)
+    assert block.dtype == np.intp and block.shape == (len(rows), width)
+    assert block.tolist() == [list(row) for row in rows]
 
 
 @pytest.mark.parametrize("sampler, width", [

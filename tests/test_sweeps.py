@@ -48,7 +48,7 @@ from ametric_fix import (
     verify_contraction_inequalities,
     verify_decay,
 )
-from ametric_fix import core, solver, spaces
+from ametric_fix import core, solver, spaces, zamfirescu
 from ametric_fix.errors import CarrierDomainError, UsageError
 from ametric_fix.sampling import SampleSet
 from ametric_fix.spaces import pair_lift
@@ -586,15 +586,23 @@ def test_long_trace_pair_sweep_stays_in_bounded_memory():
     assert elapsed < 30.0
 
 
+def fast_branches(space, f, pairs):
+    """classify's per-pair branches, from its requirement and assignment helpers."""
+    return zamfirescu._branches(zamfirescu._requirements(space, f, pairs, "classify"), space.t)[1]
+
+
 def assert_certificate_matches(space, f, pairs, max_witnesses=100):
     """classify and the contraction check agree with the reference: full JSON,
-    assignments (as Python ints) and the first error, if any."""
+    the per-pair branches, the branch counts (as Python ints, one per pair) and
+    the first error, if any."""
     with witness_cap(max_witnesses):
         fast = classify(space, f, pairs)
     slow = ref.classify(space, f, pairs, max_witnesses=max_witnesses)
     assert as_json(fast) == as_json(slow)
-    assert fast.assignments == slow.assignments
-    assert {type(b) for b in fast.assignments} == {int}
+    assert fast_branches(space, f, pairs).tolist() == ref.branches(space, f, pairs)
+    assert fast.branch_counts == slow.branch_counts
+    assert {type(v) for v in fast.branch_counts.values()} == {int}
+    assert sum(fast.branch_counts.values()) == fast.n_pairs == len(pairs)
     deltas = {0.0, 0.5} | ({fast.delta} if fast.valid else set())
     for delta in sorted(deltas):
         for tol in (1e-9, -2.0):  # -2 (1 + |value|): every instance is a violation
@@ -771,8 +779,9 @@ def test_valid_certificate_keeps_pairs_off_a_branch_at_its_cap(block):
 
     space = AMetricSpace(t=2, distance=distance, carrier=FiniteCarrier(8))
     f = SelfMap(kind="spread", fn=lambda i: (4, 5, 6, 7, 4, 4, 4, 4)[i])
-    cert = assert_certificate_matches(space, f, SampleSet.from_entries(space, [(0, 1), (2, 3)]))
-    assert cert.valid and cert.assignments == (1, 2)
+    pairs = SampleSet.from_entries(space, [(0, 1), (2, 3)])
+    cert = assert_certificate_matches(space, f, pairs)
+    assert cert.valid and fast_branches(space, f, pairs).tolist() == [1, 2]
     assert (cert.a, cert.b, cert.c) == (1.0 - 1e-10, 0.25, 0.0)
 
 
@@ -780,8 +789,9 @@ def given_twin(space, samples):
     """The same entries as a set made by from_entries, which validates them
     into the drawn set's point array, bit for bit."""
     twin = SampleSet.from_entries(space, samples.entries, samples.exhaustive)
-    assert twin.points.dtype == samples.points.dtype and twin.points.shape == samples.points.shape
-    assert twin.points.tobytes() == samples.points.tobytes() and not twin.points.flags.writeable
+    points = samples.block(0, len(samples))
+    assert twin.points.dtype == points.dtype and twin.points.shape == points.shape
+    assert twin.points.tobytes() == points.tobytes() and not twin.points.flags.writeable
     return twin
 
 
@@ -799,7 +809,8 @@ def assert_drawn_matches_given(space, spec, n=60, seed=SEED):
     pairs = pair_samples(space, n, seed)
     cert, twin = classify(space, f, pairs), classify(space, f, given_twin(space, pairs))
     assert as_json(cert) == as_json(twin)
-    assert cert.assignments == twin.assignments
+    assert (fast_branches(space, f, pairs).tolist()
+            == fast_branches(space, f, given_twin(space, pairs)).tolist())
     for delta in {0.5} | ({cert.delta} if cert.valid else set()):
         for tol in (1e-9, -2.0):
             args = (space, f, delta)

@@ -13,6 +13,7 @@ import json
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,7 +35,7 @@ from ametric_fix import (
 )
 from ametric_fix.sampling import STREAM_HOLDOUT
 from ametric_fix.spaces import default_catalog
-from ametric_fix.zamfirescu import BRANCH_CHATTERJEA
+from ametric_fix.zamfirescu import BRANCH_CHATTERJEA, _branches, _requirements
 
 SEED = 424242
 
@@ -132,9 +133,12 @@ def test_branch_counts_count_every_branch():
     # per-pair minimum.
     s = table_space(3, [[0.0, 1.0, 5.0], [1.0, 0.0, 4.0], [5.0, 4.0, 0.0]])
     f = make_map(MapSpec.of("finite-table", images=[0, 2, 2]), s)
-    cert = classify(s, f, pair_samples(s, 1, SEED))
-    assert cert.assignments.count(BRANCH_CHATTERJEA) == 2
+    pairs = pair_samples(s, 1, SEED)
+    cert = classify(s, f, pairs)
     assert cert.branch_counts == {"banach": 7, "kannan": 0, "chatterjea": 2}
+    reqs = _requirements(s, f, pairs, "classify")
+    chatterjea = np.flatnonzero(_branches(reqs, 3)[1] == BRANCH_CHATTERJEA)
+    assert [pairs.entry(i) for i in chatterjea] == [(0, 1), (1, 0)]
 
 
 @pytest.mark.parametrize("q, kannan", [(1.0 + 1e-8, 2), (1.0 + 1e-9, 0)])
