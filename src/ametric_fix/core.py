@@ -387,10 +387,7 @@ def scaled_tols(base: float, *values: np.ndarray) -> np.ndarray:
 
 
 class Reported:
-    """A report object, written by :func:`json_text` as its :meth:`report_fields`."""
-
-    def report_fields(self) -> dict:
-        return vars(self)
+    """A report object, written by :func:`json_text` as its fields, ``vars(self)``."""
 
     def to_dict(self) -> dict:
         """The report as JSON values: :func:`json_text`'s text, read back."""
@@ -427,7 +424,7 @@ def json_text(doc) -> str:
     """The one JSON rule of every report, written in one pass: the text of
     ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"`` for a ``doc``
     of dicts with str keys, lists, tuples (written as lists), strings, ints, floats,
-    bools, None and :class:`Reported` objects (written as their fields), where a
+    bools, None and :class:`Reported` objects (written as their fields, ``vars(obj)``), where a
     non-finite float is written as its quoted repr (``"inf"``, ``"-inf"``, ``"nan"``)."""
     out: list = []
     _put(doc, out, "\n")
@@ -446,7 +443,7 @@ def _put(obj, out: list, indent: str) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, Reported):
-        _put(obj.report_fields(), out, indent)
+        _put(vars(obj), out, indent)
     elif not isinstance(obj, (dict, list, tuple)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     elif not obj:

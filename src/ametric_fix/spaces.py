@@ -5,9 +5,11 @@ by :func:`pair_lift`, whose two-point reduction rep is closed-form.  The
 pairwise absolute-difference space lifts |x - y| (the l1 gap for d > 1) and
 satisfies the defining laws by construction.  Lifted spaces apply the same
 recipe to an arbitrary base metric, given either as a finite symmetric
-table or as a callable; since nothing guarantees the simplex law for an
-arbitrary base, lifted construction is gated on an axiom check and fails
-loudly with the offending witness.
+table or as a callable.  Nothing guarantees the simplex law for an
+arbitrary base, so :func:`make_lifted_space` is gated on an axiom check and
+fails loudly with the offending witness.  :func:`table_space` and
+``_lift_table``, which the CLI uses, are not gated; the CLI runs the full
+law checks as its first stage instead.
 
 Self-maps are described by declarative ``MapSpec`` values so they can be
 round-tripped through CLI configs.  Construction verifies that the map

@@ -328,6 +328,18 @@ def test_axioms_malformed_map_parameter_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_axioms_writes_a_max_gap_of_signed_zeros_as_plus_zero(tmp_path, capsys):
+    # Every triangle gap is -0.0 or +0.0; the diagonal of 1.0 fails the laws.
+    cfg = write_cfg(tmp_path, {"space": {"kind": "lifted", "t": 3,
+                                         "base_table": [[1.0, 1.0], [0.0, -0.0]]},
+                               "map": {"kind": "identity"}, "sampling": {"seed": 0}})
+    code, _, _ = run(["axioms", "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    triangle = load_report(tmp_path)["checks"]["triangle"]
+    assert triangle["passed"] and triangle["max_gap"] == 0.0
+    assert math.copysign(1.0, triangle["max_gap"]) == 1.0
+
+
 @pytest.mark.parametrize("space, map_, code", [
     ({"kind": "absdiff", "t": 3}, {"kind": "shift", "offset": 500.0}, 0),
     ({"kind": "lifted", "t": 3, "base_table": [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]},
@@ -374,6 +386,21 @@ def test_outputs_match_golden_files(case, tmp_path, capsys):
                       "--out-dir", str(tmp_path), "--seed", "0"], capsys)
     assert code == (0 if json.loads(expected["report.json"])["verdict"] == "pass" else 1)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == expected
+
+
+@pytest.mark.parametrize("case, checked, violations_total, first", [
+    ("axioms-line12", 497_808, 0, None),
+    ("axioms-zeros12", 498_816, 3_902, {"law": "identity-reverse", "witness": [0, 0, 0, 1],
+                                        "lhs": "inf", "rhs": 1e-08, "gap": "inf", "tol": 0.0}),
+], ids=["line12", "zeros12"])
+def test_golden_reports_at_the_exhaustive_limit_check_every_entry(case, checked, violations_total,
+                                                                  first):
+    # A 12-point table at t=4, swept exhaustively.  A golden file regenerated
+    # from a sweep that skips or miscounts entries would still match itself.
+    axioms = json.loads((GOLDEN / case / "report.json").read_text())["checks"]["axioms"]
+    assert (axioms["exhaustive"], axioms["checked"], axioms["violations_total"]) == (
+        True, checked, violations_total)
+    assert (axioms["violations"] or [None])[0] == first
 
 
 def test_verify_outputs_are_byte_identical(tmp_path, capsys):
@@ -637,11 +664,12 @@ def _piecewise(breakpoints, pieces):
 def test_malformed_config_exits_two(doc, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
-    code, out, err = run(["verify", "--config", str(path), "--out-dir", str(tmp_path)], capsys)
+    out_dir = tmp_path / "out"
+    code, out, err = run(["verify", "--config", str(path), "--out-dir", str(out_dir)], capsys)
     assert code == 2
     assert message in err
     assert out == ""
-    assert not (tmp_path / "report.json").exists()
+    assert not out_dir.exists()
 
 
 _BIG = 10 ** 400
