@@ -170,8 +170,8 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
             _fail(anchor, "space.box", f"need lo < hi, got [{lo}, {hi}]")
         cfg["space"] = {"kind": "absdiff", "t": t, "d": d, "box": [lo, hi]}
     else:
-        rows = read_table(space_raw.get("base_table"), f"{anchor}: space.base_table").tolist()
-        cfg["space"] = {"kind": "lifted", "t": t, "base_table": rows}
+        table = read_table(space_raw.get("base_table"), f"{anchor}: space.base_table")
+        cfg["space"] = {"kind": "lifted", "t": t, "base_table": table}
 
     map_raw = raw.get("map")
     if not isinstance(map_raw, dict):
@@ -208,7 +208,7 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
 def build_space(cfg: dict, gated: bool = False):
     """The space of a config :func:`materialize_config` made, without a law
     gate: every subcommand runs the law checks as its first stage.  A base
-    table was read there, so its rows are lifted as they are.  ``gated`` is
+    table was read there, so its array is lifted as it is.  ``gated`` is
     ignored; it is kept because the benchmark's set-up probe passes it."""
     sp = cfg["space"]
     eq_tol = cfg["tolerances"]["eq_tol"]
@@ -242,7 +242,8 @@ def _write(paths: dict, key: str, text: str) -> None:
     path = paths[key]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as out:  # in slices: a large report is not copied whole to bytes
+            out.writelines(text[i:i + (1 << 20)] for i in range(0, len(text), 1 << 20))
     except OSError as err:
         raise UsageError(f"outputs.{key}: cannot write {str(path)!r}: {err.strerror}") from None
     print(str(path))

@@ -423,9 +423,9 @@ class CheckReport(Reported):
 def json_text(doc) -> str:
     """The one JSON rule of every report, written in one pass: the text of
     ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"`` for a ``doc``
-    of dicts with str keys, lists, tuples (written as lists), strings, ints, floats,
-    bools, None and :class:`Reported` objects (written as their fields, ``vars(obj)``), where a
-    non-finite float is written as its quoted repr (``"inf"``, ``"-inf"``, ``"nan"``)."""
+    of dicts with str keys, lists, tuples and numpy arrays (written as the lists they equal),
+    strings, ints, floats, bools, None and :class:`Reported` objects (written as ``vars(obj)``),
+    where a non-finite float is written as its quoted repr (``"inf"``, ``"-inf"``, ``"nan"``)."""
     out: list = []
     _put(doc, out, "\n")
     out.append("\n")
@@ -444,6 +444,8 @@ def _put(obj, out: list, indent: str) -> None:
         out.append(int.__repr__(obj))
     elif isinstance(obj, Reported):
         _put(vars(obj), out, indent)
+    elif isinstance(obj, np.ndarray):  # a row at a time: no list of all a table's floats
+        _put(obj.tolist() if obj.ndim < 2 else list(obj), out, indent)
     elif not isinstance(obj, (dict, list, tuple)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     elif not obj:

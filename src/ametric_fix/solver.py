@@ -340,20 +340,21 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Sequence[PicardTra
     """Multi-start agreement: every run must converge to one common point.
 
     ``traces`` are finished runs under ``rule`` with one delta, one per start
-    (a run's first iterate).  Limits must agree pairwise within a tolerance
-    derived from the stop rule (finishing steps dominate eq_tol), and the
-    consensus limit must be a fixed point up to the residual acceptance
-    10 * eps.  When the rule's ``bound_eps`` applies (``delta >= 0``), a run
-    may stop anywhere within bound_eps of the fixed point p: two such limits
-    a, b are rep(a, b) <= (t-1) rep(a, p) + rep(b, p) <= t * bound_eps apart,
-    and the step after a limit, below its envelope delta^n * d0, is within
-    bound_eps.  Both terms are added to the respective tolerances.  The
-    limits are read through ``carrier.array``, so a hand-built trace's bad
-    limit raises ``canon``'s error.  The report keeps the first
-    ``core.MAX_WITNESSES`` violations.
+    (a run's first iterate), two or more unless the carrier has one point.
+    Limits must agree pairwise within a tolerance derived from the stop rule
+    (finishing steps dominate eq_tol), and the consensus limit must be a
+    fixed point up to the residual acceptance 10 * eps.  When the rule's
+    ``bound_eps`` applies (``delta >= 0``), a run may stop anywhere within
+    bound_eps of the fixed point p: two such limits a, b are rep(a, b) <=
+    (t-1) rep(a, p) + rep(b, p) <= t * bound_eps apart, and the step after a
+    limit, below its envelope delta^n * d0, is within bound_eps.  Both terms
+    are added to the respective tolerances.  The limits are read through
+    ``carrier.array``, so a hand-built trace's bad limit raises ``canon``'s
+    error.  The report keeps the first ``core.MAX_WITNESSES`` violations.
     """
-    if len(traces) < 2 or len({trace.delta for trace in traces}) > 1:
-        raise UsageError("uniqueness_probe needs at least 2 runs, all with one delta")
+    needed = min(2, getattr(space.carrier, "size", 2))  # a one-point carrier has one start
+    if len(traces) < needed or len({tr.delta for tr in traces}) > 1:
+        raise UsageError(f"uniqueness_probe needs {needed} or more runs, all with one delta")
     delta = traces[0].delta
     rec = _Recorder("uniqueness")
     starts, ends = [], []

@@ -170,7 +170,7 @@ def make_absdiff_space(t: int, d: int = 1, box=(-100.0, 100.0), eq_tol: float = 
 
 
 def read_table(table, what: str = "base table") -> np.ndarray:
-    """A square, nonempty table of finite reals as a float array.
+    """A square, nonempty table of finite reals as a new, read-only float array.
 
     Rows are lists or tuples of equal length, or a 2-d array's rows, and
     each entry is a real by :func:`finite_real`'s rule.  Plain ints and
@@ -182,24 +182,25 @@ def read_table(table, what: str = "base table") -> np.ndarray:
             and all(isinstance(row, (list, tuple)) for row in rows)):
         raise UsageError(f"{what}: expected a nonempty list of rows")
     n = len(rows)
+    arr = None
     if all(len(row) == n for row in rows) and _only(chain.from_iterable(rows), int, float):
         with suppress(OverflowError):  # an int beyond the float range
             arr = np.array(rows, dtype=float)
-            if np.isfinite(arr).all():
-                return arr
-    checked = []
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise UsageError(f"{what}[{i}]: expected {n} entries, got {len(row)}")
-        checked.append([finite_real(v, f"{what}[{i}][{j}]") for j, v in enumerate(row)])
-    return np.array(checked, dtype=float)
+    if arr is None or not np.isfinite(arr).all():
+        checked = []
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise UsageError(f"{what}[{i}]: expected {n} entries, got {len(row)}")
+            checked.append([finite_real(v, f"{what}[{i}][{j}]") for j, v in enumerate(row)])
+        arr = np.array(checked, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
-def _lift_table(t: int, rows: list, eq_tol: float) -> AMetricSpace:
-    """The sum-over-pairs space of a table's rows, lists of floats read by :func:`read_table`."""
-    size = len(rows)
-    flat = np.array(rows, dtype=float).ravel()
-    return pair_lift(t, lambda i, j: rows[i][j], FiniteCarrier(size),
+def _lift_table(t: int, table: np.ndarray, eq_tol: float) -> AMetricSpace:
+    """The sum-over-pairs space of a :func:`read_table` array, lifted as it is (no copy)."""
+    size, flat = len(table), table.ravel()
+    return pair_lift(t, table.item, FiniteCarrier(size),
                      zero_diagonal=not flat[::size + 1].any(),
                      base_many=lambda i, j: flat.take(i * size + j), eq_tol=eq_tol)
 
@@ -210,7 +211,7 @@ def table_space(t: int, table, eq_tol: float = 1e-12) -> AMetricSpace:
     No structural or law checks are performed: this is the entry point for
     running diagnostics against deliberately broken tables.
     """
-    return _lift_table(t, read_table(table).tolist(), eq_tol)
+    return _lift_table(t, read_table(table), eq_tol)
 
 
 def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
@@ -233,19 +234,14 @@ def make_lifted_space(t: int, base, *, box=None, eq_tol: float = 1e-12,
                           Box.of(*_box_bounds(box), 1), zero_diagonal=False, eq_tol=eq_tol)
     else:
         arr = read_table(base)
-        neg = np.argwhere(arr < 0)
-        if len(neg):
-            i, j = (int(v) for v in neg[0])
-            raise ConstructionError(f"base table entry ({i},{j}) is negative", witness=(i, j))
-        asym = np.argwhere(arr != arr.T)
-        if len(asym):
-            i, j = (int(v) for v in asym[0])
-            raise ConstructionError(f"base table is asymmetric at ({i},{j})", witness=(i, j))
-        diag = np.argwhere(np.diagonal(arr) != 0)
-        if len(diag):
-            i = int(diag[0][0])
-            raise ConstructionError(f"base table diagonal entry {i} is nonzero", witness=(i, i))
-        space = _lift_table(t, arr.tolist(), eq_tol)
+        for bad, defect in ((arr < 0, "entry ({},{}) is negative"),
+                            (arr != arr.T, "is asymmetric at ({},{})"),
+                            (np.diag(np.diagonal(arr) != 0), "diagonal entry {} is nonzero")):
+            found = np.argwhere(bad)
+            if len(found):
+                i, j = (int(v) for v in found[0])
+                raise ConstructionError("base table " + defect.format(i, j), witness=(i, j))
+        space = _lift_table(t, arr, eq_tol)
 
     gate = check_axioms(space, axiom_samples(space, _N_GATE, seed, stream=STREAM_GATE))
     if not gate.passed:

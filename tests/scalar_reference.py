@@ -32,7 +32,8 @@ scalar `distance`'s order.
 
 `report_json` is the report rule before `core.json_text` wrote reports in
 one pass: `jsonable`, the walk that made a report JSON-safe (a report
-object as its old `to_dict`), then json's indent-2 encoder.
+object as its old `to_dict`, a numpy array as its `tolist()`), then json's
+indent-2 encoder.
 """
 
 import json
@@ -391,8 +392,11 @@ def lift_distance_many(base_many, t, pts):
 
 
 def jsonable(obj):
-    """``obj`` made JSON-safe, at any depth: a tuple becomes a list, a non-finite
-    float its repr, a report object the dict of its old ``to_dict``."""
+    """``obj`` made JSON-safe, at any depth: a tuple becomes a list, a numpy
+    array the nested list it equals, a non-finite float its repr, a report
+    object the dict of its old ``to_dict``."""
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, (tuple, list)):

@@ -994,3 +994,32 @@ def test_a_run_reads_its_base_table_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     assert (tmp_path / "report.json").read_text() == (
         GOLDEN / "verify-finite-exhaustive" / "report.json").read_text()
+
+
+@pytest.mark.parametrize("map_doc", [{"kind": "identity"}, {"kind": "constant", "value": 0},
+                                     {"kind": "finite-table", "images": [0]}],
+                         ids=["identity", "constant", "finite-table"])
+@pytest.mark.parametrize("command", STOPS)
+def test_a_one_point_table_passes_every_stage(command, map_doc, tmp_path, capsys):
+    # A finite carrier's starts are its points, so one point gives one Picard run:
+    # the uniqueness probe has no pair of limits to compare, only the residual.
+    cfg = write_cfg(tmp_path, {"space": {"kind": "lifted", "t": 3, "base_table": [[0]]},
+                               "map": map_doc, "sampling": {"seed": 0}})
+    code, _, err = run([command, "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    report = load_report(tmp_path)
+    assert report["verdict"] == "pass" and report["config"]["space"]["base_table"] == [[0.0]]
+    if command == "verify":
+        unique = report["uniqueness"]
+        assert unique["passed"] and unique["checked"] == 1
+        assert unique["info"]["n_starts"] == 1 and unique["info"]["limit"] == 0
+        assert report["oracle"]["fixed_points"] == [0]
+
+
+def test_an_output_longer_than_a_write_slice_is_written_whole(tmp_path, capsys):
+    # _write hands the text to the file a slice at a time; the bytes are the text's.
+    text = "".join(f"{i:08d},{-i / 7!r}\n" for i in range(100_000))
+    assert len(text) > 2 * (1 << 20)
+    cli._write({"csv_path": tmp_path / "out" / "t.csv"}, "csv_path", text)
+    assert (tmp_path / "out" / "t.csv").read_bytes() == text.encode()
+    assert capsys.readouterr().out == f"{tmp_path / 'out' / 't.csv'}\n"

@@ -4,12 +4,14 @@ Every pair of an n-point carrier is checked, so a second full-size copy of
 anything on that path grows with n².  These tests pin that each object is
 held once: a pair sweep reads its set block by block and keeps no index
 array of it, the certificate keeps branch counts and no per-pair data, and
-a lifted config table is the config's rows plus one flat array.  The table
-is a line at positions 1.01^i, as in the CLI's 1,000-point smoke run.
+a lifted config table is one read-only float array, which the config and
+the space share.  The table is a line at positions 1.01^i, as in the CLI's
+1,000-point smoke run.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ametric_fix import (
@@ -78,11 +80,20 @@ def test_certificate_holds_no_per_pair_data(line):
 
 
 def test_build_space_leaves_only_the_table_array():
-    cfg = materialize_config({"space": {"kind": "lifted", "t": 3, "base_table": line_rows(N)},
-                              "map": {"kind": "identity"}, "sampling": {"seed": 0}}, "line")
-    space, _, left = traced(lambda: build_space(cfg))
-    # The flat float array, 2.7 MiB, and no second copy of the rows.
+    raw = {"space": {"kind": "lifted", "t": 3, "base_table": line_rows(N)},
+           "map": {"kind": "identity"}, "sampling": {"seed": 0}}
+
+    def lift():
+        cfg = materialize_config(raw, "line")
+        return cfg, build_space(cfg)
+
+    (cfg, space), _, left = traced(lift)
+    # One float array, 2.7 MiB: no Python rows (4 times that) and no second array.
     array = N * N * 8
     assert array <= left < array + 64 * 1024
-    rows = cfg["space"]["base_table"]
-    assert space.rep_fn(N - 1, 0) == 2 * rows[N - 1][0]
+    table = cfg["space"]["base_table"]
+    assert type(table) is np.ndarray and table.shape == (N, N) and table.dtype == float
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 1] = 0.0
+    assert space.rep_fn(N - 1, 0) == 2 * table[N - 1, 0] == 2 * raw["space"]["base_table"][N - 1][0]

@@ -1,9 +1,10 @@
 """The report writer, `core.json_text`, against the rule it replaced.
 
 `scalar_reference.report_json` is that rule: `jsonable` makes the report
-JSON-safe, then json's indent-2 encoder writes it.  The writer must give the
-same bytes on every value a report can hold, report objects included, and
-every committed golden report must read back to itself.
+JSON-safe (a numpy array as the nested list it equals), then json's indent-2
+encoder writes it.  The writer must give the same bytes on every value a
+report can hold, report objects and arrays included, and every committed
+golden report must read back to itself.
 """
 
 import gc
@@ -47,8 +48,10 @@ certificates = st.builds(ZamfirescuCertificate, st.integers(2, 9), floats, float
                          st.lists(st.sampled_from([1, 2, 3]), max_size=5).map(tuple),
                          st.lists(branch_constants, max_size=3).map(tuple))
 reports = violations | check_reports | branch_constants | certificates
+arrays = (st.lists(floats, max_size=6).map(np.array)
+          | st.lists(st.lists(floats, min_size=3, max_size=3), max_size=3).map(np.array))
 docs = st.recursive(
-    scalars | reports,
+    scalars | reports | arrays,
     lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
                    | st.lists(floats, max_size=6) | st.dictionaries(texts, inner, max_size=5)),
     max_leaves=30)
@@ -77,6 +80,27 @@ def test_to_dict_is_the_report_object_made_json_safe(obj):
 ])
 def test_writer_pins(doc, text):
     assert json_text(doc) == text == ref.report_json(doc)
+
+
+EDGE_ARRAY = np.array(EDGE_FLOATS)
+FINITE_EDGES = EDGE_ARRAY[np.isfinite(EDGE_ARRAY)]
+
+
+@pytest.mark.parametrize("array", [
+    EDGE_ARRAY, EDGE_ARRAY.reshape(2, 7), EDGE_ARRAY.reshape(2, 7).T, EDGE_ARRAY[::-3],
+    FINITE_EDGES, FINITE_EDGES.reshape(-1, 1), FINITE_EDGES.reshape(1, -1),
+    np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0)),
+], ids=["1d", "2d", "2d-transposed", "1d-strided", "finite-1d", "finite-column", "finite-row",
+        "empty", "no-rows", "empty-rows"])
+def test_writer_gives_an_array_the_bytes_of_its_nested_list(array):
+    # Written as the nested list it equals, at any depth: the same bytes as the
+    # rule it replaced, and a finite array reads back bit for bit.
+    for doc in (array, {"base_table": array, "t": 3}, [array, array.tolist()]):
+        assert json_text(doc) == ref.report_json(doc) == json_text(ref.jsonable(doc))
+    assert json_text(array) == json_text(array.tolist())
+    if np.isfinite(array).all():
+        back = np.array(json.loads(json_text(array)), dtype=float).reshape(array.shape)
+        assert back.tobytes() == array.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.int64(1), np.bool_(True), object(), {"a": {1.5}}])

@@ -29,6 +29,7 @@ from ametric_fix import (
     make_map,
     picard_run,
     rep_distance,
+    table_space,
     tail_bound,
     uniqueness_probe,
     verify_cauchy,
@@ -380,6 +381,19 @@ def test_uniqueness_probe_needs_two_starts():
     f = make_map(MapSpec.of("identity"), s)
     with pytest.raises(UsageError):
         probe(s, f, [0.0], -1.0, StopRule())
+    two = table_space(3, [[0, 1], [1, 0]])
+    with pytest.raises(UsageError, match="^uniqueness_probe needs 2 or more runs"):
+        probe(two, make_map(MapSpec.of("identity"), two), [1], -1.0, StopRule())
+
+
+def test_uniqueness_probe_on_one_point_takes_its_one_start():
+    s = table_space(3, [[0]])
+    f = make_map(MapSpec.of("identity"), s)
+    report = probe(s, f, [0], -1.0, StopRule())
+    assert report.passed and report.checked == 1
+    assert report.info == {"n_starts": 1, "n_converged": 1, "limit": 0, "residual": 0.0}
+    with pytest.raises(UsageError, match="^uniqueness_probe needs 1 or more runs"):
+        uniqueness_probe(s, f, [], StopRule())
 
 
 def test_uniqueness_probe_names_each_run_by_its_first_iterate():

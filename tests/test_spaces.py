@@ -116,8 +116,12 @@ def test_lifted_asymmetric_rejected():
 
 
 def test_lifted_nonzero_diagonal_rejected():
-    with pytest.raises(ConstructionError):
-        make_lifted_space(3, [[1.0, 1.0], [1.0, 0.0]])
+    for table, first in (([[1.0, 1.0], [1.0, 0.0]], 0),
+                         ([[0.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 4.0]], 1)):
+        with pytest.raises(ConstructionError) as err:
+            make_lifted_space(3, table)
+        assert str(err.value) == f"base table diagonal entry {first} is nonzero"
+        assert err.value.witness == (first, first)
 
 
 def test_lifted_gate_catches_law_violation():
@@ -500,6 +504,7 @@ def test_read_table_takes_tuples_and_arrays_and_returns_a_new_float_array():
                   [[np.int64(0), np.float64(1.5)], [1.5, 0]]):
         got = read_table(table)
         assert got.dtype == float and np.array_equal(got, want) and got is not table
+        assert not got.flags.writeable and not np.shares_memory(got, want)
     assert read_table(np.array([[0, 2], [2, 0]])).tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
 
