@@ -10,7 +10,8 @@ Four subcommands, each the pipeline stopped after its own stage:
 Each writes verify's report cut to the keys of the stages it ran.
 
 Exit codes: 0 all checks passed, 1 a mathematical violation or
-non-convergence, 2 a usage or configuration error.  Outputs are byte-stable
+non-convergence, 2 a usage or configuration error, or a config that asks
+for more memory than there is.  Outputs are byte-stable
 for a fixed config and seed: every default is materialized into the report,
 JSON keys are sorted, and CSV floats carry 17 significant digits.  Stdout
 prints only the paths of the written reports; set AMETRIC_FIX_LOG to
@@ -428,6 +429,9 @@ def main(argv=None) -> int:
         return run(cfg, args.out_dir, args.command, args.config)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as err:  # a legal config whose sample counts no memory holds
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_USAGE
 
 

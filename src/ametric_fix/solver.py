@@ -12,13 +12,11 @@ every partial sum, so it also dominates rep(x_n, x_m) for every m > n.
 
 A trace computes its envelope table, the columns delta^n * d_0 and tail(n),
 once; the CSV writer, the summary and both envelope checks read it.  The
-Cauchy check is exhaustive over all pairs n < m, yet needs only O(n) work
-on spaces with a ``farthest_later`` kernel.  tail(n) depends on the row n
-only, and the gap rep(x_n, x_m) - tail(n) rounds to a nondecreasing
-function of rep(x_n, x_m); for a nonnegative tolerance, the scaled
-tolerance of a pair is at least that of tail(n) alone.  So a row whose
-largest gap is within the tolerance of tail(n) alone has no violation, and
-only the other rows have their pairs enumerated.
+Cauchy check (rep(x_n, x_m) <= tail(n) over the iterates) and the
+multi-start uniqueness probe (rep(a, b) <= 0 over the runs' limits) check
+every pair n < m through one sweep, :func:`_sweep_later`, in O(n) work on
+spaces with a ``farthest_later`` kernel, where it clears rows by their
+maxima.  Finite carriers also have an exhaustive fixed-point oracle.
 
 A Picard run costs its arithmetic.  Iterate n + 1 is ``canon(f.fn(x_n))``
 and step n is rep(x_{n+1}, x_n): one call of the map's scalar form, one
@@ -31,17 +29,14 @@ row; then at ``max_iter`` steps.  A step that is not finite ends the run
 unrecorded, and an iterate outside the carrier raises with its index.  The
 first step is taken before the loop: it sets d0, or ends the run at once
 when x0 is already fixed.
-
-The module also provides multi-start uniqueness probing and an exhaustive
-fixed-point oracle for finite carriers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -279,47 +274,36 @@ def verify_decay(trace: PicardTrace, tol: float = 1e-9) -> CheckReport:
     return rec.report(exhaustive=True)
 
 
-def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9) -> CheckReport:
-    """Pairwise iterate distances against the tail envelope.
+def _sweep_later(rec: _Recorder, space: AMetricSpace, pts: np.ndarray, law: str,
+                 bounds: np.ndarray, tols: Callable, witness: Callable, clear: bool):
+    """Record ``law``, rep(x_n, x_m) <= bounds[n], for every pair n < m of the
+    point array ``pts`` into ``rec``; a pair's tolerance is ``tols(val,
+    bounds[n])`` and its witness ``witness(n, m)``, from two ints.
 
-    For all recorded n < m, asserts rep(x_n, x_m) <= tail(n).  Iterates are
-    validated once, on entry, into one point array.
-
-    Row n holds the pairs (n, m), m > n.  With the space's
-    ``farthest_later`` kernel and a tolerance ``tol >= 0``, each row's
-    largest value val = rep(x_n, x_m*) is computed by ``rep_many``, so it
-    has the bits the full sweep would give it.  The row is cleared when
-    val - tail(n) <= scaled_tol(tol, tail(n)).  That test is exact: every
-    pair of the row has a gap fl(rep - tail(n)) <= fl(val - tail(n)), and a
-    scaled tolerance scaled_tol(tol, rep, tail(n)) >= scaled_tol(tol,
-    tail(n)).  A NaN or +inf gap never clears a row.  The other rows, and
-    every row of a space without the kernel, are swept pair by pair in
-    (n, m) order, BLOCK pairs at a time, so the violations, their count and
-    their order are those of the full sweep.  ``checked`` counts all
-    n(n-1)/2 pairs, and ``max_gap`` is the largest of the cleared rows' and
-    the swept pairs' gaps, a zero written as 0.0.  The first
-    ``core.MAX_WITNESSES`` violations are kept.
+    Row n holds the pairs (n, m), m > n.  With ``clear`` and the space's
+    ``farthest_later`` kernel, each row's largest value val = rep(x_n, x_m*)
+    is computed by ``rep_many``, so it has the bits the full sweep would
+    give it.  The row is cleared when val - bounds[n] <= tols(bounds[n]).
+    That test is exact when ``clear`` promises tols(v, b) >= tols(b) for
+    every v (a constant tolerance, or ``scaled_tols`` of a nonnegative
+    base): every pair of the row has a gap fl(rep - b) <= fl(val - b), and
+    a tolerance at least tols(b).  A NaN or +inf gap never clears a row.
+    The other rows, and every row of a space without the kernel, are swept
+    pair by pair in (n, m) order, BLOCK pairs at a time, so the count of all
+    n(n-1)/2 pairs, the largest gap and the violations, their count and
+    their order are those of the full sweep.
     """
-    tol = finite_real(tol, "tol")
-    if not trace.monitored:
-        raise UsageError("verify_cauchy needs a trace with envelope monitoring enabled")
-    n_pts = len(trace.iterates)
-    if n_pts < 3:
-        raise UsageError(f"verify_cauchy needs at least 3 iterates, got {n_pts}")
-    pts = space.carrier.array(trace.iterates)
-    rec = _Recorder("cauchy")
-    tails = trace.envelope[1][:n_pts - 1]
-    rows = np.arange(n_pts - 1)
+    rows = np.arange(len(pts) - 1)
     with np.errstate(invalid="ignore", over="ignore"):
-        if space.farthest_later is not None and tol >= 0.0:
-            gap = space.rep_many(pts[:-1], pts[space.farthest_later(pts)]) - tails
-            cleared = gap <= scaled_tols(tol, tails)
-            rec.add_cleared(int((n_pts - 1 - rows[cleared]).sum()),
+        if clear and space.farthest_later is not None:
+            gap = space.rep_many(pts[:-1], pts[space.farthest_later(pts)]) - bounds[rows]
+            cleared = gap <= tols(bounds[rows])
+            rec.add_cleared(int((len(rows) - rows[cleared]).sum()),
                             float(np.max(gap, where=cleared, initial=-math.inf)))
             rows = rows[~cleared]
-        # Swept row rows[j] holds the pairs (n, n+1), ..., (n, n_pts-1);
+        # Swept row rows[j] holds the pairs (n, n+1), ..., (n, len(pts)-1);
         # first[j] is the position of its first pair in the sweep.
-        sizes = n_pts - 1 - rows
+        sizes = len(pts) - 1 - rows
         first = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         n_pairs = int(sizes.sum())
         for start in range(0, n_pairs, BLOCK):
@@ -328,10 +312,29 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9) ->
             n = rows[j]
             m = k - first[j] + n + 1
             val = space.rep_many(pts[n], pts[m])
-            envelope = tails[n]
-            rec.add_many(lambda law, i: (int(n[i]), int(m[i])), (
-                ("tail-envelope", val, envelope, scaled_tols(tol, val, envelope), None),
-            ))
+            bound = bounds[n]
+            rec.add_many(lambda _, i: witness(int(n[i]), int(m[i])),
+                         ((law, val, bound, tols(val, bound), None),))
+
+
+def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9) -> CheckReport:
+    """Pairwise iterate distances against the tail envelope.
+
+    For all recorded n < m, asserts rep(x_n, x_m) <= tail(n) up to
+    scaled_tol(tol, rep, tail(n)), by :func:`_sweep_later` (rows cleared by
+    their maxima when ``tol >= 0``) over the iterates, validated once on
+    entry.  ``max_gap`` writes a zero as 0.0, and the first
+    ``core.MAX_WITNESSES`` violations are kept, in (n, m) order.
+    """
+    tol = finite_real(tol, "tol")
+    if not trace.monitored:
+        raise UsageError("verify_cauchy needs a trace with envelope monitoring enabled")
+    n_pts = len(trace.iterates)
+    if n_pts < 3:
+        raise UsageError(f"verify_cauchy needs at least 3 iterates, got {n_pts}")
+    rec = _Recorder("cauchy")
+    _sweep_later(rec, space, space.carrier.array(trace.iterates), "tail-envelope",
+                 trace.envelope[1], partial(scaled_tols, tol), lambda n, m: (n, m), tol >= 0.0)
     return rec.report(exhaustive=True, info={"envelope_rate": (rec.checked - rec.total) / rec.checked})
 
 
@@ -350,7 +353,8 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Sequence[PicardTra
     limit, below its envelope delta^n * d0, is within bound_eps.  Both terms
     are added to the respective tolerances.  The limits are read through
     ``carrier.array``, so a hand-built trace's bad limit raises ``canon``'s
-    error.  The report keeps the first ``core.MAX_WITNESSES`` violations.
+    error.  :func:`_sweep_later` compares every two limits, witnessed by their
+    starts.  The report keeps the first ``core.MAX_WITNESSES`` violations.
     """
     needed = min(2, getattr(space.carrier, "size", 2))  # a one-point carrier has one start
     if len(traces) < needed or len({tr.delta for tr in traces}) > 1:
@@ -368,23 +372,19 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Sequence[PicardTra
 
     # Validated as verify_cauchy validates iterates; the array sizes agree_tol.
     pts = space.carrier.array(ends)
-    limits = list(zip(starts, _python(pts.tolist())))
     spread_cap = 1.0 - max(delta, 0.0)
     bound_eps = rule.bound_eps if delta >= 0.0 and rule.bound_eps is not None else 0.0
     agree_tol = max(
         scaled_tol(space.eq_tol, *pts.ravel().tolist()),
         _RESIDUAL_FACTOR * (space.t - 1) * rule.eps / spread_cap,
     ) + space.t * bound_eps
-    rep = space.rep_fn
-    for i, (sa, pa) in enumerate(limits):
-        for sb, pb in limits[i + 1:]:
-            gap = rep(pa, pb)
-            rec.add("limit-agreement", (sa, sb), gap, 0.0, agree_tol)
+    _sweep_later(rec, space, pts, "limit-agreement", np.zeros(len(pts)), lambda *_: agree_tol,
+                 lambda n, m: (starts[n], starts[m]), True)
 
-    info: dict = {"n_starts": len(traces), "n_converged": len(limits)}
-    if limits:
-        p = limits[0][1]
-        residual = rep(space.carrier.canon(f(p)), p)
+    info: dict = {"n_starts": len(traces), "n_converged": len(pts)}
+    if len(pts):
+        p = _python(pts[:1].tolist())[0]
+        residual = space.rep_fn(space.carrier.canon(f(p)), p)
         rec.add("fixed-point-residual", (p,), residual, 0.0, _RESIDUAL_FACTOR * rule.eps + bound_eps)
         info["limit"] = p
         info["residual"] = residual

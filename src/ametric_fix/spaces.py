@@ -173,10 +173,16 @@ def read_table(table, what: str = "base table") -> np.ndarray:
     """A square, nonempty table of finite reals as a new, read-only float array.
 
     Rows are lists or tuples of equal length, or a 2-d array's rows, and
-    each entry is a real by :func:`finite_real`'s rule.  Plain ints and
-    floats are read in one numpy pass; otherwise entry by entry, so an error
+    each entry is a real by :func:`finite_real`'s rule.  A square int or
+    float array of finite values is copied once, and plain int and float
+    rows are read in one numpy pass; otherwise entry by entry, so an error
     names the first bad row or entry in row order, prefixed by ``what``.
     """
+    if (isinstance(table, np.ndarray) and table.dtype.kind in "iuf" and table.ndim == 2
+            and 0 < len(table) == table.shape[1] and np.isfinite(table).all()):
+        arr = np.array(table, dtype=float)  # its Python rows would take four times this
+        arr.flags.writeable = False
+        return arr
     rows = table.tolist() if isinstance(table, np.ndarray) else table
     if not (isinstance(rows, (list, tuple)) and rows
             and all(isinstance(row, (list, tuple)) for row in rows)):

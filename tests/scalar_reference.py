@@ -3,9 +3,11 @@
 These are the loops `check_axioms`, `check_symmetry`,
 `check_triangle_inequality`, `verify_decay`, `verify_cauchy`, `classify`
 and `verify_contraction_inequalities` ran before they became numpy
-expressions over blocks.  They use only the scalar forms of a space, a map
-and a trace (`carrier.canon`, `distance`, `rep_fn`, `f.fn`,
-`trace.bound(n)`, `trace.tail(n)`) and `_Recorder.add`, so the
+expressions over blocks, and `uniqueness_probe` before its limit agreement
+went through `verify_cauchy`'s sweep of later pairs.  They use only the
+scalar forms of a space, a map and a trace (`carrier.canon`, `distance`,
+`rep_fn`, `f.fn`, `trace.bound(n)`, `trace.tail(n)`) and `_Recorder.add`,
+so the
 differential tests can require the array path to give the same report,
 down to the last bit.  Both sides write their reports through
 `_Recorder.report`, which writes a zero max_gap as 0.0.
@@ -43,7 +45,8 @@ import numpy as np
 
 from ametric_fix.core import CheckReport, Violation, _Recorder, scaled_tol
 from ametric_fix.errors import CarrierDomainError, UsageError, finite_real, integer, real
-from ametric_fix.solver import _GROWTH_FACTOR, _GROWTH_WINDOW, PicardTrace, _tail
+from ametric_fix.sampling import _python
+from ametric_fix.solver import _GROWTH_FACTOR, _GROWTH_WINDOW, _RESIDUAL_FACTOR, PicardTrace, _tail
 from ametric_fix.zamfirescu import (
     _ASSIGN_RTOL,
     BRANCH_BANACH,
@@ -175,6 +178,45 @@ def verify_cauchy(trace, space, tol=1e-9, max_witnesses=100):
     report = rec.report(exhaustive=True)
     report.info = {"envelope_rate": (report.checked - report.violations_total) / report.checked}
     return report
+
+
+def uniqueness_probe(space, f, traces, rule, max_witnesses=100):
+    needed = min(2, getattr(space.carrier, "size", 2))
+    if len(traces) < needed or len({tr.delta for tr in traces}) > 1:
+        raise UsageError(f"uniqueness_probe needs {needed} or more runs, all with one delta")
+    delta = traces[0].delta
+    rec = _recorder("uniqueness", max_witnesses)
+    starts, ends = [], []
+    for trace in traces:
+        x0 = trace.iterates[0]
+        if trace.status != "converged":
+            rec.add(f"non-convergence[{trace.status}]", (x0,), math.inf, 0.0, 0.0)
+            continue
+        starts.append(x0)
+        ends.append(trace.limit)
+
+    pts = space.carrier.array(ends)
+    limits = list(zip(starts, _python(pts.tolist())))
+    spread_cap = 1.0 - max(delta, 0.0)
+    bound_eps = rule.bound_eps if delta >= 0.0 and rule.bound_eps is not None else 0.0
+    agree_tol = max(
+        scaled_tol(space.eq_tol, *pts.ravel().tolist()),
+        _RESIDUAL_FACTOR * (space.t - 1) * rule.eps / spread_cap,
+    ) + space.t * bound_eps
+    rep = space.rep_fn
+    for i, (sa, pa) in enumerate(limits):
+        for sb, pb in limits[i + 1:]:
+            gap = rep(pa, pb)
+            rec.add("limit-agreement", (sa, sb), gap, 0.0, agree_tol)
+
+    info = {"n_starts": len(traces), "n_converged": len(limits)}
+    if limits:
+        p = limits[0][1]
+        residual = rep(space.carrier.canon(f(p)), p)
+        rec.add("fixed-point-residual", (p,), residual, 0.0, _RESIDUAL_FACTOR * rule.eps + bound_eps)
+        info["limit"] = p
+        info["residual"] = residual
+    return rec.report(info=info)
 
 
 def _needed(num, den):

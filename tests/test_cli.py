@@ -672,6 +672,21 @@ def test_malformed_config_exits_two(doc, message, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("count", [{"n_pairs": 10 ** 15}, {"n_starts": 10 ** 17}],
+                         ids=["n-pairs-1e15", "n-starts-1e17"])
+def test_sample_count_beyond_memory_exits_two_with_one_line(count, tmp_path, capsys):
+    # Legal counts whose sample arrays exceed a 47-bit address space, so
+    # numpy refuses them at once.  They once escaped as a traceback and exit
+    # 1, which is kept for a mathematical violation.
+    cfg = write_cfg(tmp_path, _paper_with(sampling={**PAPER_CFG["sampling"], **count}))
+    out_dir = tmp_path / "out"
+    code, out, err = run(["verify", "--config", cfg, "--out-dir", str(out_dir)], capsys)
+    assert code == 2
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "report.json" not in out
+    assert not (out_dir / "report.json").exists()
+
+
 _BIG = 10 ** 400
 
 

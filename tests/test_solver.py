@@ -146,6 +146,16 @@ def test_picard_divergence_needs_growth_past_one_plus_1e_9(growth, status):
     assert len(trace.steps) == (11 if status == "diverged" else 20)
 
 
+@pytest.mark.parametrize("growing, status, n_steps", [(10, "diverged", 12), (9, "max_iter", 20)])
+def test_picard_step_that_does_not_grow_restarts_the_growth_window(growing, status, n_steps):
+    # Step 1 shrinks, so the window counts again from 0: the 10th growing
+    # step after it completes the window, and 9 growing steps do not.
+    steps = [1.0, 0.5] + [0.5 * 2.0 ** k for k in range(1, growing + 1)]
+    s, f = scheduled(steps + [steps[-1]] * (20 - len(steps)))
+    trace = picard_run(s, f, 0, -1.0, StopRule(max_iter=20))
+    assert (trace.status, len(trace.steps)) == (status, n_steps)
+
+
 def test_picard_divergence_detected():
     s = make_absdiff_space(3, box=(-1e9, 1e9))
     doubler = SelfMap(kind="doubler", fn=lambda x: 2.0 * x)
@@ -176,6 +186,19 @@ def test_picard_step_that_overflows_ends_the_run_unrecorded():
     assert trace.summary_dict()["final_tail_bound"] == 2 * 0.5 ** 3 * 4.0 / 0.5
     first = picard_run(s, jumper, 0.0, 0.5, StopRule())
     assert (first.status, first.iterates, first.steps, first.d0) == ("overflow", (0.0,), (), 0.0)
+
+
+def test_summary_of_a_run_that_overflows_at_its_first_step_has_no_step():
+    # No step was recorded, so there is no d0, final step or tail bound to
+    # report; a run that stopped after its first step has all three.
+    s = make_absdiff_space(3, box=(0.0, 1.5e308))
+    jumper = SelfMap(kind="jumper", fn=lambda x: 1.5e308 if x < 1.0 else x / 2.0)
+    summary = picard_run(s, jumper, 0.0, 0.5, StopRule()).summary_dict()
+    assert (summary["status"], summary["iterations"]) == ("overflow", 0)
+    assert summary["d0"] is summary["final_step"] is summary["final_tail_bound"] is None
+    summary = picard_run(s, jumper, 2.0, 0.5, StopRule(max_iter=1)).summary_dict()
+    # 2 -> 1: d0 = rep(1, 2) = 2 and tail(1) = 2 * 0.5 * 2 / 0.5.
+    assert (summary["d0"], summary["final_step"], summary["final_tail_bound"]) == (2.0, 2.0, 4.0)
 
 
 def test_picard_rejects_bad_delta():

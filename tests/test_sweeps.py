@@ -586,6 +586,124 @@ def test_long_trace_pair_sweep_stays_in_bounded_memory():
     assert elapsed < 30.0
 
 
+
+def converged_run(start, limit, delta=0.5):
+    """A hand-built run from ``start`` that converged to ``limit``."""
+    return PicardTrace(iterates=(start, limit), steps=(1.0,), delta=delta, d0=1.0, t=3,
+                       status="converged", limit=limit)
+
+
+def stalled_run(start, delta=0.5):
+    """A hand-built run from ``start`` that stopped at ``max_iter``."""
+    return PicardTrace(iterates=(start, start), steps=(1.0,), delta=delta, d0=1.0, t=3,
+                       status="max_iter", limit=None)
+
+
+def assert_uniqueness_matches(space, f, traces, rule, witnesses=(1, 3, 100)):
+    for k in witnesses:
+        with witness_cap(k):
+            fast = uniqueness_probe(space, f, traces, rule)
+        assert as_json(fast) == as_json(ref.uniqueness_probe(space, f, traces, rule, k))
+    return uniqueness_probe(space, f, traces, rule)
+
+
+def uniqueness_case(kind, map_spec):
+    """A space of ``kind`` with ``map_spec``'s map, and one Picard run from
+    each of 30 starts (the table's 7 points), at delta 0.5."""
+    if kind == "table":
+        s = table_space(3, LINE7)
+        starts = range(7)
+    else:
+        s = make_absdiff_space(3, d=2 if kind == "absdiff-d2" else 1)
+        draws = np.random.default_rng(SEED).uniform(-100.0, 100.0, (30, s.carrier.d)).tolist()
+        starts = [tuple(p) if kind == "absdiff-d2" else p[0] for p in draws]
+    f = make_map(map_spec, s)
+    rule = StopRule(eps=1e-9)
+    return s, f, [picard_run(s, f, x, 0.5, rule) for x in starts], rule
+
+
+@pytest.mark.parametrize("kind", ["absdiff-d1", "absdiff-d2", "table"])
+def test_uniqueness_matches_reference_on_real_runs(block, kind):
+    # The 1-d box clears every row of agreeing limits by its maximum; the
+    # d = 2 box and the table have no row-maximum kernel and sweep every pair.
+    spec = (MapSpec.of("finite-table", images=[0, 0, 1, 0, 1, 2, 0]) if kind == "table"
+            else MapSpec.of("linear-scale", lam=0.5))
+    s, f, traces, rule = uniqueness_case(kind, spec)
+    n = len(traces)
+    spied, pairs = counting_rep(s)
+    report = assert_uniqueness_matches(s, f, traces, rule)
+    assert report.passed and report.checked == n * (n - 1) // 2 + 1
+    assert uniqueness_probe(spied, f, traces, rule).to_dict() == report.to_dict()
+    assert sum(pairs) == (n - 1 if kind == "absdiff-d1" else n * (n - 1) // 2)
+    calls = []  # the scalar rep serves the residual alone
+    scalar = dataclasses.replace(s, rep_fn=lambda x, y: calls.append(1) or s.rep_fn(x, y))
+    assert uniqueness_probe(scalar, f, traces, rule).to_dict() == report.to_dict()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["absdiff-d1", "absdiff-d2", "table"])
+def test_uniqueness_violations_past_the_witness_cap_match_reference(block, kind):
+    # The identity fixes every start: every pair of limits disagrees, 435
+    # pairs of the 30 starts and 21 of the table's 7, more than a cap of 3
+    # and, on the boxes, than core.MAX_WITNESSES.
+    s, f, traces, rule = uniqueness_case(kind, MapSpec.of("identity"))
+    n = len(traces)
+    report = assert_uniqueness_matches(s, f, traces, rule)
+    assert report.violations_total == n * (n - 1) // 2
+    assert [v.witness for v in report.violations] == [
+        (a.iterates[0], b.iterates[0]) for i, a in enumerate(traces)
+        for b in traces[i + 1:]][:core.MAX_WITNESSES]
+
+
+@pytest.mark.parametrize("swept", [False, True], ids=["cleared", "swept"])
+@pytest.mark.parametrize("past", [False, True], ids=["on-tolerance", "one-ulp-past"])
+def test_uniqueness_limits_on_the_agreement_tolerance_match_reference(block, swept, past):
+    # At t = 3, eps = 1e-6 and delta = 0.5 the agreement tolerance is
+    # 10 * 2 * 1e-6 / 0.5, far above eq_tol's term.  The limits 0 and tol/2
+    # are rep = tol apart, exactly on it: row 0's largest gap equals the
+    # tolerance, so the row is cleared, and no pair is a violation.  One ulp
+    # further the row is swept and that one pair fails.
+    s = make_absdiff_space(3)
+    if swept:
+        s = dataclasses.replace(s, farthest_later=None)
+    tol = solver._RESIDUAL_FACTOR * 2 * 1e-6 / (1.0 - 0.5)
+    far = math.nextafter(tol / 2, 1.0) if past else tol / 2
+    assert s.rep_fn(0.0, tol / 2) == tol
+    limits = [0.0, tol / 4, far, tol / 8, 3 * tol / 8]
+    traces = [converged_run(float(i), x) for i, x in enumerate(limits)]
+    f = make_map(MapSpec.of("identity"), s)
+    spied, pairs = counting_rep(s)
+    report = uniqueness_probe(spied, f, traces, StopRule(eps=1e-6))
+    assert report.to_dict() == assert_uniqueness_matches(s, f, traces, StopRule(eps=1e-6)).to_dict()
+    assert report.passed is not past
+    assert [v.witness for v in report.violations] == ([(0.0, 2.0)] if past else [])
+    assert sum(pairs) == (10 if swept else 4 + 4 * past)
+
+
+@pytest.mark.parametrize("kind", ["absdiff-d1", "table"])
+def test_uniqueness_non_converged_runs_between_converged_ones_match_reference(block, kind):
+    # Runs that did not converge are reported first, in order; the limits of
+    # the others are compared with each other only, and named by their starts.
+    if kind == "table":
+        s = table_space(3, LINE7)
+        limits, stalled = [1, 1, 2, 1, 1, 1], [3, 5, 6]
+    else:
+        s = make_absdiff_space(3)
+        limits, stalled = [0.5, 0.5, -4.0, 0.5, 0.5, 0.5], [9.0, -9.0, 7.5]
+    f = make_map(MapSpec.of("identity"), s)
+    runs = [converged_run(i, x) for i, x in enumerate(limits)]
+    traces = [runs[0], stalled_run(stalled[0]), runs[1], runs[2], stalled_run(stalled[1]),
+              runs[3], stalled_run(stalled[2]), runs[4], runs[5]]
+    report = assert_uniqueness_matches(s, f, traces, StopRule())
+    assert [v.law for v in report.violations] == ["non-convergence[max_iter]"] * 3 + [
+        "limit-agreement"] * 5
+    assert [v.witness for v in report.violations][3:] == [(0, 2), (1, 2), (2, 3), (2, 4), (2, 5)]
+    assert report.info["n_converged"] == 6
+    for few in ([], runs[:1]):  # no pair of limits to compare
+        traces = [stalled_run(stalled[0])] + few + [stalled_run(stalled[1])]
+        assert assert_uniqueness_matches(s, f, traces, StopRule()).checked == 2 + len(few)
+
+
 def fast_branches(space, f, pairs):
     """classify's per-pair branches, from its requirement and assignment helpers."""
     return zamfirescu._branches(zamfirescu._requirements(space, f, pairs, "classify"), space.t)[1]
