@@ -16,7 +16,9 @@ Cauchy check (rep(x_n, x_m) <= tail(n) over the iterates) and the
 multi-start uniqueness probe (rep(a, b) <= 0 over the runs' limits) check
 every pair n < m through one sweep, :func:`_sweep_later`, in O(n) work on
 spaces with a ``farthest_later`` kernel, where it clears rows by their
-maxima.  Finite carriers also have an exhaustive fixed-point oracle.
+maxima.  Finite carriers also have an exhaustive fixed-point oracle.  The
+CSV comes in blocks of ``BLOCK`` rows and the probe reads its runs once, so
+a caller holds one start's run and one block besides its main trace.
 
 A Picard run costs its arithmetic.  Iterate n + 1 is ``canon(f.fn(x_n))``
 and step n is rep(x_{n+1}, x_n): one call of the map's scalar form, one
@@ -36,7 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -120,50 +123,51 @@ class PicardTrace:
     def monitored(self) -> bool:
         return self.delta >= 0.0
 
-    def bound(self, n: int) -> float:
-        return self.delta ** n * self.d0
-
-    def tail(self, n: int) -> float:
-        return tail_bound(self.delta, self.t, self.d0, n)
-
     @cached_property
     def envelope(self) -> tuple[np.ndarray, np.ndarray]:
-        """The columns bound(n) and tail(n) for n = 0..len(steps), built on first use.
+        """The columns delta^n * d0 and tail(n) for n = 0..len(steps), built on first use.
 
-        Entry n has the bits of ``bound(n)`` and ``tail(n)``: delta^n by
-        Python ``**``, then the same operations in the same order.  The
-        trace's delta, t and d0 are validated once, as :func:`tail_bound`
+        Entry n has the bits of ``delta ** n * d0`` and of :func:`tail_bound`:
+        delta^n by Python ``**``, then the same operations in the same order.
+        The trace's delta, t and d0 are validated once, as :func:`tail_bound`
         validates them.
         """
         tail_bound(self.delta, self.t, self.d0, 0)
-        powers = np.array([self.delta ** n for n in range(len(self.steps) + 1)], dtype=float)
+        powers = np.fromiter((self.delta ** n for n in range(len(self.steps) + 1)), float)
         with np.errstate(over="ignore"):
             return powers * self.d0, (self.t - 1) * powers * self.d0 / (1.0 - self.delta)
 
-    def to_csv(self) -> str:
-        """One row per step, floats with 17 significant digits.
-
-        The ratio cell is empty on row 0 and after a zero step, the envelope
-        cells when monitoring is off.  Each row is one ``%`` format:
-        ``'%.17g' % v`` is ``format(v, '.17g')``.
+    def csv_blocks(self) -> Iterator[str]:
+        """The CSV in pieces, its header and then blocks of at most ``BLOCK``
+        rows: one row per step, floats with 17 significant digits.  The ratio
+        cell is empty on row 0 and after a zero step, the envelope cells when
+        monitoring is off.  Each row is one ``%`` format: ``'%.17g' % v`` is
+        ``format(v, '.17g')``.
         """
-        if self.monitored:
-            bound, tail = (column.tolist() for column in self.envelope)
-        lines = [",".join(CSV_COLUMNS) + "\n"]
-        prev = None
-        for n, step in enumerate(self.steps):
-            has_ratio = prev not in (None, 0.0)
-            if self.monitored and has_ratio:
-                row = "%d,%.17g,%.17g,%.17g,%.17g\n" % (n, step, bound[n], step / prev, tail[n])
-            elif self.monitored:
-                row = "%d,%.17g,%.17g,,%.17g\n" % (n, step, bound[n], tail[n])
-            elif has_ratio:
-                row = "%d,%.17g,,%.17g,\n" % (n, step, step / prev)
-            else:
-                row = "%d,%.17g,,,\n" % (n, step)
-            lines.append(row)
-            prev = step
-        return "".join(lines)
+        yield ",".join(CSV_COLUMNS) + "\n"
+        monitored, steps, prev = self.monitored, self.steps, None
+        bound = tail = repeat(None)
+        for start in range(0, len(steps), BLOCK):
+            if monitored:
+                bound, tail = (column[start:start + BLOCK].tolist() for column in self.envelope)
+            rows = []
+            for n, step, b, tl in zip(range(start, len(steps)), steps[start:start + BLOCK], bound, tail):
+                has_ratio = prev not in (None, 0.0)
+                if monitored and has_ratio:
+                    row = "%d,%.17g,%.17g,%.17g,%.17g\n" % (n, step, b, step / prev, tl)
+                elif monitored:
+                    row = "%d,%.17g,%.17g,,%.17g\n" % (n, step, b, tl)
+                elif has_ratio:
+                    row = "%d,%.17g,,%.17g,\n" % (n, step, step / prev)
+                else:
+                    row = "%d,%.17g,,,\n" % (n, step)
+                rows.append(row)
+                prev = step
+            yield "".join(rows)
+
+    def to_csv(self) -> str:
+        """The whole CSV text, :meth:`csv_blocks` joined."""
+        return "".join(self.csv_blocks())
 
     def summary_dict(self) -> dict:
         """The report's trace summary, as raw values (``core.json_text`` writes
@@ -338,12 +342,14 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9) ->
     return rec.report(exhaustive=True, info={"envelope_rate": (rec.checked - rec.total) / rec.checked})
 
 
-def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Sequence[PicardTrace],
+def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Iterable[PicardTrace],
                      rule: StopRule) -> CheckReport:
     """Multi-start agreement: every run must converge to one common point.
 
     ``traces`` are finished runs under ``rule`` with one delta, one per start
     (a run's first iterate), two or more unless the carrier has one point.
+    They are read once, from any iterable, each kept as its start, status,
+    limit and delta; ``info.n_starts`` is the number of runs read.
     Limits must agree pairwise within a tolerance derived from the stop rule
     (finishing steps dominate eq_tol), and the consensus limit must be a
     fixed point up to the residual acceptance 10 * eps.  When the rule's
@@ -356,19 +362,20 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Sequence[PicardTra
     error.  :func:`_sweep_later` compares every two limits, witnessed by their
     starts.  The report keeps the first ``core.MAX_WITNESSES`` violations.
     """
-    needed = min(2, getattr(space.carrier, "size", 2))  # a one-point carrier has one start
-    if len(traces) < needed or len({tr.delta for tr in traces}) > 1:
-        raise UsageError(f"uniqueness_probe needs {needed} or more runs, all with one delta")
-    delta = traces[0].delta
     rec = _Recorder("uniqueness")
-    starts, ends = [], []
-    for trace in traces:
+    n_runs, deltas, starts, ends = 0, set(), [], []
+    for n_runs, trace in enumerate(traces, 1):
+        deltas.add(trace.delta)
         x0 = trace.iterates[0]
         if trace.status != "converged":
             rec.add(f"non-convergence[{trace.status}]", (x0,), math.inf, 0.0, 0.0)
             continue
         starts.append(x0)
         ends.append(trace.limit)
+    needed = min(2, getattr(space.carrier, "size", 2))  # a one-point carrier has one start
+    if n_runs < needed or len(deltas) > 1:
+        raise UsageError(f"uniqueness_probe needs {needed} or more runs, all with one delta")
+    delta = deltas.pop()
 
     # Validated as verify_cauchy validates iterates; the array sizes agree_tol.
     pts = space.carrier.array(ends)
@@ -381,7 +388,7 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Sequence[PicardTra
     _sweep_later(rec, space, pts, "limit-agreement", np.zeros(len(pts)), lambda *_: agree_tol,
                  lambda n, m: (starts[n], starts[m]), True)
 
-    info: dict = {"n_starts": len(traces), "n_converged": len(pts)}
+    info: dict = {"n_starts": n_runs, "n_converged": len(pts)}
     if len(pts):
         p = _python(pts[:1].tolist())[0]
         residual = space.rep_fn(space.carrier.canon(f(p)), p)

@@ -6,9 +6,8 @@ and `verify_contraction_inequalities` ran before they became numpy
 expressions over blocks, and `uniqueness_probe` before its limit agreement
 went through `verify_cauchy`'s sweep of later pairs.  They use only the
 scalar forms of a space, a map and a trace (`carrier.canon`, `distance`,
-`rep_fn`, `f.fn`, `trace.bound(n)`, `trace.tail(n)`) and `_Recorder.add`,
-so the
-differential tests can require the array path to give the same report,
+`rep_fn`, `f.fn`, `bound(trace, n)`, `tail(trace, n)`) and `_Recorder.add`,
+so the differential tests can require the array path to give the same report,
 down to the last bit.  Both sides write their reports through
 `_Recorder.report`, which writes a zero max_gap as 0.0.
 
@@ -32,6 +31,11 @@ leading axes, and `lift_distance_many` the lift's `distance_many` before it
 made one base call per tuple slot: one base call per pair (i, j), in the
 scalar `distance`'s order.
 
+`bound` and `tail` are the scalar envelope entries, once the trace methods
+`bound(n)` and `tail(n)`, that the envelope table must equal bit for bit.
+`trace_csv` is `PicardTrace.to_csv` before the CSV came in row blocks: one
+loop over every row, each row one `%` format, joined once.
+
 `report_json` is the report rule before `core.json_text` wrote reports in
 one pass: `jsonable`, the walk that made a report JSON-safe (a report
 object as its old `to_dict`, a numpy array as its `tolist()`), then json's
@@ -46,7 +50,15 @@ import numpy as np
 from ametric_fix.core import CheckReport, Violation, _Recorder, scaled_tol
 from ametric_fix.errors import CarrierDomainError, UsageError, finite_real, integer, real
 from ametric_fix.sampling import _python
-from ametric_fix.solver import _GROWTH_FACTOR, _GROWTH_WINDOW, _RESIDUAL_FACTOR, PicardTrace, _tail
+from ametric_fix.solver import (
+    _GROWTH_FACTOR,
+    _GROWTH_WINDOW,
+    _RESIDUAL_FACTOR,
+    CSV_COLUMNS,
+    PicardTrace,
+    _tail,
+    tail_bound,
+)
 from ametric_fix.zamfirescu import (
     _ASSIGN_RTOL,
     BRANCH_BANACH,
@@ -152,6 +164,34 @@ def check_triangle_inequality(space, triples, tol=1e-9, max_witnesses=100):
     return rec.report(exhaustive=triples.exhaustive)
 
 
+def bound(trace, n):
+    return trace.delta ** n * trace.d0
+
+
+def tail(trace, n):
+    return tail_bound(trace.delta, trace.t, trace.d0, n)
+
+
+def trace_csv(trace):
+    if trace.monitored:
+        bound, tail = (column.tolist() for column in trace.envelope)
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    prev = None
+    for n, step in enumerate(trace.steps):
+        has_ratio = prev not in (None, 0.0)
+        if trace.monitored and has_ratio:
+            row = "%d,%.17g,%.17g,%.17g,%.17g\n" % (n, step, bound[n], step / prev, tail[n])
+        elif trace.monitored:
+            row = "%d,%.17g,%.17g,,%.17g\n" % (n, step, bound[n], tail[n])
+        elif has_ratio:
+            row = "%d,%.17g,,%.17g,\n" % (n, step, step / prev)
+        else:
+            row = "%d,%.17g,,,\n" % (n, step)
+        lines.append(row)
+        prev = step
+    return "".join(lines)
+
+
 def verify_decay(trace, tol=1e-9, max_witnesses=100):
     if not trace.monitored:
         raise UsageError("verify_decay needs a trace with envelope monitoring enabled")
@@ -160,7 +200,7 @@ def verify_decay(trace, tol=1e-9, max_witnesses=100):
         if n > 0:
             rhs = trace.delta * trace.steps[n - 1]
             rec.add("step-ratio", (n,), step, rhs, scaled_tol(tol, step, rhs))
-        rhs_pow = trace.bound(n)
+        rhs_pow = bound(trace, n)
         rec.add("step-envelope", (n,), step, rhs_pow, scaled_tol(tol, step, rhs_pow))
     return rec.report(exhaustive=True)
 
@@ -171,7 +211,7 @@ def verify_cauchy(trace, space, tol=1e-9, max_witnesses=100):
     rec = _recorder("cauchy", max_witnesses)
     n_pts = len(pts)
     for n in range(n_pts - 1):
-        envelope = trace.tail(n)
+        envelope = tail(trace, n)
         for m in range(n + 1, n_pts):
             val = rep(pts[n], pts[m])
             rec.add("tail-envelope", (n, m), val, envelope, scaled_tol(tol, val, envelope))

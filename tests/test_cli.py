@@ -497,6 +497,31 @@ def test_verify_start_escaping_in_uniqueness_probe_fails_the_report(tmp_path, ca
     assert report["point"] == 109.62590147245466
 
 
+@pytest.mark.parametrize("space", [PAPER_CFG["space"], {"kind": "lifted", "t": 3, "base_table": [
+    [0, 1, 3], [1, 0, 2], [3, 2, 0]]}], ids=["box", "table"])
+def test_verify_makes_each_start_run_as_the_probe_reads_it(space, tmp_path, monkeypatch, capsys):
+    # The probe is handed the runs unmade, and can count them by len before
+    # reading them; each is made as it is read, after the main run.
+    made, seen = [], {}
+    picard = cli.picard_run
+    probe = cli.uniqueness_probe
+    monkeypatch.setattr(cli, "picard_run", lambda *args: made.append(args[2]) or picard(*args))
+
+    def counting_probe(space, f, runs, rule):
+        seen.update(count=len(runs), made=len(made))
+        return probe(space, f, runs, rule)
+
+    monkeypatch.setattr(cli, "uniqueness_probe", counting_probe)
+    doc = _paper_with(space=space, solver={"x0": 2 if space["kind"] == "lifted" else 7.0})
+    if space["kind"] == "lifted":
+        doc["map"] = {"kind": "finite-table", "images": [0, 0, 1]}
+    code, _, _ = run(["verify", "--config", write_cfg(tmp_path, doc), "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    n_starts = load_report(tmp_path)["uniqueness"]["info"]["n_starts"]
+    assert seen == {"count": n_starts, "made": 1} and len(made) == n_starts
+    assert n_starts == (3 if space["kind"] == "lifted" else 5)
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize("slope, point", [(0.5, 109.75), (1e308, "inf")])
 def test_escaping_iterate_names_its_point(command, slope, point, tmp_path, capsys):
@@ -677,7 +702,8 @@ def test_malformed_config_exits_two(doc, message, tmp_path, capsys):
 def test_sample_count_beyond_memory_exits_two_with_one_line(count, tmp_path, capsys):
     # Legal counts whose sample arrays exceed a 47-bit address space, so
     # numpy refuses them at once.  They once escaped as a traceback and exit
-    # 1, which is kept for a mathematical violation.
+    # 1, which is kept for a mathematical violation.  The starts are drawn
+    # before the Picard run, so no count writes trace.csv or prints a path.
     cfg = write_cfg(tmp_path, _paper_with(sampling={**PAPER_CFG["sampling"], **count}))
     out_dir = tmp_path / "out"
     code, out, err = run(["verify", "--config", cfg, "--out-dir", str(out_dir)], capsys)
@@ -685,6 +711,7 @@ def test_sample_count_beyond_memory_exits_two_with_one_line(count, tmp_path, cap
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
     assert "Traceback" not in err and "report.json" not in out
     assert not (out_dir / "report.json").exists()
+    assert out == "" and not (out_dir / "trace.csv").exists()
 
 
 _BIG = 10 ** 400
@@ -1032,9 +1059,9 @@ def test_a_one_point_table_passes_every_stage(command, map_doc, tmp_path, capsys
 
 
 def test_an_output_longer_than_a_write_slice_is_written_whole(tmp_path, capsys):
-    # _write hands the text to the file a slice at a time; the bytes are the text's.
+    # _write hands each piece to the file a slice at a time; the bytes are the text's.
     text = "".join(f"{i:08d},{-i / 7!r}\n" for i in range(100_000))
     assert len(text) > 2 * (1 << 20)
-    cli._write({"csv_path": tmp_path / "out" / "t.csv"}, "csv_path", text)
+    cli._write({"csv_path": tmp_path / "out" / "t.csv"}, "csv_path", [text])
     assert (tmp_path / "out" / "t.csv").read_bytes() == text.encode()
     assert capsys.readouterr().out == f"{tmp_path / 'out' / 't.csv'}\n"

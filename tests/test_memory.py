@@ -7,8 +7,13 @@ array of it, the certificate keeps branch counts and no per-pair data, and
 a lifted config table is one read-only float array, which the config and
 the space share, read from an array by one copy.  The table is a line at
 positions 1.01^i, as in the CLI's 1,000-point smoke run.
+
+A Picard trace is held once too: `verify` makes each start's run as the
+uniqueness probe reads it, and a trace's CSV is written in blocks of at
+most `core.BLOCK` rows.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -23,6 +28,7 @@ from ametric_fix import (
     table_space,
     verify_contraction_inequalities,
 )
+from ametric_fix import StopRule, cli, make_absdiff_space, picard_run
 from ametric_fix.cli import build_space, materialize_config
 from ametric_fix.spaces import read_table
 from ametric_fix.sampling import ProductSet
@@ -109,3 +115,34 @@ def test_read_table_copies_an_array_once(dtype):
     assert peak < 2 * table.nbytes
     assert arr.dtype == float and np.array_equal(arr, table)
     assert not arr.flags.writeable and not np.shares_memory(arr, table)
+
+
+def test_verify_holds_one_start_run_at_a_time(tmp_path):
+    # 200 starts of a slow contraction, each run about 2,800 steps of about
+    # 170 KiB: all of them alive at once made a 34 MiB peak; the main trace,
+    # one start's run and one CSV block peak at 2 MiB.
+    raw = {"space": {"kind": "absdiff", "t": 3, "d": 1}, "map": {"kind": "linear-scale", "lam": 0.99},
+           "sampling": {"seed": 0, "n_tuples": 50, "n_pairs": 50, "n_triples": 50, "n_starts": 200},
+           "tolerances": {"eps": 1e-12}, "solver": {"x0": 90}}
+    cfg = materialize_config(raw, "starts")
+    code, peak, _ = traced(lambda: cli.run(cfg, str(tmp_path), "verify", str(tmp_path / "cfg.json")))
+    assert code == 0
+    info = json.loads((tmp_path / "report.json").read_text())["uniqueness"]["info"]
+    assert info["n_starts"] == info["n_converged"] == 201
+    assert peak < 8 * MIB
+
+
+def test_trace_csv_is_written_one_block_at_a_time(tmp_path):
+    # The steep-piece map cycles, so its run goes to max_iter: 100,000 rows,
+    # 3.4 MiB of text.  Its rows and their text held whole peaked at 18 MiB;
+    # a block of BLOCK rows, at 1 MiB.  The envelope is built first, as the
+    # report's trace summary builds it before the CLI writes the CSV.
+    space = make_absdiff_space(3, 1, (-100.0, 100.0))
+    steep = MapSpec.of("piecewise", breakpoints=[-0.005, 0.005], pieces=[[0.5, 0], [5, 0], [0.5, 0]])
+    trace = picard_run(space, make_map(steep, space), 7.0, 0.5, StopRule(max_iter=100_000))
+    assert trace.status == "max_iter" and len(trace.steps) == 100_000
+    trace.summary_dict()
+    path = tmp_path / "trace.csv"
+    _, peak, _ = traced(lambda: cli._write({"csv_path": path}, "csv_path", trace.csv_blocks()))
+    assert path.read_text() == trace.to_csv()
+    assert peak < 4 * MIB

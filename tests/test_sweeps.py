@@ -18,6 +18,7 @@ import json
 import math
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -306,7 +307,7 @@ def test_envelope_table_has_the_scalar_bits(t):
     trace = PicardTrace(iterates=(0.0,) * 301, steps=steps, delta=2.0 / 7.0, d0=0.1, t=t,
                         status="converged", limit=0.0)
     bound, tail = trace.envelope
-    assert bound.tolist() == [trace.bound(n) for n in range(301)]
+    assert bound.tolist() == [ref.bound(trace, n) for n in range(301)]
     assert tail.tolist() == [solver.tail_bound(2.0 / 7.0, t, 0.1, n) for n in range(301)]
 
 
@@ -316,16 +317,16 @@ def test_decay_and_summary_read_the_envelope_table():
     n = len(trace.steps)
     assert len(bound) == len(tail) == n + 1
     summary = trace.summary_dict()
-    assert summary["final_bound"] == trace.bound(n - 1)
-    assert summary["final_tail_bound"] == trace.tail(n)
+    assert summary["final_bound"] == ref.bound(trace, n - 1)
+    assert summary["final_tail_bound"] == ref.tail(trace, n)
     assert {type(summary["final_bound"]), type(summary["final_tail_bound"])} == {float}
     # One `%` format per row gives the text format() gives cell by cell.
     prev = None
     for row, line in enumerate(trace.to_csv().splitlines()[1:]):
         step = trace.steps[row]
         ratio = "" if prev in (None, 0.0) else format(step / prev, ".17g")
-        assert line == ",".join((str(row), format(step, ".17g"), format(trace.bound(row), ".17g"),
-                                 ratio, format(trace.tail(row), ".17g")))
+        assert line == ",".join((str(row), format(step, ".17g"), format(ref.bound(trace, row), ".17g"),
+                                 ratio, format(ref.tail(trace, row), ".17g")))
         prev = step
 
 
@@ -365,7 +366,7 @@ def separated_violations_trace(kind):
     xs = [64.0 * 0.25 ** k for k in range(40)]
     trace = hand_trace(s, xs, 0.5)
     for n in (5, 12, 20):
-        xs[n] = 0.75 * trace.tail(n)
+        xs[n] = 0.75 * ref.tail(trace, n)
     return s, hand_trace(s, xs, 0.5, d0=trace.d0)
 
 
@@ -396,7 +397,7 @@ def test_cauchy_row_maximum_on_its_tolerance_matches_reference(block, far):
     # row is swept.  One ulp further, each moves past its bound.
     s = make_absdiff_space(3)
     trace = hand_trace(s, [0.0, 0.5, 0.5, far, 0.75, 0.625], 0.5)
-    assert trace.tail(2) == 1.0
+    assert ref.tail(trace, 2) == 1.0
     val = s.rep_fn(0.5, far)
     if far in (1.5, 2.0):
         assert val - 1.0 == (core.scaled_tol(0.5, 1.0) if far == 1.5 else
@@ -426,7 +427,7 @@ def test_cauchy_signed_zero_max_gap_matches_reference(block, xs, sign):
     # the first gap, rep(x_0, x_1) - tail(0).  Either way max_gap is 0.0.
     s = table_space(3, [[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     trace = hand_trace(s, xs, 0.5, d0=0.0)
-    assert math.copysign(1.0, s.rep_fn(xs[0], xs[1]) - trace.tail(0)) == sign
+    assert math.copysign(1.0, s.rep_fn(xs[0], xs[1]) - ref.tail(trace, 0)) == sign
     report = assert_cauchy_matches(s, trace)
     assert report.passed and repr(report.max_gap) == "0.0"
 
@@ -438,7 +439,7 @@ def test_cauchy_row_whose_largest_gap_is_zero_is_cleared(block, tol):
     # cleared by its maximum, like every other row, even at tol = 0.
     s = make_absdiff_space(3)
     trace = hand_trace(s, [0.0, 1.0, -1.0, -0.5, -0.75, -0.625], 0.5)
-    assert trace.tail(1) == s.rep_fn(1.0, -1.0) == 4.0
+    assert ref.tail(trace, 1) == s.rep_fn(1.0, -1.0) == 4.0
     spied, pairs = counting_rep(s)
     report = verify_cauchy(trace, spied, tol)
     assert sum(pairs) == len(trace.iterates) - 1
@@ -702,6 +703,92 @@ def test_uniqueness_non_converged_runs_between_converged_ones_match_reference(bl
     for few in ([], runs[:1]):  # no pair of limits to compare
         traces = [stalled_run(stalled[0])] + few + [stalled_run(stalled[1])]
         assert assert_uniqueness_matches(s, f, traces, StopRule()).checked == 2 + len(few)
+
+
+@pytest.mark.parametrize("kind", ["absdiff-d1", "table"])
+@pytest.mark.parametrize("spec", [MapSpec.of("linear-scale", lam=0.5), MapSpec.of("identity")],
+                         ids=["agree", "disagree"])
+def test_uniqueness_reads_a_generator_as_it_reads_a_list(block, kind, spec):
+    if kind == "table" and spec.kind == "linear-scale":
+        spec = MapSpec.of("finite-table", images=[0, 0, 1, 0, 1, 2, 0])
+    s, f, traces, rule = uniqueness_case(kind, spec)
+    traces[3] = stalled_run(traces[3].iterates[0])  # one run that did not converge
+    report = uniqueness_probe(s, f, traces, rule)
+    assert report.info["n_starts"] == len(traces)
+    assert report.violations[0].law == "non-convergence[max_iter]"
+    assert (report.violations_total > 1) is (spec.kind == "identity")
+    assert uniqueness_probe(s, f, (tr for tr in traces), rule).to_dict() == report.to_dict()
+    assert uniqueness_probe(s, f, iter(traces), rule).to_dict() == report.to_dict()
+
+
+def test_uniqueness_drops_each_run_it_reads():
+    # Each run is made as the probe reads it; once the probe returns, no run
+    # is alive, so the probe kept only starts and limits.
+    s, f, traces, rule = uniqueness_case("absdiff-d1", MapSpec.of("linear-scale", lam=0.5))
+    starts = [tr.iterates[0] for tr in traces]
+    del traces
+    alive = []
+
+    def runs():
+        for x in starts:
+            run = picard_run(s, f, x, 0.5, rule)
+            alive.append(weakref.ref(run))
+            yield run
+
+    report = uniqueness_probe(s, f, runs(), rule)
+    assert report.passed and report.info["n_starts"] == len(alive) == len(starts)
+    assert all(run() is None for run in alive)
+
+
+@pytest.mark.parametrize("runs", [
+    lambda: [converged_run(1.0, 0.0)],
+    lambda: [converged_run(1.0, 0.0), converged_run(2.0, 0.0, delta=0.25)],
+    lambda: [converged_run(1.0, 0.0), stalled_run(2.0), converged_run(3.0, 0.0, delta=0.25)],
+    lambda: [],
+], ids=["one-run", "two-deltas", "two-deltas-after-a-stalled-run", "no-run"])
+def test_uniqueness_raises_on_a_generator_as_on_a_list(runs):
+    # The count and the deltas are checked once every run is read.
+    s = make_absdiff_space(3)
+    f = make_map(MapSpec.of("identity"), s)
+    for given in (runs(), (run for run in runs())):
+        with pytest.raises(UsageError, match="^uniqueness_probe needs 2 or more runs, all with one delta$"):
+            uniqueness_probe(s, f, given, StopRule())
+
+
+def csv_case(kind, size):
+    """A trace for the CSV writer, at block size ``size``."""
+    if kind in ("monitored", "unmonitored"):
+        s = make_absdiff_space(3)
+        f = make_map(MapSpec.of("linear-scale", lam=0.9), s)
+        trace = picard_run(s, f, -70.0, 0.9 if kind == "monitored" else -1.0, StopRule(eps=1e-9))
+        assert len(trace.steps) > 3 * 7
+        return trace
+    if kind == "no-steps":
+        return decay_case("no-steps")
+    # Zero steps on both sides of block boundaries: the last row of block 0,
+    # and the first and a middle row of block 2.  The row after a zero step
+    # has no ratio, also when it opens the next block.
+    steps = [0.75 ** (n % 50) for n in range(2 * size + 5)]
+    for n in (size - 1, 2 * size, 2 * size + 2):
+        steps[n] = 0.0
+    return step_trace(steps, delta=0.75 if kind == "zeros-monitored" else -1.0, d0=1.0)
+
+
+@pytest.mark.parametrize("kind", ["monitored", "unmonitored", "zeros-monitored",
+                                  "zeros-unmonitored", "no-steps"])
+def test_csv_blocks_match_the_row_loop(block, kind):
+    size = block or core.BLOCK
+    trace = csv_case(kind, size)
+    pieces = list(trace.csv_blocks())
+    assert "".join(pieces) == trace.to_csv() == ref.trace_csv(trace)
+    rows = [piece.count("\n") for piece in pieces]
+    n = len(trace.steps)
+    assert pieces[0] == "n,step,bound,ratio,tail_bound\n"
+    assert rows[1:] == [min(size, n - start) for start in range(0, n, size)]
+    if kind.startswith("zeros"):
+        lines = trace.to_csv().splitlines()[1:]
+        assert [n for n, line in enumerate(lines) if line.split(",")[3] == ""] == [
+            0, size, 2 * size + 1, 2 * size + 3]
 
 
 def fast_branches(space, f, pairs):
