@@ -39,7 +39,7 @@ from .sampling import (
     triple_samples,
 )
 from .solver import StopRule, brute_force_fixed_points, picard_run, verify_cauchy, verify_decay, uniqueness_probe
-from .spaces import MapSpec, _lift_table, make_absdiff_space, make_map, read_table
+from .spaces import MapSpec, _lift_table, escape_error, make_absdiff_space, make_map, read_table
 from .zamfirescu import classify, verify_contraction_inequalities
 
 LOG = logging.getLogger("ametric_fix")
@@ -344,6 +344,7 @@ def run(cfg: dict, out_dir: str, command: str, config_path: str) -> int:
     if command == "solve" and delta is not None:
         report["skipped"]["classification"] = "solver.delta is given"
     else:
+        holdout = None
         try:
             cert = classify(space, f, pairs)
             if cert.valid:
@@ -351,10 +352,10 @@ def run(cfg: dict, out_dir: str, command: str, config_path: str) -> int:
                 contraction = verify_contraction_inequalities(space, f, cert.delta, holdout, tol)
         except CarrierDomainError as err:
             # make_map checks images only on a sample, so one can still leave
-            # the carrier here: the same defect, reported as make_map reports it.
-            report.update(error=f"map {cfg['map']['kind']!r} has an image outside the carrier: "
-                                f"{err}", witness=err.point)
-            return finish("map-construction")
+            # the carrier here: the same defect, reported as make_map reports it,
+            # by the first swept point whose image leaves.
+            swept = (p for s in (pairs, holdout) if s is not None for pair in s for p in pair)
+            return finish("map-construction", escape_error(f, space.carrier, swept) or err)
         report["certificate"] = cert
         if not cert.valid:
             report["skipped"]["solve"] = "no valid certificate"

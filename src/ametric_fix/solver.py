@@ -134,8 +134,12 @@ class PicardTrace:
         """
         tail_bound(self.delta, self.t, self.d0, 0)
         powers = np.fromiter((self.delta ** n for n in range(len(self.steps) + 1)), float)
-        with np.errstate(over="ignore"):
-            return powers * self.d0, (self.t - 1) * powers * self.d0 / (1.0 - self.delta)
+        with np.errstate(over="ignore"):  # in place: no column-sized temporaries
+            tail = np.multiply(powers, self.t - 1)
+            tail *= self.d0
+            tail /= 1.0 - self.delta
+            powers *= self.d0
+        return powers, tail
 
     def csv_blocks(self) -> Iterator[str]:
         """The CSV in pieces, its header and then blocks of at most ``BLOCK``

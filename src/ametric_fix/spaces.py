@@ -273,6 +273,9 @@ MAP_PARAMS = {
 }
 MAP_KINDS = tuple(MAP_PARAMS)
 _MAP_DEFAULTS = {"shift": {"offset": 1.0}}  # map kind -> its optional parameters' defaults
+# The affine kinds, x -> a * x + c, each with its (a, c); a string names a
+# parameter.  y + -0.0 is y and 1.0 * x is x, so the constants change no bit.
+_AFFINE = {"linear-scale": ("lam", -0.0), "affine": ("alpha", "beta"), "shift": (1.0, "offset")}
 
 
 @dataclass(frozen=True)
@@ -398,13 +401,9 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
         raise UsageError(f"map kind {kind!r} needs a continuous carrier")
     if kind == "two-sevenths":
         return _by_coordinate(carrier, _two_sevenths, _two_sevenths_many)
-    if kind == "linear-scale":
-        lam = finite_real(_param(spec, "lam"), "lam")
-        return _by_coordinate(carrier, lambda x: lam * x)
-    if kind == "affine":
-        alpha = finite_real(_param(spec, "alpha"), "alpha")
-        beta = finite_real(_param(spec, "beta"), "beta")
-        return _by_coordinate(carrier, lambda x: alpha * x + beta)
+    if kind in _AFFINE:
+        a, c = (finite_real(_param(spec, v), v) if isinstance(v, str) else v for v in _AFFINE[kind])
+        return _by_coordinate(carrier, lambda x: a * x + c)
     if kind == "constant":
         value = _param(spec, "value")
         if finite:
@@ -416,9 +415,6 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
         return (lambda p: pt), (lambda pts: [pt] * len(pts))
     if kind == "identity":
         return (lambda p: p), (lambda pts: pts)
-    if kind == "shift":
-        offset = finite_real(_param(spec, "offset"), "offset")
-        return _by_coordinate(carrier, lambda x: x + offset)
     if kind == "piecewise":
         if carrier.d != 1:
             raise UsageError("piecewise maps are one-dimensional")
@@ -452,32 +448,35 @@ def _build_fn(spec: MapSpec, space: AMetricSpace) -> tuple[Callable, Callable]:
     raise UsageError(f"unknown map kind {kind!r}")
 
 
-def make_map(spec: MapSpec, space: AMetricSpace, *, seed: int = 0) -> SelfMap:
-    """Build the map and verify its image stays inside the carrier.
+def escape_error(f: SelfMap, carrier: Carrier, points) -> ConstructionError | None:
+    """The error whose witness is the first of ``points`` (Python points, replayed
+    one by one through ``f.fn``) whose image leaves the carrier; None if none does."""
+    for p in points:
+        try:
+            carrier.canon(f.fn(p))
+        except CarrierDomainError:
+            return ConstructionError(f"map {f.kind!r} sends {p!r} outside the carrier", witness=p)
+    return None
 
-    Finite carriers are checked exhaustively; continuous ones on a seeded
-    sample.  An escaping image raises :class:`ConstructionError` with the
-    witness point, the first probe whose image escapes: ``carrier.array`` names
-    only the bad image, so a failure replays the probes one by one to find it.
-    """
-    fn, many = _build_fn(spec, space)
+
+def make_map(spec: MapSpec, space: AMetricSpace, *, seed: int = 0) -> SelfMap:
+    """Build the map and verify its image stays inside the carrier: on every
+    point of a finite carrier, on a seeded sample of a continuous one.  An
+    escape raises :func:`escape_error`'s error for these probes."""
+    f = SelfMap(spec.kind, *_build_fn(spec, space))
     carrier = space.carrier
     if carrier.finite:
         probes = carrier.array(range(carrier.size))
     else:
         probes = carrier.sample(philox(seed, STREAM_MAP_CHECK), _N_CHECK)
     try:
-        carrier.array(many(probes))
+        carrier.array(f.many(probes))
     except CarrierDomainError:
-        for p in _python(probes.tolist()):
-            try:
-                carrier.canon(fn(p))
-            except CarrierDomainError:
-                raise ConstructionError(
-                    f"map {spec.kind!r} sends {p!r} outside the carrier", witness=p
-                ) from None
-        raise
-    return SelfMap(kind=spec.kind, fn=fn, many=many)
+        err = escape_error(f, carrier, _python(probes.tolist()))
+        if err is None:
+            raise
+        raise err from None
+    return f
 
 
 def default_catalog() -> list[tuple[str, MapSpec, bool]]:

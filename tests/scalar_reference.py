@@ -40,6 +40,9 @@ loop over every row, each row one `%` format, joined once.
 one pass: `jsonable`, the walk that made a report JSON-safe (a report
 object as its old `to_dict`, a numpy array as its `tolist()`), then json's
 indent-2 encoder.
+
+`AFFINE_KERNELS` holds the coordinate kernels of the `linear-scale`,
+`affine` and `shift` map kinds before the three shared one, `a * x + c`.
 """
 
 import json
@@ -496,3 +499,10 @@ def jsonable(obj):
 
 def report_json(doc):
     return json.dumps(jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+AFFINE_KERNELS = {
+    "linear-scale": lambda lam: lambda x: lam * x,
+    "affine": lambda alpha, beta: lambda x: alpha * x + beta,
+    "shift": lambda offset: lambda x: x + offset,
+}

@@ -477,11 +477,27 @@ def test_image_escaping_after_map_check_fails_the_report(command, tmp_path, caps
     assert code == 1
     report = load_report(tmp_path)
     assert report["verdict"] == "fail"
-    assert "has an image outside the carrier: point 109.905" in report["error"]
-    if command == "verify":
-        assert report["failures"] == ["map-construction"]
-    else:
-        assert report["witness"] == 109.90541002765501
+    # As make_map reports an escape: the first classified point whose image
+    # leaves the box, not the image 0.5 * 99.81... + 60 itself.
+    assert report["error"] == "map 'piecewise' sends 99.81082005531002 outside the carrier"
+    assert report["witness"] == 99.81082005531002
+    assert report["failures"] == ["map-construction"]
+    assert "point" not in report
+
+
+def test_image_escaping_first_in_the_holdout_pairs_names_that_point(tmp_path, capsys):
+    # With 20 pairs at seed 0, no classified pair has a point in (99, 100],
+    # the certificate is valid, and the first holdout point there is 99.357....
+    doc = json.loads(json.dumps(ESCAPE_CFG))
+    doc["sampling"] = {"seed": 0, "n_pairs": 20}
+    cfg = write_cfg(tmp_path, doc)
+    code, _, _ = run(["classify", "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    report = load_report(tmp_path)
+    assert report["error"] == "map 'piecewise' sends 99.35707949085011 outside the carrier"
+    assert report["witness"] == 99.35707949085011
+    assert report["failures"] == ["map-construction"]
+    assert report["certificate"] is None
 
 
 def test_verify_start_escaping_in_uniqueness_probe_fails_the_report(tmp_path, capsys):
@@ -600,6 +616,32 @@ def test_tuple_witness_is_written_as_a_json_list(command, tmp_path, capsys):
         assert report["failures"] == ["map-construction"]
 
 
+def test_verify_with_too_few_steps_fails_the_oracle_on_a_table(tmp_path, capsys):
+    # One step from x0 = 5 does not settle, and neither does any other start.
+    doc = _golden_config("verify-finite-exhaustive")
+    doc["solver"]["max_iter"] = 1
+    cfg = write_cfg(tmp_path, doc)
+    code, _, _ = run(["verify", "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    report = load_report(tmp_path)
+    assert report["failures"] == ["oracle", "solve", "uniqueness"]
+    assert report["trace"]["status"] == "max_iter"
+    assert report["oracle"] == {"fixed_points": [0], "agrees_with_picard": False}
+
+
+def test_verify_with_a_negative_delta_skips_the_envelopes(tmp_path, capsys):
+    doc = {"space": {"kind": "absdiff", "t": 3, "d": 1}, "map": {"kind": "linear-scale", "lam": 0.5},
+           "sampling": {"seed": 0}, "solver": {"delta": -1}}
+    cfg = write_cfg(tmp_path, doc)
+    code, _, _ = run(["verify", "--config", cfg, "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    report = load_report(tmp_path)
+    assert report["delta_used"] == -1.0 and report["certificate"]["valid"]
+    assert report["skipped"] == dict.fromkeys(("cauchy", "decay"), "envelope monitoring disabled")
+    assert (report["decay"], report["cauchy"]) == (None, None)
+    assert report["uniqueness"]["passed"]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("bound_eps", [1e-6, 1e-9])
 def test_verify_with_bound_eps_passes_on_the_worked_example(bound_eps, seed, tmp_path, capsys):
@@ -681,11 +723,33 @@ def _piecewise(breakpoints, pieces):
      "cfg.json: space.base_table: not a key of space kind 'absdiff'"),
     (_paper_with(space={"kind": "lifted", "t": 3, "base_table": DISCRETE_TABLE, "d": 5,
                         "box": [0, 1]}), "cfg.json: space.d: not a key of space kind 'lifted'"),
+    ([PAPER_CFG], "cfg.json: top level must be a JSON object"),
+    (_paper_with(plot={}), "cfg.json: plot: unknown section"),
+    *((_paper_with(**{section: None}), f"cfg.json: {section}: required section")
+      for section in ("space", "map", "sampling")),
+    (_paper_with(space={"kind": "ball", "t": 3}),
+     "cfg.json: space.kind: expected 'absdiff' or 'lifted', got 'ball'"),
+    (_paper_with(space={"kind": "absdiff", "t": 3, "box": [-1, 0, 1]}),
+     "cfg.json: space.box: expected [lo, hi], got [-1, 0, 1]"),
+    (_paper_with(map={"lam": 0.5}), "map spec must be an object with a 'kind', got {'lam': 0.5}"),
+    (_paper_with(map={"kind": "affine", "alpha": 0.5}),
+     "map kind 'affine' requires parameter 'beta'"),
+    (_paper_with(map={"kind": "finite-table", "images": [0]}),
+     "finite-table maps need a finite carrier"),
+    (_paper_with(space={"kind": "lifted", "t": 3, "base_table": DISCRETE_TABLE},
+                 map={"kind": "linear-scale", "lam": 0.5}, solver={}),
+     "map kind 'linear-scale' needs a continuous carrier"),
+    (_paper_with(space={"kind": "absdiff", "t": 3, "d": 2},
+                 map={"kind": "piecewise", "breakpoints": [], "pieces": [[0.5, 0]]}, solver={}),
+     "piecewise maps are one-dimensional"),
 ], ids=["tolerances-5", "solver-5", "sampling-5", "outputs-7", "space-list", "eps-null",
         "piece-short", "piece-int", "breakpoints-int", "pieces-null", "box-overflow",
         "param-overflow", "unknown-map-parameter", "not-utf8", "lam-string", "lam-bool",
         "alpha-string", "beta-bool", "offset-bool", "value-string", "value-list-bool",
-        "breakpoint-string", "slope-bool", "intercept-string", "absdiff-base-table", "lifted-d-box"])
+        "breakpoint-string", "slope-bool", "intercept-string", "absdiff-base-table", "lifted-d-box",
+        "top-level-list", "unknown-section", "no-space", "no-map", "no-sampling",
+        "space-kind-unknown", "box-triple", "map-without-kind", "missing-parameter",
+        "finite-table-on-box", "continuous-kind-on-table", "piecewise-d2"])
 def test_malformed_config_exits_two(doc, message, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())

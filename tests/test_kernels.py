@@ -1,12 +1,14 @@
-"""The box and lift kernels against their reference forms in ``scalar_reference.py``.
+"""The box, lift and affine map kernels against their reference forms in
+``scalar_reference.py``.
 
 ``Box.sample``, ``Box.equal`` and ``Box.spread`` and the lift's
 ``distance_many`` run along the long axis of a block, one elementwise pass
 per tuple slot or coordinate; the references are the forms they replaced,
 which reduce over the short axes (``rng.uniform``, ``max``/``min``/``all``
-over an axis, one base call per pair).  Each comparison is on ``tobytes()``,
-so every bit of every value must agree, on inputs that include NaN, +-inf,
-+-0.0, subnormals and sums that overflow.
+over an axis, one base call per pair).  The affine map kinds share one
+kernel; its references are the three kernels it replaced.  Each comparison
+is on ``tobytes()``, so every bit of every value must agree, on inputs that
+include NaN, +-inf, +-0.0, subnormals and sums that overflow.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import pytest
 import scalar_reference as ref
 from ametric_fix import Box, make_absdiff_space, table_space
 from ametric_fix.sampling import philox
-from ametric_fix.spaces import _l1_1d_many, _l1_nd_many
+from ametric_fix.spaces import MapSpec, _build_fn, _l1_1d_many, _l1_nd_many
 
 DIMS = [1, 2, 4, 7]
 ARITIES = [2, 3, 8]
@@ -183,3 +185,38 @@ def test_table_distance_many_matches_the_per_pair_reference(table, t):
         assert bits(space.distance_many(pts)) == \
             bits(np.array([space.distance(tuple(row)) for row in pts.tolist()]))
 
+
+# Map inputs and parameters: signed zeros, subnormals, and values whose
+# products and sums underflow to subnormals or zero, or overflow to +-inf.
+AFFINE_XS = [0.0, -0.0, 1.0, -2.5, 3.7, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+             1e-160, 1e308, -1e308]
+AFFINE_SCALES = [0.0, -0.0, 0.5, -0.5, -2.0, 1e-160, -1e-300, 5e-324, 1e300, -1e300]
+AFFINE_SPECS = ([MapSpec.of("linear-scale", lam=lam) for lam in AFFINE_SCALES]
+                + [MapSpec.of("affine", alpha=a, beta=b) for a in AFFINE_SCALES
+                   for b in (0.0, -0.0, 3.0, -5e-324, 1e308, -1e308)]
+                + [MapSpec.of("shift", offset=c) for c in (0.0, -0.0, 1.0, -1e-320, 1e308, -1e308)])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_affine_kinds_match_their_old_kernels_bit_for_bit(d):
+    xs = np.array(AFFINE_XS)
+    pts = xs if d == 1 else np.stack([xs, xs[::-1]], axis=1)
+    space, rows = make_absdiff_space(3, d), pts.tolist()
+    outputs = []
+    for spec in AFFINE_SPECS:
+        fn, many = _build_fn(spec, space)
+        old = ref.AFFINE_KERNELS[spec.kind](**spec.params)
+        if d == 1:
+            expected, scalar = [old(x) for x in rows], [fn(x) for x in rows]
+        else:
+            expected = [tuple(map(old, p)) for p in rows]
+            scalar = [fn(tuple(p)) for p in rows]
+        assert bits(scalar) == bits(expected), spec
+        assert bits(many(pts)) == bits(expected), spec
+        outputs.extend(np.ravel(expected))
+    # The inputs reach every case the constants -0.0 and 1.0 must pass through.
+    out = np.array(outputs)
+    tiny = np.finfo(float).tiny
+    assert np.isposinf(out).any() and np.isneginf(out).any()
+    assert (np.signbit(out) & (out == 0)).any() and (~np.signbit(out) & (out == 0)).any()
+    assert ((0 < np.abs(out)) & (np.abs(out) < tiny)).any()

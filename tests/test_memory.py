@@ -9,8 +9,8 @@ the space share, read from an array by one copy.  The table is a line at
 positions 1.01^i, as in the CLI's 1,000-point smoke run.
 
 A Picard trace is held once too: `verify` makes each start's run as the
-uniqueness probe reads it, and a trace's CSV is written in blocks of at
-most `core.BLOCK` rows.
+uniqueness probe reads it, a trace's CSV is written in blocks of at
+most `core.BLOCK` rows, and its envelope table is its two columns.
 """
 
 import json
@@ -29,6 +29,7 @@ from ametric_fix import (
     verify_contraction_inequalities,
 )
 from ametric_fix import StopRule, cli, make_absdiff_space, picard_run
+from ametric_fix.solver import PicardTrace
 from ametric_fix.cli import build_space, materialize_config
 from ametric_fix.spaces import read_table
 from ametric_fix.sampling import ProductSet
@@ -146,3 +147,14 @@ def test_trace_csv_is_written_one_block_at_a_time(tmp_path):
     _, peak, _ = traced(lambda: cli._write({"csv_path": path}, "csv_path", trace.csv_blocks()))
     assert path.read_text() == trace.to_csv()
     assert peak < 4 * MIB
+
+
+def test_envelope_holds_its_two_columns_and_no_temporary():
+    # The columns delta^n * d0 and tail(n), one float each per step plus one.
+    # The tail column built through two full-size temporaries peaked at three.
+    n = 100_000
+    trace = PicardTrace(iterates=(0.0,) * (n + 1), steps=(1.0,) * n, delta=0.5, d0=1.0, t=3,
+                        status="max_iter", limit=None)
+    columns, peak, _ = traced(lambda: trace.envelope)
+    assert [len(c) for c in columns] == [n + 1, n + 1]
+    assert peak < 2.25 * 8 * (n + 1)

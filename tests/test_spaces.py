@@ -517,12 +517,14 @@ def test_lifted_spaces_read_their_table_once(monkeypatch):
     assert len(reads) == 2
 
 
-@pytest.mark.parametrize("diagonal, zero", [((0.0, -0.0, 0), True), ((0.0, 0.0, 0.5), False),
-                                             ((-1e-300, 0.0, 0.0), False)])
-def test_table_space_drops_the_diagonal_term_only_on_a_zero_diagonal(diagonal, zero):
+@pytest.mark.parametrize("diagonal, off, zero", [
+    ((0.0, -0.0, 0), 1.0, True), ((0.0, 0.0, 0.5), 1.0, False), ((-1e-300, 0.0, 0.0), 1.0, False),
+    ((0.0, 0.5, 0.0), 0.0, False),  # zeros off the diagonal: only its own entries decide
+], ids=["diagonal0-True", "diagonal1-False", "diagonal2-False", "zeros-off-the-diagonal"])
+def test_table_space_drops_the_diagonal_term_only_on_a_zero_diagonal(diagonal, off, zero):
     # rep(x, y) = (t-1) base(x, y) + C(t-1, 2) base(x, x): at t = 4 the second
     # term is 3 base(x, x), there unless every diagonal entry is zero (-0.0 too).
-    table = [[diagonal[i] if i == j else 1.0 for j in range(3)] for i in range(3)]
+    table = [[diagonal[i] if i == j else off for j in range(3)] for i in range(3)]
     s = table_space(4, table)
     for x in range(3):
-        assert s.rep_fn(x, (x + 1) % 3) == 3.0 + (0.0 if zero else 3 * diagonal[x])
+        assert s.rep_fn(x, (x + 1) % 3) == 3.0 * off + (0.0 if zero else 3 * diagonal[x])
