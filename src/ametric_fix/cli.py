@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache
 from itertools import accumulate
 from pathlib import Path
@@ -70,7 +71,18 @@ _REPORT_KEYS = dict(zip(COMMANDS, map(frozenset, accumulate((
 
 
 def _fail(anchor: str, key: str, message: str):
-    raise UsageError(f"{anchor}: {key}: {message}")
+    """Raise ``message`` about ``key`` of the config file ``anchor`` as a
+    UsageError, after the path and, unless the message starts with it, the key."""
+    raise UsageError(f"{anchor}: {message if message.startswith(key) else f'{key}: {message}'}")
+
+
+@contextmanager
+def _about(anchor: str, key: str, errors=UsageError):
+    """Re-raise an error of ``errors`` in the block by :func:`_fail`."""
+    try:
+        yield
+    except errors as err:
+        _fail(anchor, key, str(err))
 
 
 def _require_delta(value, what):
@@ -177,7 +189,8 @@ def materialize_config(raw: dict, anchor: str, seed_override: int | None = None)
     map_raw = raw.get("map")
     if not isinstance(map_raw, dict):
         _fail(anchor, "map", "required section")
-    cfg["map"] = MapSpec.from_dict(map_raw).to_dict()
+    with _about(anchor, "map"):
+        cfg["map"] = MapSpec.from_dict(map_raw).to_dict()
 
     sampling_raw = raw.get("sampling")
     if not isinstance(sampling_raw, dict):
@@ -222,14 +235,10 @@ def build_map(cfg: dict, space):
     return make_map(MapSpec.from_dict(cfg["map"]), space, seed=cfg["sampling"]["seed"])
 
 
-def _resolve_x0(cfg: dict, space):
+def _resolve_x0(cfg: dict, space, anchor: str):
     x0 = cfg["solver"]["x0"]
-    if isinstance(x0, list):
-        x0 = tuple(x0)
-    try:
-        return space.carrier.canon(x0)
-    except (CarrierDomainError, UsageError) as err:
-        raise UsageError(f"solver.x0: {err}") from None
+    with _about(anchor, "solver.x0", (CarrierDomainError, UsageError)):
+        return space.carrier.canon(tuple(x0) if isinstance(x0, list) else x0)
 
 
 def _stop_rule(cfg: dict) -> StopRule:
@@ -288,16 +297,18 @@ def run(cfg: dict, out_dir: str, command: str, config_path: str) -> int:
     # Under out_dir unless absolute: joining an absolute path drops out_dir.
     paths = {key: Path(out_dir, name) for key, name in cfg["outputs"].items()}
     if os.path.abspath(paths["csv_path"]) == os.path.abspath(paths["json_path"]):
-        raise UsageError(f"outputs.csv_path and outputs.json_path name one file, "
-                         f"{str(paths['json_path'])!r}")
+        _fail(config_path, "outputs", f"outputs.csv_path and outputs.json_path name one file, "
+                                      f"{str(paths['json_path'])!r}")
     for key, path in paths.items():
         if os.path.abspath(path) == os.path.abspath(config_path):
-            raise UsageError(f"outputs.{key} names the config file {config_path!r}")
-    space = build_space(cfg)
+            _fail(config_path, "outputs", f"outputs.{key} names the config file {config_path!r}")
+    with _about(config_path, "space.box"):  # a box too wide for a float
+        space = build_space(cfg)
     if command in ("solve", "verify"):  # a bad start exits 2 here, before any sweep
-        x0 = _resolve_x0(cfg, space)
+        x0 = _resolve_x0(cfg, space, config_path)
     try:  # a malformed map parameter exits 2 here, before any sweep
-        f, map_error = build_map(cfg, space), None
+        with _about(config_path, "map"):
+            f, map_error = build_map(cfg, space), None
     except ConstructionError as err:  # an escaping image: reported if the laws hold
         f, map_error = None, err
     report: dict = {"checks": {}, "skipped": {}, **dict.fromkeys((
@@ -318,9 +329,11 @@ def run(cfg: dict, out_dir: str, command: str, config_path: str) -> int:
             report.update(_error_fields(err))
         report["failures"] = sorted(failures)
         keys = _REPORT_KEYS[command]
-        _write(paths, "json_path", [json_text({"command": command, "config": cfg,
-                                               **{k: v for k, v in report.items() if k in keys},
-                                               "verdict": "fail" if failures else "pass"})])
+        text = json_text({"command": command, "config": cfg,
+                          **{k: v for k, v in report.items() if k in keys},
+                          "verdict": "fail" if failures else "pass"})
+        with _about(config_path, "outputs"):
+            _write(paths, "json_path", [text])
         return EXIT_VIOLATION if failures else EXIT_PASS
 
     seed, tol = cfg["sampling"]["seed"], cfg["tolerances"]["check_tol"]
@@ -375,7 +388,8 @@ def run(cfg: dict, out_dir: str, command: str, config_path: str) -> int:
         return finish("solve", err)
     report["delta_used"] = delta
     report["trace"] = trace.summary_dict()
-    _write(paths, "csv_path", trace.csv_blocks())
+    with _about(config_path, "outputs"):
+        _write(paths, "csv_path", trace.csv_blocks())
     if trace.status != "converged":
         failures.append("solve")
     if command == "solve":
@@ -395,10 +409,13 @@ def run(cfg: dict, out_dir: str, command: str, config_path: str) -> int:
     if not space.carrier.finite:
         starts = [x0] + starts
     x0_slot = x0 if space.carrier.finite else 0
+    # Runs without monitoring agree within a spread sized by the certificate,
+    # which verify has always made by now.
+    certified = cert.delta_with_margin(cfg["tolerances"]["safety_margin"]) if delta < 0 else None
     try:
         runs = _Runs(len(starts), (trace if i == x0_slot else picard_run(space, f, start, delta, rule)
                                    for i, start in enumerate(starts)))
-        record("uniqueness", uniqueness_probe(space, f, runs, rule))
+        record("uniqueness", uniqueness_probe(space, f, runs, rule, certified=certified))
     except CarrierDomainError as err:
         return finish("uniqueness", err)
 

@@ -13,13 +13,13 @@ entries lo, ..., min(hi, len) - 1 (see ``core._blocks``).  A drawn or given
 set holds the carrier's point array of its entries, drawn or validated once
 when the set is made, and a block is a slice of it.  An enumerated set is a
 :class:`ProductSet`, described by its shape alone: its entry i is the digits
-of i in base n, made for one block at a time.  Python points are built only
-when asked for.
+of i in base n, made for one block at a time.  Both kinds are a
+:class:`BlockSet`: iteration, ``entries`` and ``entry`` build Python points
+from ``block``, only when asked for.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -52,14 +52,31 @@ def philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class BlockSet:
+    """A sample set: ``__len__``, ``block(lo, hi)`` and ``exhaustive``.  Its other
+    reads are built from ``block``, as Python points (floats, tuples of floats or
+    ints) made on each call."""
+
+    def __iter__(self) -> Iterator:
+        return iter(self.entries)
+
+    @property
+    def entries(self) -> tuple:
+        return _python(self.block(0, len(self)).tolist())
+
+    def entry(self, i: int):
+        """Entry ``i`` (negative from the end), without building the others."""
+        i = range(len(self))[i]
+        return _python(self.block(i, i + 1).tolist())[0]
+
+
 @dataclass(frozen=True, eq=False)
-class SampleSet:
+class SampleSet(BlockSet):
     """A reproducible batch of sample entries: point tuples, or bare points for ``starts``.
 
     A set holds its entries once, as ``points``: one read-only array in
     ``carrier.array``'s format, of shape (n, width, ...), or (n, ...) for
-    ``starts``.  ``entries``, :meth:`entry` and iteration build its Python
-    points (floats, tuples of floats or ints) on each call.
+    ``starts``.
     """
 
     points: np.ndarray = field(repr=False)
@@ -67,17 +84,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.entries)
-
-    @property
-    def entries(self) -> tuple:
-        return _python(self.points.tolist())
-
-    def entry(self, i: int):
-        """Entry ``i`` as Python points, without building the others."""
-        return _python(self.points[i].tolist())
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """The point array of entries lo, ..., min(hi, len) - 1."""
@@ -99,13 +105,13 @@ class SampleSet:
 
 
 @dataclass(frozen=True, eq=False)
-class ProductSet:
+class ProductSet(BlockSet):
     """Every ``width``-tuple of the indices 0..n-1 of a finite carrier, in
     ``itertools.product`` order: entry i is the ``width`` digits of i in base n.
 
-    It has a :class:`SampleSet`'s reads, computed from its shape, and holds
-    no array.  Only the samplers and ``core._sweep_product`` make one, for a
-    carrier of ``n`` points, so its indices are valid by construction.
+    Its blocks are computed from its shape, and it holds no array.  Only the
+    samplers and ``core._sweep_product`` make one, for a carrier of ``n``
+    points, so its indices are valid by construction.
     """
 
     n: int
@@ -114,18 +120,6 @@ class ProductSet:
 
     def __len__(self) -> int:
         return self.n ** self.width
-
-    def __iter__(self) -> Iterator:
-        return iter(self.entries)
-
-    @property
-    def entries(self) -> tuple:
-        return tuple(itertools.product(range(self.n), repeat=self.width))
-
-    def entry(self, i: int) -> tuple:
-        """Entry ``i`` (negative from the end), without building the others."""
-        i = range(len(self))[i]
-        return tuple(self.block(i, i + 1)[0].tolist())
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """The (k, width) index array of entries lo, ..., min(hi, len) - 1, entry q

@@ -347,7 +347,7 @@ def verify_cauchy(trace: PicardTrace, space: AMetricSpace, tol: float = 1e-9) ->
 
 
 def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Iterable[PicardTrace],
-                     rule: StopRule) -> CheckReport:
+                     rule: StopRule, *, certified: float | None = None) -> CheckReport:
     """Multi-start agreement: every run must converge to one common point.
 
     ``traces`` are finished runs under ``rule`` with one delta, one per start
@@ -356,7 +356,10 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Iterable[PicardTra
     limit and delta; ``info.n_starts`` is the number of runs read.
     Limits must agree pairwise within a tolerance derived from the stop rule
     (finishing steps dominate eq_tol), and the consensus limit must be a
-    fixed point up to the residual acceptance 10 * eps.  When the rule's
+    fixed point up to the residual acceptance 10 * eps.  The agreement
+    tolerance grows as 1 / (1 - delta); runs made without monitoring (a
+    negative delta) are sized by ``certified``, a contraction factor the map
+    was certified to have, or else as if delta were 0.  When the rule's
     ``bound_eps`` applies (``delta >= 0``), a run may stop anywhere within
     bound_eps of the fixed point p: two such limits a, b are rep(a, b) <=
     (t-1) rep(a, p) + rep(b, p) <= t * bound_eps apart, and the step after a
@@ -366,6 +369,10 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Iterable[PicardTra
     error.  :func:`_sweep_later` compares every two limits, witnessed by their
     starts.  The report keeps the first ``core.MAX_WITNESSES`` violations.
     """
+    if certified is not None:
+        certified = finite_real(certified, "certified", 0)
+        if certified >= 1.0:
+            raise UsageError(f"certified must be < 1, got {certified!r}")
     rec = _Recorder("uniqueness")
     n_runs, deltas, starts, ends = 0, set(), [], []
     for n_runs, trace in enumerate(traces, 1):
@@ -383,7 +390,7 @@ def uniqueness_probe(space: AMetricSpace, f: SelfMap, traces: Iterable[PicardTra
 
     # Validated as verify_cauchy validates iterates; the array sizes agree_tol.
     pts = space.carrier.array(ends)
-    spread_cap = 1.0 - max(delta, 0.0)
+    spread_cap = 1.0 - (delta if delta >= 0.0 else certified or 0.0)
     bound_eps = rule.bound_eps if delta >= 0.0 and rule.bound_eps is not None else 0.0
     agree_tol = max(
         scaled_tol(space.eq_tol, *pts.ravel().tolist()),

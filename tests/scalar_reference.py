@@ -41,10 +41,16 @@ one pass: `jsonable`, the walk that made a report JSON-safe (a report
 object as its old `to_dict`, a numpy array as its `tolist()`), then json's
 indent-2 encoder.
 
+`sample_entries`, `sample_entry` and `product_entries` are the reads of
+`SampleSet` and `ProductSet` before both were built from `block`: a drawn
+set's `_python` of its point array, or of one row of it, and an enumerated
+set's `itertools.product`.
+
 `AFFINE_KERNELS` holds the coordinate kernels of the `linear-scale`,
 `affine` and `shift` map kinds before the three shared one, `a * x + c`.
 """
 
+import itertools
 import json
 import math
 
@@ -499,6 +505,18 @@ def jsonable(obj):
 
 def report_json(doc):
     return json.dumps(jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def sample_entries(points):
+    return _python(points.tolist())
+
+
+def sample_entry(points, i):
+    return _python(points[i].tolist())
+
+
+def product_entries(n, width):
+    return tuple(itertools.product(range(n), repeat=width))
 
 
 AFFINE_KERNELS = {

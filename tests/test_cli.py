@@ -313,7 +313,7 @@ def test_verify_malformed_map_parameter_exits_two_before_any_sweep(tmp_path, cap
                                "sampling": {"seed": 0}})
     code, out, err = run(["verify", "--config", cfg, "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
-    assert (out, err) == ("", "error: lam must be a real number, got 'abc'\n")
+    assert (out, err) == ("", f"error: {cfg}: map: lam must be a real number, got 'abc'\n")
     assert caplog.text == ""
     assert not (tmp_path / "out").exists()
 
@@ -324,7 +324,7 @@ def test_axioms_malformed_map_parameter_exits_two(tmp_path, capsys):
                                "sampling": {"seed": 0}})
     code, out, err = run(["axioms", "--config", cfg, "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 2
-    assert (out, err) == ("", "error: lam must be a real number, got 'abc'\n")
+    assert (out, err) == ("", f"error: {cfg}: map: lam must be a real number, got 'abc'\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -523,9 +523,9 @@ def test_verify_makes_each_start_run_as_the_probe_reads_it(space, tmp_path, monk
     probe = cli.uniqueness_probe
     monkeypatch.setattr(cli, "picard_run", lambda *args: made.append(args[2]) or picard(*args))
 
-    def counting_probe(space, f, runs, rule):
+    def counting_probe(space, f, runs, rule, **kwargs):
         seen.update(count=len(runs), made=len(made))
-        return probe(space, f, runs, rule)
+        return probe(space, f, runs, rule, **kwargs)
 
     monkeypatch.setattr(cli, "uniqueness_probe", counting_probe)
     doc = _paper_with(space=space, solver={"x0": 2 if space["kind"] == "lifted" else 7.0})
@@ -536,6 +536,40 @@ def test_verify_makes_each_start_run_as_the_probe_reads_it(space, tmp_path, monk
     n_starts = load_report(tmp_path)["uniqueness"]["info"]["n_starts"]
     assert seen == {"count": n_starts, "made": 1} and len(made) == n_starts
     assert n_starts == (3 if space["kind"] == "lifted" else 5)
+
+
+# The slow-contraction config: its limits lie about 0.0064 apart at eps 1e-4.
+SLOW_CFG = {"space": {"kind": "absdiff", "t": 3, "d": 1, "box": [-100.0, 100.0]},
+            "map": {"kind": "linear-scale", "lam": 0.97},
+            "sampling": {"seed": 0, "n_tuples": 50, "n_pairs": 50, "n_triples": 50},
+            "tolerances": {"eps": 1e-4}}
+
+
+@pytest.mark.parametrize("d, x0", [(1, 90), (2, [90, 3])], ids=["d1", "d2"])
+def test_verify_without_monitoring_sizes_agreement_by_the_certificate(d, x0, tmp_path, capsys):
+    # Sized as if delta were 0, the agreement tolerance was 0.002, and these
+    # runs once failed uniqueness; the certified delta gives about 0.067.
+    doc = _paper_with(**SLOW_CFG, solver={"x0": x0, "delta": -1})
+    doc["space"] = dict(doc["space"], d=d)
+    code, _, err = run(["verify", "--config", write_cfg(tmp_path, doc), "--out-dir", str(tmp_path)],
+                       capsys)
+    assert (code, err) == (0, "")
+    report = load_report(tmp_path)
+    assert report["uniqueness"]["passed"] and report["delta_used"] == -1.0
+    assert report["skipped"] == dict.fromkeys(("cauchy", "decay"), "envelope monitoring disabled")
+
+
+def test_verify_without_monitoring_still_fails_runs_that_do_not_converge(tmp_path, capsys):
+    doc = _paper_with(**SLOW_CFG, solver={"x0": 90, "delta": -1, "max_iter": 5})
+    code, _, _ = run(["verify", "--config", write_cfg(tmp_path, doc), "--out-dir", str(tmp_path)],
+                     capsys)
+    assert code == 1
+    report = load_report(tmp_path)
+    assert report["failures"] == ["solve", "uniqueness"]
+    uniqueness = report["uniqueness"]
+    assert uniqueness["info"] == {"n_converged": 0, "n_starts": 6}
+    assert [v["law"] for v in uniqueness["violations"]] == ["non-convergence[max_iter]"] * 6
+    assert uniqueness["violations"][0]["witness"] == [90.0]
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -567,7 +601,7 @@ def test_box_whose_width_overflows_exits_two(command, tmp_path, capsys):
     })
     code, out, err = run([command, "--config", cfg, "--out-dir", str(tmp_path)], capsys)
     assert code == 2
-    assert err == "error: box width of [-1e+308, 1e+308] overflows a float\n"
+    assert err == f"error: {cfg}: space.box: box width of [-1e+308, 1e+308] overflows a float\n"
     assert "Traceback" not in err and out == ""
     assert not (tmp_path / "report.json").exists()
 
@@ -704,7 +738,7 @@ def _piecewise(breakpoints, pieces):
      "space.box[0] must be finite"),
     (_paper_with(map={"kind": "affine", "alpha": 10 ** 400, "beta": 0}), "alpha must be finite"),
     (_paper_with(map={"kind": "linear-scale", "lam": 0.5, "lamda": 0.99}),
-     "map kind 'linear-scale' has no parameter 'lamda'"),
+     "cfg.json: map kind 'linear-scale' has no parameter 'lamda'; its parameters are ['lam']"),
     (b'{"space": "\xff"}', "config is not UTF-8"),
     (_paper_with(map={"kind": "linear-scale", "lam": "0.5"}), "lam must be a real number, got '0.5'"),
     (_paper_with(map={"kind": "linear-scale", "lam": True}), "lam must be a real number, got True"),
@@ -742,6 +776,26 @@ def _piecewise(breakpoints, pieces):
     (_paper_with(space={"kind": "absdiff", "t": 3, "d": 2},
                  map={"kind": "piecewise", "breakpoints": [], "pieces": [[0.5, 0]]}, solver={}),
      "piecewise maps are one-dimensional"),
+    # Every message about the config starts with its path, and names its key.
+    (_paper_with(map={"kind": "ball"}),
+     f"cfg.json: map: unknown map kind 'ball'; expected one of {spaces.MAP_KINDS}"),
+    (_paper_with(map={"kind": "linear-scale"}),
+     "cfg.json: map kind 'linear-scale' requires parameter 'lam'"),
+    (_paper_with(map={"kind": "linear-scale", "lam": "abc"}),
+     "cfg.json: map: lam must be a real number, got 'abc'"),
+    (_piecewise([0.5, 0.0], [[0.5, 0], [0.5, 0], [0.5, 0]]),
+     "cfg.json: map: breakpoints must be strictly increasing"),
+    (_paper_with(space={"kind": "absdiff", "t": 3, "box": [-1e308, 1e308]}),
+     "cfg.json: space.box: box width of [-1e+308, 1e+308] overflows a float"),
+    (_paper_with(solver={"x0": [1, 2]}),
+     "cfg.json: solver.x0: expected a scalar point, got (1.0, 2.0)"),
+    (_paper_with(outputs={"csv_path": "r.json", "json_path": "r.json"}),
+     "cfg.json: outputs.csv_path and outputs.json_path name one file, 'out/r.json'"),
+    (_paper_with(outputs={"json_path": "../cfg.json"}),
+     "cfg.json: outputs.json_path names the config file 'cfg.json'"),
+    # /dev/null is a file, so no directory can be made under it.
+    (_paper_with(outputs={"csv_path": "/dev/null/trace.csv"}),
+     "cfg.json: outputs.csv_path: cannot write '/dev/null/trace.csv': File exists"),
 ], ids=["tolerances-5", "solver-5", "sampling-5", "outputs-7", "space-list", "eps-null",
         "piece-short", "piece-int", "breakpoints-int", "pieces-null", "box-overflow",
         "param-overflow", "unknown-map-parameter", "not-utf8", "lam-string", "lam-bool",
@@ -749,16 +803,22 @@ def _piecewise(breakpoints, pieces):
         "breakpoint-string", "slope-bool", "intercept-string", "absdiff-base-table", "lifted-d-box",
         "top-level-list", "unknown-section", "no-space", "no-map", "no-sampling",
         "space-kind-unknown", "box-triple", "map-without-kind", "missing-parameter",
-        "finite-table-on-box", "continuous-kind-on-table", "piecewise-d2"])
-def test_malformed_config_exits_two(doc, message, tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
-    out_dir = tmp_path / "out"
-    code, out, err = run(["verify", "--config", str(path), "--out-dir", str(out_dir)], capsys)
+        "finite-table-on-box", "continuous-kind-on-table", "piecewise-d2", "map-kind-unknown",
+        "map-parameter-missing", "lam-abc", "breakpoints-decreasing", "box-width-overflow",
+        "x0-pair-on-a-line", "outputs-one-file", "outputs-config-file", "outputs-unwritable"])
+def test_malformed_config_exits_two(doc, message, tmp_path, capsys, monkeypatch):
+    # Run from the config's directory, so that a message starting with its
+    # path, as given, is pinned whole.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    code, out, err = run(["verify", "--config", "cfg.json", "--out-dir", "out"], capsys)
     assert code == 2
-    assert message in err
+    if message.startswith("cfg.json: "):
+        assert err == f"error: {message}\n"
+    else:
+        assert message in err
     assert out == ""
-    assert not out_dir.exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("count", [{"n_pairs": 10 ** 15}, {"n_starts": 10 ** 17}],
@@ -849,7 +909,7 @@ def test_outputs_naming_one_file_exit_two_before_any_sweep(outputs, command, tmp
     path = write_cfg(tmp_path, _paper_with(outputs=outputs))
     code, out, err = run([command, "--config", path, "--out-dir", str(out_dir)], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: outputs.csv_path and outputs.json_path name one file, ")
+    assert err.startswith(f"error: {path}: outputs.csv_path and outputs.json_path name one file, ")
     assert "running law checks" not in caplog.text + err
     assert not out_dir.exists()
 
@@ -867,7 +927,7 @@ def test_an_output_naming_the_config_exits_two_and_keeps_the_config(key, command
     before = Path(path).read_bytes()
     code, out, err = run([command, "--config", "e.json", "--out-dir", "."], capsys)
     assert (code, out) == (2, "")
-    assert err == f"error: outputs.{key} names the config file 'e.json'\n"
+    assert err == f"error: e.json: outputs.{key} names the config file 'e.json'\n"
     assert Path(path).read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
 
@@ -925,10 +985,10 @@ def test_verify_on_a_d2_box_starts_at_ones_by_default(tmp_path, capsys):
 ], ids=["d2-x0-of-length-3", "lifted-list-x0"])
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_x0_of_the_wrong_shape_exits_two_naming_its_key(doc, command, tmp_path, capsys):
-    code, _, err = run([command, "--config", write_cfg(tmp_path, doc),
-                        "--out-dir", str(tmp_path)], capsys)
+    cfg = write_cfg(tmp_path, doc)
+    code, _, err = run([command, "--config", cfg, "--out-dir", str(tmp_path)], capsys)
     assert code == 2
-    assert err.startswith("error: solver.x0: ")
+    assert err.startswith(f"error: {cfg}: solver.x0: ")
 
 
 @pytest.mark.parametrize("command, outputs, out_dir, key", [
@@ -945,7 +1005,7 @@ def test_unwritable_output_exits_two_naming_its_key(command, outputs, out_dir, k
     cfg = write_cfg(tmp_path, _paper_with(outputs=outputs))
     code, _, err = run([command, "--config", cfg, "--out-dir", str(tmp_path / out_dir)], capsys)
     assert code == 2
-    assert err.startswith(f"error: outputs.{key}: cannot write ")
+    assert err.startswith(f"error: {cfg}: outputs.{key}: cannot write ")
     assert "Traceback" not in err
 
 

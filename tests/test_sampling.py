@@ -6,7 +6,9 @@ These values pin the first random entry and the last injected degenerate
 entry (drawn after the random ones, from the same stream) of the axiom and
 pair sample sets on a 1-d box, a 4-d box and a sampled finite carrier.
 Each drawn set's point array must hold its entries, bit for bit, in the
-carrier's array format.
+carrier's array format.  Every set's iteration, ``entries`` and ``entry``
+are built from its ``block``, and must equal the reads each kind once
+defined for itself (``scalar_reference``).
 """
 
 from itertools import chain, product
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference as ref
 from ametric_fix import (
     CarrierDomainError,
     UsageError,
@@ -264,3 +267,77 @@ def test_enumerated_sets_are_product_sets(sampler, width):
     space = table_space(3, [[abs(a - b) for b in LINE] for a in LINE])
     made = sampler(space)
     assert type(made) is ProductSet and (made.n, made.width) == (len(LINE), width)
+
+
+# A drawn set's point array: (n,) for scalar starts, (n, d) for starts at
+# d > 1, (n, w) for tuples of scalar points, (n, w, d) for tuples at d > 1.
+SHAPES = {"starts": (), "starts-d": ("d",), "tuples": ("w",), "tuples-d": ("w", "d")}
+
+
+@st.composite
+def sample_sets(draw):
+    """A drawn set of up to 6 entries, floats or carrier indices, with the old
+    reads of its point array; or a ProductSet with those of itertools.product."""
+    n = draw(st.integers(0, 6), label="n")
+    if draw(st.booleans(), label="product"):
+        width = draw(st.integers(1, 4), label="width")
+        entries = ref.product_entries(n, width)
+        return ProductSet(n, width), entries, entries.__getitem__
+    dims = {axis: draw(st.integers(1, 4), label=axis) for axis in ("w", "d")}
+    shape = (n,) + tuple(dims[axis] for axis in draw(st.sampled_from(list(SHAPES.values()))))
+    size = int(np.prod(shape))
+    if draw(st.booleans(), label="indices"):
+        values = draw(st.lists(st.integers(0, 11), min_size=size, max_size=size))
+        points = np.array(values, dtype=np.intp).reshape(shape)
+    else:
+        values = draw(st.lists(st.floats(allow_nan=False), min_size=size, max_size=size))
+        points = np.array(values, dtype=float).reshape(shape)
+    points.flags.writeable = False
+    return (SampleSet(points), ref.sample_entries(points),
+            lambda i: ref.sample_entry(points, i))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(made=sample_sets())
+def test_every_read_is_built_from_block_as_its_old_definition(made):
+    """Iteration, entries and entry(i), from either end, equal the reads each set
+    kind once defined for itself: equal values, types and tuple nesting."""
+    samples, entries, entry = made
+    assert repr(samples.entries) == repr(entries) and samples.entries == entries
+    assert repr(tuple(samples)) == repr(entries)
+    for i in range(len(samples)):
+        for j in (i, i - len(samples)):
+            assert repr(samples.entry(j)) == repr(entry(j)) and samples.entry(j) == entry(j)
+
+
+@pytest.mark.parametrize("samples", [
+    SampleSet(np.zeros((3, 2))), SampleSet(np.zeros(0)), ProductSet(2, 3), ProductSet(0, 2)],
+    ids=["drawn", "drawn-empty", "product", "product-empty"])
+def test_an_entry_out_of_range_raises_index_error(samples):
+    for i in (len(samples), len(samples) + 5, -len(samples) - 1):
+        with pytest.raises(IndexError):
+            samples.entry(i)
+
+
+class CountedBlocks(sampling.BlockSet):
+    """A set of 10 scalar entries, 0.0, ..., 9.0, that records every block read."""
+
+    def __init__(self):
+        self.reads = []
+
+    def __len__(self):
+        return 10
+
+    def block(self, lo, hi):
+        self.reads.append((lo, hi))
+        return np.arange(lo, min(hi, 10), dtype=float)
+
+
+def test_a_set_is_its_len_and_block():
+    # entry(i) reads its own entry alone; entries and iteration read the set once.
+    made = CountedBlocks()
+    assert [made.entry(i) for i in (0, 9, -1, -10)] == [0.0, 9.0, 9.0, 0.0]
+    assert made.reads == [(0, 1), (9, 10), (9, 10), (0, 1)]
+    made.reads.clear()
+    assert made.entries == tuple(map(float, range(10))) == tuple(made)
+    assert made.reads == [(0, 10)] * 2

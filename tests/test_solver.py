@@ -10,6 +10,7 @@ Covers:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -471,6 +472,41 @@ def test_uniqueness_limits_just_past_the_agreement_tolerance_fail(bound_eps, pas
     report = uniqueness_probe(s, f, runs, StopRule(eps=1e-12, bound_eps=bound_eps))
     assert report.passed is passed
     assert [v.law for v in report.violations] == ([] if passed else ["limit-agreement"])
+
+
+@pytest.mark.parametrize("certified", [None, 0.5, 0.97])
+@pytest.mark.parametrize("past, passed", [(-1e-12, True), (1e-12, False)])
+def test_unmonitored_runs_agree_within_the_certified_spread(certified, past, passed):
+    # Runs made with delta -1 are sized by the certified delta, and without one
+    # as if delta were 0: 10 * (t-1) * eps / (1 - certified) at t = 3 and
+    # eps = 1e-12.  bound_eps never applies to them.
+    s = make_absdiff_space(3)
+    f = make_map(MapSpec.of("identity"), s)
+    tol = 2e-11 / (1.0 - (certified or 0.0))
+    runs = [converged(1.0, 0.0, delta=-1.0), converged(2.0, (tol + past) / 2, delta=-1.0)]
+    report = uniqueness_probe(s, f, runs, StopRule(eps=1e-12, bound_eps=1e-6), certified=certified)
+    assert report.passed is passed
+    assert [v.law for v in report.violations] == ([] if passed else ["limit-agreement"])
+
+
+def test_a_certified_delta_leaves_monitored_runs_and_the_residual_as_they_were():
+    s = make_absdiff_space(3)
+    identity = make_map(MapSpec.of("identity"), s)
+    runs = [converged(1.0, 0.0), converged(2.0, 2.1e-11)]  # just past 4e-11 at delta 0.5
+    report = uniqueness_probe(s, identity, runs, StopRule(eps=1e-12))
+    assert not report.passed
+    assert uniqueness_probe(s, identity, runs, StopRule(eps=1e-12), certified=0.9) == report
+    # The consensus limit must still be a fixed point, and every run must converge.
+    nudge = SelfMap(kind="nudge", fn=lambda x: x + 5e-11 / 2)
+    stalled = PicardTrace(iterates=(3.0,), steps=(), delta=-1.0, d0=0.0, t=3, status="max_iter",
+                          limit=None)
+    runs = [converged(1.0, 0.0, delta=-1.0), converged(2.0, 0.0, delta=-1.0), stalled]
+    report = uniqueness_probe(s, nudge, runs, StopRule(eps=1e-12), certified=0.9)
+    assert [v.law for v in report.violations] == ["non-convergence[max_iter]", "fixed-point-residual"]
+    for bad, message in ((1.0, "certified must be < 1, got 1.0"), (-0.5, "certified must be >= 0"),
+                         (True, "certified must be a real number, got True")):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            uniqueness_probe(s, nudge, runs, StopRule(), certified=bad)
 
 
 def test_uniqueness_probe_bound_eps_applies_at_delta_zero():
